@@ -62,7 +62,6 @@ from .optics import (
     fresnel_interface,
     load_stack,
     parse_stack_text,
-    rho_with_noise,
     stack_reflection,
 )
 from .phase_space import (

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -98,6 +99,13 @@ def _require(value, what: str):
     return value
 
 
+def _nbar(value) -> float:
+    nbar = float(value)
+    if not math.isfinite(nbar):
+        raise QellipError(f"nbar must be finite, got {nbar}")
+    return nbar
+
+
 # ---------------------------------------------------------------------------
 # state construction shared by state / sweep / ellipsometry
 
@@ -118,7 +126,7 @@ def _state_report(args, cfg: dict, tol: float) -> noise.MomentReport:
     photon-carrying families, circular moments plus external nbar for the
     phase-profile families."""
     family = _require(_pick(args, cfg, "family"), "--family")
-    nbar = float(_pick(args, cfg, "nbar", 100.0))
+    nbar = _nbar(_pick(args, cfg, "nbar", 100.0))
     cutoff = _pick(args, cfg, "cutoff")
     if family == "coherent":
         a = np.sqrt(nbar / 2.0)
@@ -167,9 +175,8 @@ def cmd_state(args) -> int:
 
 def _parse_nbar_list(value) -> list[float]:
     if isinstance(value, str):
-        items = [v for v in value.split(",") if v.strip()]
-        return [float(v) for v in items]
-    return [float(v) for v in value]
+        value = [v for v in value.split(",") if v.strip()]
+    return [_nbar(v) for v in value]
 
 
 SWEEP_COLUMNS = ("nbar", "e_var", "l_var", "p_var", "product", "bound",
@@ -287,8 +294,7 @@ def cmd_ellipsometry(args) -> int:
     }
     if _pick(args, cfg, "family") is not None:
         report = _state_report(args, cfg, tol)
-        bars = noise.rho_uncertainty(
-            report, operating_point=(result.psi_angle, result.delta))
+        bars = noise.rho_uncertainty(report)
         doc["noise"] = {
             "sigma_delta": bars.sigma_delta,
             "sigma_tanpsi_rel": bars.sigma_tanpsi_rel,

@@ -17,11 +17,22 @@ the recorded tail mass.
 
 Construction is tail-checked: every constructor records the probability
 lost to the truncation before renormalizing, and raises TruncationError
-when it exceeds the tolerance (default 1e-10).
+when it exceeds the tolerance (default 1e-10).  Every constructor also
+checks the (M+1)^2 grid against ``MAX_GRID_BYTES`` before allocating it.
+
+Displaced squeezed states are built from the columns of the displacement
+factors that their pair part reaches.  The pair amplitudes
+(e^{i theta} tanh s)^n / cosh s leave (tanh s)^K of the norm beyond
+column K, so K is set by s alone (51 at s=0.5, 144 at s=1) while the
+cutoff grows with the displacement; restricting both factors to K
+columns turns the O(M^3) dense products into O(M^2 K) ones.  The columns
+still come from the exactly unitary tridiagonal eigensolve rather than
+from Laguerre recurrences, which lose precision past |alpha| of a few.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +47,13 @@ from .errors import (
 from .phase_space import PhaseWaveFunction
 
 DEFAULT_TAIL_TOL = 1e-10
+
+#: Largest amplitude grid a constructor may allocate, in bytes.
+MAX_GRID_BYTES = 2 ** 30
+
+#: Norm left out of a displaced squeezed state's pair part: under one
+#: rounding unit of a unit-norm state.
+PAIR_NORM_FLOOR = 1e-17
 
 
 @dataclass(frozen=True)
@@ -131,15 +149,29 @@ def phase_operator_layer(N: int) -> LayerOperator:
 
 
 def _check_cutoff(cutoff: int) -> int:
+    """Validated cutoff whose (cutoff+1)^2 complex grid fits the budget."""
     cutoff = int(cutoff)
     if cutoff < 1:
         raise InvalidParameterError(f"cutoff must be >= 1, got {cutoff}")
+    grid_bytes = (cutoff + 1) ** 2 * np.dtype(complex).itemsize
+    if grid_bytes > MAX_GRID_BYTES:
+        raise InvalidParameterError(
+            f"cutoff {cutoff} needs a {grid_bytes / 2 ** 20:.0f} MiB amplitude grid, "
+            f"over the {MAX_GRID_BYTES / 2 ** 20:.0f} MiB budget"
+        )
     return cutoff
+
+
+def _check_finite(what: str, value: complex) -> None:
+    value = complex(value)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise InvalidParameterError(f"{what} must be finite, got {value}")
 
 
 def _finish_state(amps: np.ndarray, cutoff: int, tail_tol: float,
                   context: str) -> TwoModeFockState:
-    captured = float(np.sum(np.abs(amps) ** 2))
+    """Tail-check and normalize ``amps`` in place (callers pass a fresh grid)."""
+    captured = float(np.vdot(amps, amps).real)
     if not np.isfinite(captured):
         raise InconsistentSolutionError(
             f"{context}: non-finite amplitudes at cutoff {cutoff}"
@@ -150,15 +182,28 @@ def _finish_state(amps: np.ndarray, cutoff: int, tail_tol: float,
             f"{context}: truncation tail {tail:.3e} exceeds tolerance {tail_tol:.1e} "
             f"at cutoff {cutoff}"
         )
-    return TwoModeFockState(cutoff, amps / np.sqrt(captured), max(tail, 0.0))
+    parts = amps.view(np.float64)  # a real divisor: skip complex division
+    parts /= math.sqrt(captured)
+    return TwoModeFockState(cutoff, amps, max(tail, 0.0))
 
 
 def _coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
-    """Poissonian amplitudes e^{-|a|^2/2} a^n / sqrt(n!) by recurrence."""
-    v = np.empty(cutoff + 1, dtype=complex)
-    v[0] = np.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, cutoff + 1):
-        v[n] = v[n - 1] * alpha / np.sqrt(n)
+    """Poissonian amplitudes e^{-|a|^2/2} a^n / sqrt(n!) by recurrence.
+
+    The recurrence runs up and down from the mode n0 = floor(|a|^2),
+    started at its log-scale value: e^{-|a|^2/2} itself underflows once
+    |a|^2 passes ~1490, which would zero the whole vector.
+    """
+    v = np.zeros(cutoff + 1, dtype=complex)
+    mag = abs(alpha)
+    if mag == 0.0:
+        v[0] = 1.0
+        return v
+    n0 = min(int(mag * mag), cutoff)
+    log_peak = -0.5 * mag * mag + n0 * math.log(mag) - 0.5 * math.lgamma(n0 + 1)
+    v[n0] = math.exp(log_peak) * (alpha / mag) ** n0
+    v[n0 + 1:] = v[n0] * np.cumprod(alpha / np.sqrt(np.arange(n0 + 1.0, cutoff + 1)))
+    v[:n0] = (v[n0] * np.cumprod(np.sqrt(np.arange(n0, 0.0, -1.0)) / alpha))[::-1]
     return v
 
 
@@ -176,12 +221,31 @@ def coherent_state(alpha_p: complex, alpha_s: complex,
     Raises TruncationError when the Poisson tail beyond the cutoff
     exceeds ``tail_tol``.
     """
+    _check_finite("alpha_p", alpha_p)
+    _check_finite("alpha_s", alpha_s)
     if cutoff is None:
         cutoff = auto_cutoff_coherent(alpha_p, alpha_s)
     cutoff = _check_cutoff(cutoff)
     amps = np.outer(_coherent_vector(alpha_p, cutoff),
                     _coherent_vector(alpha_s, cutoff))
     return _finish_state(amps, cutoff, tail_tol, "coherent state")
+
+
+def _displacement_columns(alpha: complex, cutoff: int, ncols: int) -> np.ndarray:
+    """The first ``ncols`` columns of ``displacement_matrix(alpha, cutoff)``."""
+    dim = cutoff + 1
+    mag = abs(alpha)
+    if mag == 0.0:
+        return np.eye(dim, ncols, dtype=complex)
+    w, v = eigh_tridiagonal(np.zeros(dim), mag * np.sqrt(np.arange(1.0, dim)))
+    # core = v e^{iw} v[:ncols]^T, taken as one real product so that the
+    # (dim x dim) eigenvector matrix is never copied to complex
+    head = v[:ncols].T
+    parts = v @ np.hstack([np.cos(w)[:, np.newaxis] * head,
+                           np.sin(w)[:, np.newaxis] * head])
+    core = parts[:, :ncols] + 1j * parts[:, ncols:]
+    gauge = (-1j * np.exp(1j * np.angle(alpha))) ** np.arange(dim)
+    return (gauge[:, np.newaxis] * core) * np.conj(gauge[:ncols])[np.newaxis, :]
 
 
 def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
@@ -194,19 +258,16 @@ def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
     unitary on the truncated space, with entries matching the infinite-
     space operator wherever its support is clear of the cutoff.
 
+    This is the all-columns case of the column builder that
+    ``displaced_squeezed_state`` calls with only the K columns its pair
+    part reaches; each column costs O(M^2) after the O(M^2) eigensolve.
+
     Local three-term recurrences for the associated-Laguerre entries look
     cheaper but amplify roundoff like e^{n/2} along the matrix diagonals,
     losing all precision past |alpha| of a few; do not revert to them.
     """
     cutoff = _check_cutoff(cutoff)
-    dim = cutoff + 1
-    mag = abs(alpha)
-    if mag == 0.0:
-        return np.eye(dim, dtype=complex)
-    w, v = eigh_tridiagonal(np.zeros(dim), mag * np.sqrt(np.arange(1.0, dim)))
-    core = (v * np.exp(1j * w)) @ v.T
-    gauge = (-1j * np.exp(1j * np.angle(alpha))) ** np.arange(dim)
-    return (gauge[:, np.newaxis] * core) * np.conj(gauge)[np.newaxis, :]
+    return _displacement_columns(alpha, cutoff, cutoff + 1)
 
 
 def displaced_squeezed_state(alpha_p: complex, alpha_s: complex, zeta: complex,
@@ -216,29 +277,42 @@ def displaced_squeezed_state(alpha_p: complex, alpha_s: complex, zeta: complex,
 
     The pair part is sum_n (e^{i theta} tanh s)^n |n, n> / cosh s with
     zeta = s e^{i theta}; the displacements act as truncated matrices.
-    zeta = 0 reduces exactly to ``coherent_state``.  Raises
-    TruncationError when the pair tail or the mass pressed against the
-    grid boundary exceeds ``tail_tol``.
+    Only the first K pair terms are kept, K the smallest with
+    (tanh s)^K < PAIR_NORM_FLOOR, so the amplitudes are
+    D_p[:, :K] diag(c) D_s[:, :K]^T at O(M^2 K) cost.  zeta = 0 reduces
+    exactly to ``coherent_state``.  Raises TruncationError when the pair
+    tail or the mass pressed against the grid boundary exceeds
+    ``tail_tol``.
     """
+    _check_finite("alpha_p", alpha_p)
+    _check_finite("alpha_s", alpha_s)
+    _check_finite("zeta", zeta)
     zeta = complex(zeta)
     s = abs(zeta)
     if s == 0.0:
         return coherent_state(alpha_p, alpha_s, cutoff, tail_tol)
+    r = np.tanh(s)
     if cutoff is None:
         # keep every pair column whose clipped mass could reach ~1e-12,
         # and cover the outer support edge (sqrt(n) + |alpha|)^2 of the
         # displaced number states those columns become
-        r = np.tanh(s)
+        if r >= 1.0:
+            raise InvalidParameterError(
+                f"squeezing s={s} rounds tanh s to 1: no finite cutoff holds it")
         amax = max(abs(alpha_p), abs(alpha_s))
         n_used = (12.0 * np.log(10.0) - np.log(1.0 - r * r)) / (-2.0 * np.log(r))
         edge = (np.sqrt(n_used) + amax) ** 2
         cutoff = int(np.ceil(edge + 8.0 * np.sqrt(edge + 1.0) + 25.0))
     cutoff = _check_cutoff(cutoff)
 
-    r = np.tanh(s) * np.exp(1j * np.angle(zeta))
-    pair_amps = (1.0 / np.cosh(s)) * r ** np.arange(cutoff + 1)
-    scaled = displacement_matrix(alpha_p, cutoff) * pair_amps[np.newaxis, :]
-    amps = scaled @ displacement_matrix(alpha_s, cutoff).T
+    # the pair terms from K on hold r^(2K) of the norm
+    pairs = cutoff + 1
+    if r < 1.0:
+        pairs = min(pairs, int(math.log(PAIR_NORM_FLOOR) / math.log(r)) + 1)
+    pair_amps = (1.0 / np.cosh(s)) * (r * np.exp(1j * np.angle(zeta))) ** np.arange(pairs)
+    d_p = _displacement_columns(alpha_p, cutoff, pairs)
+    d_s = d_p if alpha_s == alpha_p else _displacement_columns(alpha_s, cutoff, pairs)
+    amps = (d_p * pair_amps[np.newaxis, :]) @ d_s.T
     # the displacement factors are exactly unitary, so a clipped support
     # aliases off the cutoff instead of losing norm; catch it by the mass
     # sitting against the grid boundary
@@ -262,6 +336,9 @@ def squeezed_for_mean_photons(nbar: float, s: float, dphi: float = 0.0,
     dphi = phi_p + phi_s - theta is the requested noise-balance phase
     (dphi = 0 minimizes the photon-difference variance).
     """
+    _check_finite("nbar", nbar)
+    _check_finite("squeezing magnitude", s)
+    _check_finite("dphi", dphi)
     s = float(s)
     if s < 0.0:
         raise InvalidParameterError(f"squeezing magnitude must be >= 0, got {s}")
@@ -287,6 +364,7 @@ def embed_phase_state(psi: PhaseWaveFunction, N: int,
     N = int(N)
     if N < 2 or N % 2 != 0:
         raise InvalidParameterError(f"layer photon number must be even and >= 2, got {N}")
+    _check_cutoff(N)
     half = N // 2
     amps = np.zeros((N + 1, N + 1), dtype=complex)
     for i, l in enumerate(psi.l_values):

@@ -98,22 +98,59 @@ def _make_report(n_mean: float, e_mean: complex, e_var: float,
                         product, bound, ratio, pol_squeezed)
 
 
+def _grid_moments(a: np.ndarray) -> tuple[float, complex, float, float, float, float]:
+    """(n_mean, e_mean, e_var, l_mean, l_var, p_var) of a normalized grid.
+
+    Every diagonal operator (N, L, P) is read off the real probability
+    grid |a|^2 through its marginals and weighted row sums; no operator
+    grid is built.
+    """
+    M = a.shape[0] - 1
+    prob = np.abs(a)
+    prob *= prob
+    k = np.arange(M + 1, dtype=float)
+    p_s = prob.sum(axis=0)
+    mean_s = float(k @ p_s)
+    dn = k - mean_s
+    # one pass over the grid: row sums and the rows weighted by n - <N_s>,
+    # 1/sqrt(n+1) and 1/(n+1)
+    weights = np.stack([np.ones(M + 1), dn, 1.0 / np.sqrt(k + 1.0), 1.0 / (k + 1.0)],
+                       axis=1)
+    p_m, row_dn, row_isq, row_inv = (prob @ weights).T
+    mean_p = float(k @ p_m)
+    dm = k - mean_p
+    # Var L = (Var N_p + Var N_s - 2 Cov) / 4 from centred sums, which keep
+    # the precision of pair-correlated and single-layer states
+    l_var = 0.25 * float((dm * dm) @ p_m + (dn * dn) @ p_s - 2.0 * (dm @ row_dn))
+    p_mean = float(np.sqrt(k) @ row_isq)
+    p_var = float(k @ row_inv) - p_mean * p_mean
+
+    # E pairs |m, n> with |m+1, n-1>, which lies M entries further on in
+    # the row-major grid.  The offset product also pairs each row's n = 0
+    # entry with its n = M entry, which E does not; E instead wraps
+    # |0, N> onto |N, 0>.
+    flat = a.ravel()
+    e_mean = complex(np.vdot(flat[:flat.size - M], flat[M:])
+                     - np.vdot(a[:, 0], a[:, M]) + np.vdot(a[:, 0], a[0, :]))
+    e_var = min(max(1.0 - abs(e_mean) ** 2, 0.0), 1.0)
+    return (mean_p + mean_s, e_mean, e_var, 0.5 * (mean_p - mean_s),
+            max(l_var, 0.0), max(p_var, 0.0))
+
+
 def analyze(state, nbar: float | None = None) -> MomentReport:
     """Moment report for a Fock-grid state or a bare phase state.
 
-    Fock states carry their own photon number; phase states need the
-    external ``nbar`` (the layer a later embedding would use).
+    Fock states carry their own photon number.  Their moments come from
+    one real probability grid |a|^2 (N and L from its marginals and the
+    centred N_p-N_s covariance, P from sqrt(m) and 1/sqrt(n+1) weighted
+    sums) and one offset inner product over the amplitudes for <E>, with
+    the vacuum wrap |0, N> -> |N, 0> included; the cost is a few passes
+    over the grid and one extra real grid of memory.  Phase states need
+    the external ``nbar`` (the layer a later embedding would use), which
+    must be finite and positive.
     """
     if isinstance(state, fock.TwoModeFockState):
-        M = state.cutoff
-        n_mean = fock.expectation(state, fock.build_N_operator(M)).real
-        l_op = fock.build_L_operator(M)
-        l_mean = fock.expectation(state, l_op).real
-        l_var = fock.variance_hermitian(state, l_op)
-        e_mean = fock.expectation(state, fock.phase_operator(M))
-        e_var = min(max(1.0 - abs(e_mean) ** 2, 0.0), 1.0)
-        p_var = fock.variance_hermitian(state, fock.modulus_operator(M))
-        return _make_report(n_mean, e_mean, e_var, l_mean, l_var, p_var)
+        return _make_report(*_grid_moments(state.amplitudes))
 
     if isinstance(state, phase_space.PhaseWaveFunction):
         if nbar is None:
@@ -121,8 +158,8 @@ def analyze(state, nbar: float | None = None) -> MomentReport:
                 "phase states need an external mean photon number nbar"
             )
         nbar = float(nbar)
-        if nbar <= 0.0:
-            raise InvalidParameterError(f"nbar must be positive, got {nbar}")
+        if not (math.isfinite(nbar) and nbar > 0.0):
+            raise InvalidParameterError(f"nbar must be finite and positive, got {nbar}")
         mom = phase_space.circular_moments(state)
         p_var = 4.0 * mom.l_var / nbar ** 2
         return _make_report(nbar, mom.e_mean, mom.e_var, mom.l_mean,
@@ -275,13 +312,12 @@ def report_from_dict(d: dict) -> MomentReport:
 # ---------------------------------------------------------------------------
 # propagation to the ellipsometric function
 
-def rho_uncertainty(report: MomentReport, operating_point=None) -> RhoUncertainty:
+def rho_uncertainty(report: MomentReport) -> RhoUncertainty:
     """Delta-method noise bars on rho from the phase and modulus channels.
 
     sigma_delta = sqrt(-2 ln |<E>|) (circular standard deviation),
     sigma_tanpsi_rel = sqrt(Var P), combined in quadrature.  The relative
-    bars do not depend on the classical operating point, which is
-    accepted only to mark where on the (psi, Delta) surface they apply.
+    bars do not depend on the classical operating point (psi, Delta).
     """
     mag = abs(report.e_mean)
     if mag <= 0.0:

@@ -18,12 +18,12 @@ returns the Born & Wolf sign, which is flipped into the convention above.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalDomainError, StackParseError
-from .noise import MomentReport, RhoUncertainty, rho_uncertainty
 
 
 @dataclass(frozen=True)
@@ -43,19 +43,25 @@ class LayerStack:
     angle_of_incidence: float  # radians
 
     def __post_init__(self):
-        if not self.wavelength > 0.0:
-            raise InvalidParameterError(f"wavelength must be > 0, got {self.wavelength}")
+        if not (math.isfinite(self.wavelength) and self.wavelength > 0.0):
+            raise InvalidParameterError(
+                f"wavelength must be finite and > 0, got {self.wavelength}")
         if not 0.0 <= self.angle_of_incidence < np.pi / 2.0:
             raise InvalidParameterError(
                 f"angle of incidence must lie in [0, pi/2), got {self.angle_of_incidence}"
             )
         for n in (self.ambient_index, self.substrate_index,
                   *(l.index for l in self.layers)):
-            if complex(n).imag < 0.0:
+            n = complex(n)
+            if not (math.isfinite(n.real) and math.isfinite(n.imag)):
+                raise InvalidParameterError(f"refractive index must be finite, got {n}")
+            if n.imag < 0.0:
                 raise InvalidParameterError(
                     f"absorbing convention requires Im(n) >= 0, got {n}"
                 )
         for l in self.layers:
+            if not math.isfinite(l.thickness):
+                raise InvalidParameterError(f"film thickness must be finite, got {l.thickness}")
             if l.thickness < 0.0:
                 raise InvalidParameterError(f"negative thickness {l.thickness}")
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -147,14 +153,6 @@ def stack_reflection(stack: LayerStack) -> EllipsometricResult:
     psi = float(np.arctan(abs(rho)))
     delta = float(np.angle(rho)) % (2.0 * np.pi)
     return EllipsometricResult(r_p, r_s, rho, psi, delta)
-
-
-def rho_with_noise(stack: LayerStack, report: MomentReport
-                   ) -> tuple[EllipsometricResult, RhoUncertainty]:
-    """Classical operating point annotated with quantum noise bars."""
-    result = stack_reflection(stack)
-    bars = rho_uncertainty(report, operating_point=(result.psi_angle, result.delta))
-    return result, bars
 
 
 # ---------------------------------------------------------------------------

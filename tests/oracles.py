@@ -4,14 +4,15 @@ Each routine here deliberately avoids the code path it checks: the
 continued fraction replaces the tridiagonal eigensolve, ODE shooting
 replaces the Fourier evaluation, explicit multiple-bounce (Airy)
 summation replaces characteristic matrices, quadrature replaces Bessel
-identities, and the Laguerre closed form replaces the displacement
-column recurrence.
+identities, the Laguerre closed form replaces the displacement
+eigensolve, and sums over fixed-photon-number layers replace the grid
+moments of coherent states.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.special import factorial, genlaguerre
+from scipy.special import eval_genlaguerre, gammaln
 
 from qellip.optics import Layer, LayerStack
 
@@ -63,14 +64,52 @@ def von_mises_circular_mean(kappa: float, phi0: float = 0.0,
 # ---------------------------------------------------------------------------
 # Fock-basis displacement matrix closed form
 
-def displacement_entry(m: int, n: int, alpha: complex) -> complex:
-    """<m| D(alpha) |n> via associated Laguerre polynomials."""
+def displacement_entry(m, n, alpha: complex):
+    """<m| D(alpha) |n> via associated Laguerre polynomials.
+
+    m and n may be integer arrays (broadcast together).  The factorial
+    ratio and the powers of |alpha| are combined in log scale and the
+    polynomial comes from its recurrence in degree, so entries keep full
+    precision at degrees in the hundreds, where the polynomial's
+    coefficient form has long lost it.
+    """
+    m, n = np.broadcast_arrays(np.asarray(m), np.asarray(n))
     x = abs(alpha) ** 2
-    if m >= n:
-        return (np.sqrt(factorial(n) / factorial(m)) * alpha ** (m - n)
-                * np.exp(-x / 2.0) * genlaguerre(n, m - n)(x))
-    return (np.sqrt(factorial(m) / factorial(n)) * (-np.conj(alpha)) ** (n - m)
-            * np.exp(-x / 2.0) * genlaguerre(m, n - m)(x))
+    if x == 0.0:
+        return (m == n).astype(complex)[()]
+    lo, hi = np.minimum(m, n), np.maximum(m, n)
+    lag = eval_genlaguerre(lo, hi - lo, x)
+    with np.errstate(divide="ignore"):
+        size = np.exp(0.5 * (gammaln(lo + 1.0) - gammaln(hi + 1.0))
+                      + (hi - lo) * np.log(abs(alpha)) - 0.5 * x
+                      + np.log(np.abs(lag)))
+    # alpha^(m-n) above the diagonal, (-conj alpha)^(n-m) below it
+    phase = (np.exp(1j * (m - n) * np.angle(alpha))
+             * np.where(m < n, (-1.0) ** (n - m), 1.0))
+    return (np.sign(lag) * size * phase)[()]
+
+
+# ---------------------------------------------------------------------------
+# balanced coherent <E> by fixed-photon-number layers
+
+def coherent_e_mean(nbar: float) -> float:
+    """<E> of the two-mode coherent state with |alpha_p|^2 = |alpha_s|^2 = nbar/2
+    and real amplitudes.
+
+    The total photon number N is Poisson(nbar); given N, the photons split
+    binomially, b_m = C(N, m) / 2^N on |m, N - m>, with equal phases.  E
+    moves m to m - 1 inside the layer and wraps |0, N> onto |N, 0>, so
+    <E> = sum_N P(N) [sum_{m>=1} sqrt(b_{m-1} b_m) + sqrt(b_0 b_N)].
+    """
+    width = 15.0 * np.sqrt(nbar) + 10.0
+    total = 0.0
+    for N in range(max(0, int(nbar - width)), int(nbar + width) + 1):
+        log_poisson = -nbar + N * np.log(nbar) - gammaln(N + 1.0)
+        m = np.arange(N + 1.0)
+        log_b = gammaln(N + 1.0) - gammaln(m + 1.0) - gammaln(N - m + 1.0) - N * np.log(2.0)
+        inner = np.sum(np.exp(0.5 * (log_b[:-1] + log_b[1:]))) + np.exp(0.5 * (log_b[0] + log_b[-1]))
+        total += np.exp(log_poisson) * inner
+    return float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,20 @@ class TestState:
         code, _, _ = run(capsys, "state", "--family", "mathieu", "--q", "-1")
         assert code == 2
 
+    @pytest.mark.parametrize("family", [["coherent"], ["squeezed", "--s", "0.5"],
+                                        ["von_mises", "--kappa", "2"]])
+    @pytest.mark.parametrize("nbar", ["nan", "inf"])
+    def test_non_finite_nbar_exits_2(self, capsys, family, nbar):
+        code, _, err = run(capsys, "state", "--family", *family, "--nbar", nbar)
+        assert code == 2
+        assert "finite" in err
+
+    def test_oversized_grid_exits_2(self, capsys):
+        # regression: the (M+1)^2 grid was allocated and died in MemoryError
+        code, _, err = run(capsys, "state", "--family", "coherent", "--nbar", "1e5")
+        assert code == 2
+        assert "budget" in err
+
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"family": "coherent", "nbar": 16.0}))
@@ -158,6 +172,12 @@ class TestSweep:
         last_nbar, last_e_var = float(rows[-1][0]), float(rows[-1][1])
         assert last_e_var * last_nbar == pytest.approx(np.exp(2.0), rel=0.1)
         assert all(r[7] == "true" for r in rows)
+
+    def test_non_finite_nbar_exits_2(self, capsys):
+        code, _, err = run(capsys, "sweep", "--family", "mathieu", "--q", "1",
+                           "--nbar-list", "40,80,inf,160")
+        assert code == 2
+        assert "finite" in err
 
     def test_empty_nbar_list_exits_2(self, capsys):
         code, _, _ = run(capsys, "sweep", "--family", "coherent",
@@ -267,6 +287,15 @@ class TestEllipsometry:
         code, _, _ = run(capsys, "ellipsometry",
                          "--stack", str(tmp_path / "nope.txt"))
         assert code == 2
+
+    @pytest.mark.parametrize("line", ["layer 1.46 0.0 nan", "layer 1.46 0.0 inf",
+                                      "layer nan 0.0 100.0"])
+    def test_non_finite_film_exits_2(self, capsys, tmp_path, line):
+        stack = tmp_path / "stack.txt"
+        stack.write_text(STACK.replace("layer 1.46 0.0 100.0", line))
+        code, _, err = run(capsys, "ellipsometry", "--stack", str(stack))
+        assert code == 2
+        assert "finite" in err
 
 
 class TestMathieuTable:

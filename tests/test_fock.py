@@ -7,6 +7,7 @@ from qellip import (
     DimensionMismatchError,
     InvalidParameterError,
     TruncationError,
+    analyze,
     build_L_operator,
     build_N_operator,
     circular_variance_unitary,
@@ -27,7 +28,8 @@ from qellip import (
     variance_hermitian,
 )
 
-from oracles import displacement_entry
+from qellip import fock
+from oracles import coherent_e_mean, displacement_entry
 
 
 class TestLayerOperator:
@@ -119,6 +121,65 @@ class TestCoherent:
         n = expectation(st, build_N_operator(st.cutoff)).real
         assert n == pytest.approx(4.0 + 2.0, rel=1e-9)
 
+    @pytest.mark.parametrize("nbar", [3000.0, 6000.0])
+    def test_builds_where_the_vacuum_factor_underflows(self, nbar):
+        # regression: starting the recurrence at e^{-nbar/4} zeroed the
+        # vector past nbar ~ 2980 and raised a false TruncationError
+        a = np.sqrt(nbar / 2.0)
+        report = analyze(coherent_state(a, a))
+        assert report.n_mean == pytest.approx(nbar, rel=1e-9)
+        assert report.e_var == pytest.approx(1.0 - coherent_e_mean(nbar) ** 2, rel=1e-7)
+
+    @pytest.mark.parametrize("alpha", [np.sqrt(5.0), 0.3 + 2.0j, np.sqrt(200.0),
+                                       np.sqrt(1400.0) * np.exp(0.7j)])
+    def test_matches_recurrence_from_vacuum_below_underflow(self, alpha):
+        st = coherent_state(alpha, alpha)
+        v = np.empty(st.cutoff + 1, dtype=complex)
+        v[0] = np.exp(-0.5 * abs(alpha) ** 2)
+        for n in range(1, st.cutoff + 1):
+            v[n] = v[n - 1] * alpha / np.sqrt(n)
+        ref = np.outer(v, v)
+        ref /= np.linalg.norm(ref)
+        assert np.abs(st.amplitudes - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestGridBudget:
+    def test_oversized_grids_rejected(self):
+        with pytest.raises(InvalidParameterError, match="budget"):
+            coherent_state(np.sqrt(5e4), np.sqrt(5e4))
+        with pytest.raises(InvalidParameterError, match="budget"):
+            squeezed_for_mean_photons(20000.0, 5.0)
+        with pytest.raises(InvalidParameterError, match="budget"):
+            embed_phase_state(from_von_mises(1.0), 100000)
+
+    def test_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(fock, "MAX_GRID_BYTES", 11 * 11 * 16)
+        assert coherent_state(0.5, 0.5, 10).cutoff == 10
+        with pytest.raises(InvalidParameterError, match="budget"):
+            coherent_state(0.5, 0.5, 11)
+        with pytest.raises(InvalidParameterError, match="budget"):
+            displaced_squeezed_state(0.5, 0.5, 0.1, cutoff=11)
+        with pytest.raises(InvalidParameterError, match="budget"):
+            embed_phase_state(from_von_mises(0.0), 12)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("nbar", [np.nan, np.inf])
+    def test_squeezed_photon_number(self, nbar):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            squeezed_for_mean_photons(nbar, 0.5)
+
+    @pytest.mark.parametrize("alpha_p, alpha_s", [(np.nan, 1.0), (1.0, np.inf)])
+    def test_displacements(self, alpha_p, alpha_s):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            coherent_state(alpha_p, alpha_s)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            displaced_squeezed_state(alpha_p, alpha_s, 0.2)
+
+    def test_squeezing(self):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            displaced_squeezed_state(1.0, 1.0, complex(0.2, np.nan))
+
 
 class TestDisplacement:
     def test_matches_laguerre_closed_form(self):
@@ -208,6 +269,55 @@ class TestSqueezed:
     def test_nbar_below_squeezing_energy_rejected(self):
         with pytest.raises(InvalidParameterError):
             squeezed_for_mean_photons(1.0, 1.5)
+
+    def test_squeezing_past_double_precision_rejected(self):
+        # regression: tanh(20) == 1.0 made the auto cutoff NaN
+        with pytest.raises(InvalidParameterError, match="tanh"):
+            displaced_squeezed_state(1.0, 1.0, 20.0)
+
+
+def _pair_amplitudes(zeta: complex, count: int) -> np.ndarray:
+    s = abs(zeta)
+    return (np.tanh(s) * np.exp(1j * np.angle(zeta))) ** np.arange(count) / np.cosh(s)
+
+
+class TestSqueezedPairColumns:
+    """The build keeps the K pair columns above 1e-17 of the norm; every
+    amplitude must still match sums over all M+1 pair columns."""
+
+    @pytest.mark.parametrize("alpha_p, alpha_s, zeta, cutoff", [
+        (3.0 + 1.0j, -2.0 + 0.5j, 0.3 * np.exp(0.7j), None),
+        (2.0 - 1.0j, 1.5j, np.exp(2.0j), None),
+        (6.0, 2.0j, 1.0, None),
+        # balanced nbar = 100 at dphi = 0.5, one shared eigensolve
+        (np.sqrt(50.0 - np.sinh(1.0) ** 2), np.sqrt(50.0 - np.sinh(1.0) ** 2),
+         np.exp(-0.5j), None),
+        # at s = 2 the pair columns reach the auto cutoff with ~1e-11 of
+        # the amplitude, where truncation alone moves them; go further out
+        (0.5 + 0.2j, -0.3j, 2.0 * np.exp(-0.4j), 800),
+    ])
+    def test_matches_laguerre_sum(self, alpha_p, alpha_s, zeta, cutoff):
+        st = displaced_squeezed_state(alpha_p, alpha_s, zeta, cutoff)
+        k = np.arange(st.cutoff + 1)
+        d_p = displacement_entry(k[:, np.newaxis], k[np.newaxis, :], alpha_p)
+        d_s = displacement_entry(k[:, np.newaxis], k[np.newaxis, :], alpha_s)
+        ref = (d_p * _pair_amplitudes(zeta, k.size)) @ d_s.T
+        ref /= np.linalg.norm(ref)
+        assert np.abs(st.amplitudes - ref).max() < 1e-13
+
+    @pytest.mark.parametrize("s, nbar", [(0.5, 400.0), (0.5, 1000.0),
+                                         (1.0, 400.0), (1.0, 1000.0)])
+    def test_matches_dense_product(self, s, nbar):
+        st = squeezed_for_mean_photons(nbar, s)
+        d = displacement_matrix(np.sqrt(nbar / 2.0 - np.sinh(s) ** 2), st.cutoff)
+        scaled = d * _pair_amplitudes(s, st.cutoff + 1)
+        # subnormal parts change nothing at this tolerance but slow the
+        # product by an order of magnitude
+        parts = scaled.view(np.float64)
+        parts[np.abs(parts) < np.finfo(np.float64).tiny] = 0.0
+        ref = scaled @ d.T
+        ref /= np.linalg.norm(ref)
+        assert np.abs(st.amplitudes - ref).max() < 1e-13
 
 
 class TestEmbedding:

@@ -4,22 +4,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qellip import (
     InvalidParameterError,
+    TwoModeFockState,
     analyze,
+    build_L_operator,
+    build_N_operator,
     coherent_state,
     coherent_family,
     embed_phase_state,
+    expectation,
     from_mathieu,
     from_von_mises,
     mathieu_family,
+    modulus_operator,
+    phase_operator,
     phase_state,
     rho_uncertainty,
     scaling_sweep,
     solve_even_mathieu,
     squeezed_family,
     squeezed_for_mean_photons,
+    variance_hermitian,
     von_mises_family,
 )
 from qellip.noise import (
@@ -51,6 +60,35 @@ class TestAnalyze:
     def test_phase_state_requires_nbar(self):
         with pytest.raises(InvalidParameterError):
             analyze(from_von_mises(1.0))
+
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf])
+    def test_phase_state_rejects_non_finite_nbar(self, nbar):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            analyze(from_von_mises(1.0), nbar=nbar)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), cutoff=st.integers(1, 12),
+           density=st.floats(0.02, 1.0))
+    def test_grid_moments_match_operator_objects(self, seed, cutoff, density):
+        # random grids with mass on row 0 and column 0, so the vacuum wrap
+        # term of E and the row ends of the offset product both count
+        rng = np.random.default_rng(seed)
+        shape = (cutoff + 1, cutoff + 1)
+        mask = rng.random(shape) < density
+        mask[0, rng.integers(cutoff + 1)] = mask[rng.integers(cutoff + 1), 0] = True
+        amps = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * mask
+        state = TwoModeFockState(cutoff, amps / np.linalg.norm(amps), 0.0)
+        report = analyze(state)
+        L = build_L_operator(cutoff)
+        assert report.n_mean == pytest.approx(
+            expectation(state, build_N_operator(cutoff)).real, rel=1e-12, abs=1e-15)
+        assert report.l_mean == pytest.approx(expectation(state, L).real, abs=1e-12)
+        assert report.l_var == pytest.approx(
+            variance_hermitian(state, L), rel=1e-12, abs=1e-15)
+        e_ref = expectation(state, phase_operator(cutoff))
+        assert abs(report.e_mean - e_ref) <= 1e-12 * abs(e_ref) + 1e-15
+        assert report.p_var == pytest.approx(
+            variance_hermitian(state, modulus_operator(cutoff)), rel=1e-9, abs=1e-15)
 
     def test_rejects_unknown_objects(self):
         with pytest.raises(InvalidParameterError):
