@@ -15,10 +15,19 @@ is always included; layers with N <= M are complete and E restricted to
 them is exactly unitary, while clipped layers (N > M) only matter through
 the recorded tail mass.
 
+A state stores only the box of the grid that holds its support: the
+block of amplitudes of |m0 + i, n0 + j> and its offset (m0, n0).  A
+phase state embedded on one layer fills a w x w box for a support of
+width w, whatever the layer; a coherent state keeps the rows and columns
+where its mode vectors reach COHERENT_FLOOR of their peaks; squeezed
+states keep the whole grid.  The dense (M+1)^2 grid is formed only on
+request (``TwoModeFockState.amplitudes``), for the operator objects below.
+
 Construction is tail-checked: every constructor records the probability
 lost to the truncation before renormalizing, and raises TruncationError
 when it exceeds the tolerance (default 1e-10).  Every constructor also
-checks the (M+1)^2 grid against ``MAX_GRID_BYTES`` before allocating it.
+checks the (M+1)^2 grid against ``MAX_GRID_BYTES`` before allocating
+anything, so the dense view of any state fits the budget.
 
 Displaced squeezed states are built from the columns of the displacement
 factors that their pair part reaches.  The pair amplitudes
@@ -55,18 +64,42 @@ MAX_GRID_BYTES = 2 ** 30
 #: rounding unit of a unit-norm state.
 PAIR_NORM_FLOOR = 1e-17
 
+#: Smallest coherent mode amplitude kept, relative to the mode's peak.
+COHERENT_FLOOR = 1e-16
+
 
 @dataclass(frozen=True)
 class TwoModeFockState:
-    """Normalized amplitude grid over the truncated two-mode basis.
+    """Normalized amplitudes over the truncated two-mode basis, stored
+    as the box that holds their support.
 
-    amplitudes[m, n] multiplies |m>_p |n>_s; tail_mass is the norm
+    block[i, j] multiplies |m0 + i>_p |n0 + j>_s with (m0, n0) = offset;
+    every amplitude outside the box is zero.  tail_mass is the norm
     deficit recorded before renormalization.
     """
 
     cutoff: int
-    amplitudes: np.ndarray
+    block: np.ndarray
     tail_mass: float
+    offset: tuple[int, int] = (0, 0)
+
+    def __post_init__(self):
+        m0, n0 = self.offset
+        rows, cols = self.block.shape
+        if min(m0, n0) < 0 or max(m0 + rows, n0 + cols) > self.cutoff + 1:
+            raise DimensionMismatchError(
+                f"{rows}x{cols} block at offset {self.offset} leaves the "
+                f"grid of cutoff {self.cutoff}"
+            )
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Dense (cutoff+1)^2 grid, amplitudes[m, n] of |m>_p |n>_s."""
+        grid = np.zeros((self.cutoff + 1, self.cutoff + 1), dtype=complex)
+        m0, n0 = self.offset
+        rows, cols = self.block.shape
+        grid[m0:m0 + rows, n0:n0 + cols] = self.block
+        return grid
 
 
 @dataclass(frozen=True)
@@ -168,23 +201,23 @@ def _check_finite(what: str, value: complex) -> None:
         raise InvalidParameterError(f"{what} must be finite, got {value}")
 
 
-def _finish_state(amps: np.ndarray, cutoff: int, tail_tol: float,
-                  context: str) -> TwoModeFockState:
-    """Tail-check and normalize ``amps`` in place (callers pass a fresh grid)."""
-    captured = float(np.vdot(amps, amps).real)
+def _finish_state(block: np.ndarray, offset: tuple[int, int], cutoff: int,
+                  tail_tol: float, context: str) -> TwoModeFockState:
+    """Tail-check and normalize ``block`` in place (callers pass a fresh box)."""
+    captured = float(np.vdot(block, block).real)
     if not np.isfinite(captured):
         raise InconsistentSolutionError(
             f"{context}: non-finite amplitudes at cutoff {cutoff}"
         )
     tail = 1.0 - captured
-    if tail > tail_tol:
+    if tail > tail_tol or captured <= 0.0:
         raise TruncationError(
             f"{context}: truncation tail {tail:.3e} exceeds tolerance {tail_tol:.1e} "
             f"at cutoff {cutoff}"
         )
-    parts = amps.view(np.float64)  # a real divisor: skip complex division
+    parts = block.view(np.float64)  # a real divisor: skip complex division
     parts /= math.sqrt(captured)
-    return TwoModeFockState(cutoff, amps, max(tail, 0.0))
+    return TwoModeFockState(cutoff, block, max(tail, 0.0), offset)
 
 
 def _coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
@@ -218,17 +251,29 @@ def coherent_state(alpha_p: complex, alpha_s: complex,
                    tail_tol: float = DEFAULT_TAIL_TOL) -> TwoModeFockState:
     """Two-mode coherent state |alpha_p> (x) |alpha_s>, truncated.
 
-    Raises TruncationError when the Poisson tail beyond the cutoff
-    exceeds ``tail_tol``.
+    The state keeps the box of rows and columns where each mode vector
+    reaches COHERENT_FLOOR of its peak, so the norm dropped around it is
+    far below one rounding unit.  Raises TruncationError when the
+    Poisson tail beyond the cutoff exceeds ``tail_tol``.
     """
     _check_finite("alpha_p", alpha_p)
     _check_finite("alpha_s", alpha_s)
     if cutoff is None:
         cutoff = auto_cutoff_coherent(alpha_p, alpha_s)
     cutoff = _check_cutoff(cutoff)
-    amps = np.outer(_coherent_vector(alpha_p, cutoff),
-                    _coherent_vector(alpha_s, cutoff))
-    return _finish_state(amps, cutoff, tail_tol, "coherent state")
+    v_p, m0 = _coherent_support(alpha_p, cutoff)
+    v_s, n0 = _coherent_support(alpha_s, cutoff)
+    return _finish_state(np.outer(v_p, v_s), (m0, n0), cutoff, tail_tol,
+                         "coherent state")
+
+
+def _coherent_support(alpha: complex, cutoff: int) -> tuple[np.ndarray, int]:
+    """The stretch of the mode vector at or above COHERENT_FLOOR of its
+    peak (one stretch: the Poisson amplitudes are unimodal) and its start."""
+    v = _coherent_vector(alpha, cutoff)
+    mag = np.abs(v)
+    kept = np.flatnonzero(mag >= COHERENT_FLOOR * mag.max())
+    return v[kept[0]:kept[-1] + 1], int(kept[0])
 
 
 def _displacement_columns(alpha: complex, cutoff: int, ncols: int) -> np.ndarray:
@@ -323,7 +368,7 @@ def displaced_squeezed_state(alpha_p: complex, alpha_s: complex, zeta: complex,
             f"displaced squeezed state: boundary mass {band:.3e} exceeds "
             f"tolerance {tail_tol:.1e} at cutoff {cutoff}"
         )
-    return _finish_state(amps, cutoff, tail_tol, "displaced squeezed state")
+    return _finish_state(amps, (0, 0), cutoff, tail_tol, "displaced squeezed state")
 
 
 def squeezed_for_mean_photons(nbar: float, s: float, dphi: float = 0.0,
@@ -359,18 +404,24 @@ def embed_phase_state(psi: PhaseWaveFunction, N: int,
     The component Psi_l becomes the amplitude of |N/2 + l, N/2 - l>.
     N must be even so the index window is integer-centred; support
     clipped outside l in [-N/2, N/2] beyond ``tail_tol`` raises
-    TruncationError.
+    TruncationError.  The in-window components l_lo..l_hi fill the
+    anti-diagonal of a w x w box at offset (N/2 + l_lo, N/2 - l_hi),
+    w = l_hi - l_lo + 1, so the cost does not depend on N.
     """
     N = int(N)
     if N < 2 or N % 2 != 0:
         raise InvalidParameterError(f"layer photon number must be even and >= 2, got {N}")
     _check_cutoff(N)
     half = N // 2
-    amps = np.zeros((N + 1, N + 1), dtype=complex)
-    for i, l in enumerate(psi.l_values):
-        if -half <= l <= half:
-            amps[half + l, half - l] = psi.amplitudes[i]
-    return _finish_state(amps, N, tail_tol, f"phase state on layer N={N}")
+    l_min = int(psi.l_min)
+    l_lo = max(l_min, -half)
+    l_hi = min(l_min + len(psi.amplitudes) - 1, half)
+    width = max(l_hi - l_lo + 1, 0)
+    block = np.zeros((width, width), dtype=complex)
+    i = np.arange(width)
+    block[i, width - 1 - i] = psi.amplitudes[l_lo - l_min:l_lo - l_min + width]
+    return _finish_state(block, (half + l_lo, half - l_hi), N, tail_tol,
+                         f"phase state on layer N={N}")
 
 
 def _check_dims(state: TwoModeFockState, op) -> None:
@@ -383,14 +434,16 @@ def _check_dims(state: TwoModeFockState, op) -> None:
 def expectation(state: TwoModeFockState, op) -> complex:
     """<psi| A |psi> for any operator exposing apply()."""
     _check_dims(state, op)
-    return complex(np.vdot(state.amplitudes, op.apply(state.amplitudes)))
+    amps = state.amplitudes
+    return complex(np.vdot(amps, op.apply(amps)))
 
 
 def variance_hermitian(state: TwoModeFockState, op) -> float:
     """<A^2> - <A>^2 for Hermitian A (uses <A^2> = ||A psi||^2)."""
     _check_dims(state, op)
-    applied = op.apply(state.amplitudes)
-    mean = np.vdot(state.amplitudes, applied).real
+    amps = state.amplitudes
+    applied = op.apply(amps)
+    mean = np.vdot(amps, applied).real
     second = np.vdot(applied, applied).real
     return max(second - mean * mean, 0.0)
 
@@ -403,7 +456,15 @@ def circular_variance_unitary(state: TwoModeFockState, unitary) -> float:
 
 def extract_layer(state: TwoModeFockState, N: int) -> np.ndarray:
     """Unnormalized layer-N amplitude vector, entries <n, N-n | psi>."""
+    N = int(N)
+    if N < 0:
+        raise InvalidParameterError(f"layer photon number must be >= 0, got {N}")
     if N > state.cutoff:
         raise DimensionMismatchError(f"layer {N} exceeds cutoff {state.cutoff}")
-    n = np.arange(N + 1)
-    return state.amplitudes[n, N - n]
+    m0, n0 = state.offset
+    rows, cols = state.block.shape
+    # the layer crosses the box for m0 <= n < m0 + rows and n0 <= N - n < n0 + cols
+    n = np.arange(max(m0, N - n0 - cols + 1), min(m0 + rows, N - n0 + 1))
+    out = np.zeros(N + 1, dtype=complex)
+    out[n] = state.block[n - m0, N - n - n0]
+    return out

@@ -27,6 +27,10 @@ from .mathieu import solve_even_mathieu
 
 SWEEP_TARGETS = ("e_var", "l_var", "p_var", "rho_var")
 
+#: Rows per block of the centred Var P pass, which keeps its scratch
+#: space small next to the probability box.
+_ROW_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class MomentReport:
@@ -98,59 +102,73 @@ def _make_report(n_mean: float, e_mean: complex, e_var: float,
                         product, bound, ratio, pol_squeezed)
 
 
-def _grid_moments(a: np.ndarray) -> tuple[float, complex, float, float, float, float]:
-    """(n_mean, e_mean, e_var, l_mean, l_var, p_var) of a normalized grid.
+def _grid_moments(a: np.ndarray, offset: tuple[int, int]
+                  ) -> tuple[float, complex, float, float, float, float]:
+    """(n_mean, e_mean, e_var, l_mean, l_var, p_var) of a normalized box
+    ``a`` of amplitudes of |m0 + i, n0 + j>, (m0, n0) = ``offset``.
 
     Every diagonal operator (N, L, P) is read off the real probability
-    grid |a|^2 through its marginals and weighted row sums; no operator
+    box |a|^2 through its marginals and weighted row sums; no operator
     grid is built.
     """
-    M = a.shape[0] - 1
+    m0, n0 = offset
+    rows, cols = a.shape
     prob = np.abs(a)
     prob *= prob
-    k = np.arange(M + 1, dtype=float)
+    km = np.arange(m0, m0 + rows, dtype=float)
+    kn = np.arange(n0, n0 + cols, dtype=float)
     p_s = prob.sum(axis=0)
-    mean_s = float(k @ p_s)
-    dn = k - mean_s
-    # one pass over the grid: row sums and the rows weighted by n - <N_s>,
-    # 1/sqrt(n+1) and 1/(n+1)
-    weights = np.stack([np.ones(M + 1), dn, 1.0 / np.sqrt(k + 1.0), 1.0 / (k + 1.0)],
-                       axis=1)
-    p_m, row_dn, row_isq, row_inv = (prob @ weights).T
-    mean_p = float(k @ p_m)
-    dm = k - mean_p
-    # Var L = (Var N_p + Var N_s - 2 Cov) / 4 from centred sums, which keep
-    # the precision of pair-correlated and single-layer states
+    mean_s = float(kn @ p_s)
+    dn = kn - mean_s
+    isq = 1.0 / np.sqrt(kn + 1.0)
+    # one pass over the box: row sums and the rows weighted by n - <N_s>
+    # and 1/sqrt(n+1)
+    p_m, row_dn, row_isq = (prob @ np.stack([np.ones(cols), dn, isq], axis=1)).T
+    mean_p = float(km @ p_m)
+    dm = km - mean_p
+    # Var L = (Var N_p + Var N_s - 2 Cov) / 4 and Var P from centred sums,
+    # which keep the precision of pair-correlated and single-layer states
     l_var = 0.25 * float((dm * dm) @ p_m + (dn * dn) @ p_s - 2.0 * (dm @ row_dn))
-    p_mean = float(np.sqrt(k) @ row_isq)
-    p_var = float(k @ row_inv) - p_mean * p_mean
+    rt_m = np.sqrt(km)
+    p_mean = float(rt_m @ row_isq)
+    # |a|^2 (P - <P>)^2 summed a block of rows at a time
+    p_var = 0.0
+    for lo in range(0, rows, _ROW_BLOCK):
+        dp = np.multiply.outer(rt_m[lo:lo + _ROW_BLOCK], isq)
+        dp -= p_mean
+        dp *= dp
+        p_var += float(np.vdot(prob[lo:lo + _ROW_BLOCK], dp))
 
-    # E pairs |m, n> with |m+1, n-1>, which lies M entries further on in
-    # the row-major grid.  The offset product also pairs each row's n = 0
-    # entry with its n = M entry, which E does not; E instead wraps
-    # |0, N> onto |N, 0>.
+    # E pairs |m, n> with |m+1, n-1>, which lies cols-1 entries further
+    # on in the row-major box.  The offset product also pairs each row's
+    # first entry with its last, which E does not; E instead wraps
+    # |0, N> onto |N, 0>, which only a box at the origin holds.
     flat = a.ravel()
-    e_mean = complex(np.vdot(flat[:flat.size - M], flat[M:])
-                     - np.vdot(a[:, 0], a[:, M]) + np.vdot(a[:, 0], a[0, :]))
+    step = cols - 1
+    e_mean = complex(np.vdot(flat[:flat.size - step], flat[step:])
+                     - np.vdot(a[:, 0], a[:, step]))
+    if m0 == 0 and n0 == 0:
+        k = min(rows, cols)
+        e_mean += complex(np.vdot(a[:k, 0], a[0, :k]))
     e_var = min(max(1.0 - abs(e_mean) ** 2, 0.0), 1.0)
     return (mean_p + mean_s, e_mean, e_var, 0.5 * (mean_p - mean_s),
-            max(l_var, 0.0), max(p_var, 0.0))
+            max(l_var, 0.0), p_var)
 
 
 def analyze(state, nbar: float | None = None) -> MomentReport:
     """Moment report for a Fock-grid state or a bare phase state.
 
     Fock states carry their own photon number.  Their moments come from
-    one real probability grid |a|^2 (N and L from its marginals and the
-    centred N_p-N_s covariance, P from sqrt(m) and 1/sqrt(n+1) weighted
-    sums) and one offset inner product over the amplitudes for <E>, with
-    the vacuum wrap |0, N> -> |N, 0> included; the cost is a few passes
-    over the grid and one extra real grid of memory.  Phase states need
-    the external ``nbar`` (the layer a later embedding would use), which
-    must be finite and positive.
+    the real probability box |a|^2 over the stored support (N and L from
+    its marginals and the centred N_p-N_s covariance, P from a centred
+    pass of sqrt(m / (n+1))) and one offset inner product over the
+    amplitudes for <E>, with the vacuum wrap |0, N> -> |N, 0> included;
+    the cost is a few passes over the box and one extra real box of
+    memory.  Phase states need the external ``nbar`` (the layer a later
+    embedding would use), which must be finite and positive.
     """
     if isinstance(state, fock.TwoModeFockState):
-        return _make_report(*_grid_moments(state.amplitudes))
+        return _make_report(*_grid_moments(state.block, state.offset))
 
     if isinstance(state, phase_space.PhaseWaveFunction):
         if nbar is None:

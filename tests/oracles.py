@@ -5,9 +5,12 @@ continued fraction replaces the tridiagonal eigensolve, ODE shooting
 replaces the Fourier evaluation, explicit multiple-bounce (Airy)
 summation replaces characteristic matrices, quadrature replaces Bessel
 identities, the Laguerre closed form replaces the displacement
-eigensolve, and sums over fixed-photon-number layers replace the grid
-moments of coherent states.
+eigensolve, sums over fixed-photon-number layers replace the grid
+moments of coherent states, and exactly rounded sums over one layer
+replace the box moments of embedded phase states.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -110,6 +113,26 @@ def coherent_e_mean(nbar: float) -> float:
         inner = np.sum(np.exp(0.5 * (log_b[:-1] + log_b[1:]))) + np.exp(0.5 * (log_b[0] + log_b[-1]))
         total += np.exp(log_poisson) * inner
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# modulus variance of a phase state on one layer, by exactly rounded sums
+
+def layer_modulus_variance(l_values, amps, N: int) -> float:
+    """Var P of Psi_l placed on |N/2 + l, N/2 - l>, components outside
+    the layer dropped and the rest renormalized.
+
+    P = sqrt((N/2 + l) / (N/2 - l + 1)) on each component; the mean and
+    the centred second moment are both taken with ``math.fsum``, so the
+    variance keeps its digits when it is many orders below <P>^2.
+    """
+    half = N // 2
+    weights = [(int(l), abs(complex(a)) ** 2)
+               for l, a in zip(l_values, amps) if abs(int(l)) <= half]
+    total = math.fsum(w for _, w in weights)
+    terms = [(math.sqrt((half + l) / (half - l + 1)), w / total) for l, w in weights]
+    mean = math.fsum(w * p for p, w in terms)
+    return math.fsum(w * (p - mean) ** 2 for p, w in terms)
 
 
 # ---------------------------------------------------------------------------

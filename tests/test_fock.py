@@ -1,5 +1,7 @@
 """Truncated two-mode simulator: operators, constructors, exact moments."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,17 @@ class TestCoherent:
         ref = np.outer(v, v)
         ref /= np.linalg.norm(ref)
         assert np.abs(st.amplitudes - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_box_holds_only_the_support(self):
+        # the grid runs from 0 to 12 sigma above the mode mean, while the
+        # rows and columns above 1e-16 of the peak lie within about
+        # 12 sigma on either side: at nbar = 2800 under a quarter of it
+        a = np.sqrt(1400.0)
+        st = coherent_state(a, a)
+        assert st.block.size < 0.25 * (st.cutoff + 1) ** 2
+        assert st.offset[0] == st.offset[1] > 0
+        edges = np.abs(np.concatenate([st.block[0], st.block[-1]]))
+        assert edges.max() < 1e-15 * np.abs(st.block).max()
 
 
 class TestGridBudget:
@@ -344,6 +357,36 @@ class TestEmbedding:
         with pytest.raises(TruncationError):
             embed_phase_state(from_von_mises(80.0), 10)
 
+    def test_box_is_the_support(self):
+        psi = from_mathieu(solve_even_mathieu(1.0, 0))
+        l_max = psi.l_min + len(psi.amplitudes) - 1
+        st = embed_phase_state(psi, 40)
+        assert st.block.shape == (len(psi.amplitudes),) * 2
+        assert st.offset == (20 + psi.l_min, 20 - l_max)
+        ref = np.zeros((41, 41), dtype=complex)
+        ref[20 + psi.l_values, 20 - psi.l_values] = psi.amplitudes
+        ref /= np.linalg.norm(ref)
+        assert np.abs(st.amplitudes - ref).max() < 1e-15
+
+    def test_clipped_support_keeps_the_window(self):
+        # kappa = 80 reaches past l = +-5; on N = 10 only l in [-5, 5] stays
+        st = embed_phase_state(from_von_mises(80.0), 10, tail_tol=1.0 - 1e-3)
+        assert st.block.shape == (11, 11)
+        assert st.offset == (0, 0)
+        assert st.tail_mass > 1e-3
+
+    def test_cost_follows_the_support(self):
+        # 11 components on the N = 6000 layer, whose dense grid is 576 MB
+        psi = from_mathieu(solve_even_mathieu(1.0, 0))
+        tracemalloc.start()
+        try:
+            report = analyze(embed_phase_state(psi, 6000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert report.n_mean == pytest.approx(6000.0, rel=1e-12)
+
 
 class TestMomentForms:
     def test_dimension_mismatch(self):
@@ -392,3 +435,26 @@ class TestMomentForms:
         vec = extract_layer(st, 20)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(extract_layer(st, 4)) == 0.0
+
+    def test_layer_extraction_reads_the_box(self):
+        rng = np.random.default_rng(3)
+        for offset in ((0, 0), (0, 3), (4, 0), (2, 5)):
+            block = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+            st = fock.TwoModeFockState(9, block, 0.0, offset)
+            dense = st.amplitudes
+            for N in range(10):
+                n = np.arange(N + 1)
+                assert np.array_equal(extract_layer(st, N), dense[n, N - n])
+
+    def test_layer_extraction_rejects_negative_layer(self):
+        st = coherent_state(0.5, 0.5, 10)
+        with pytest.raises(InvalidParameterError):
+            extract_layer(st, -1)
+        with pytest.raises(DimensionMismatchError):
+            extract_layer(st, 11)
+
+    def test_box_must_fit_the_grid(self):
+        with pytest.raises(DimensionMismatchError):
+            fock.TwoModeFockState(4, np.ones((2, 2), dtype=complex), 0.0, (4, 0))
+        with pytest.raises(DimensionMismatchError):
+            fock.TwoModeFockState(4, np.ones((2, 2), dtype=complex), 0.0, (0, -1))

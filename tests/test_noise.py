@@ -38,6 +38,7 @@ from qellip.noise import (
     report_to_dict,
     target_value,
 )
+from oracles import layer_modulus_variance
 
 
 class TestAnalyze:
@@ -77,18 +78,50 @@ class TestAnalyze:
         mask = rng.random(shape) < density
         mask[0, rng.integers(cutoff + 1)] = mask[rng.integers(cutoff + 1), 0] = True
         amps = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * mask
-        state = TwoModeFockState(cutoff, amps / np.linalg.norm(amps), 0.0)
-        report = analyze(state)
-        L = build_L_operator(cutoff)
-        assert report.n_mean == pytest.approx(
-            expectation(state, build_N_operator(cutoff)).real, rel=1e-12, abs=1e-15)
-        assert report.l_mean == pytest.approx(expectation(state, L).real, abs=1e-12)
+        states = [TwoModeFockState(cutoff, amps / np.linalg.norm(amps), 0.0)]
+        # random boxes at offsets with both, one and neither index at zero:
+        # the vacuum wrap applies only to the first, and the offset product
+        # runs over box edges that are not the grid's
+        def corner():
+            return int(rng.integers(1, cutoff + 1))
+        for m0, n0 in ((0, 0), (0, corner()), (corner(), 0), (corner(), corner())):
+            box = (int(rng.integers(1, cutoff + 2 - m0)), int(rng.integers(1, cutoff + 2 - n0)))
+            block = rng.normal(size=box) + 1j * rng.normal(size=box)
+            states.append(TwoModeFockState(cutoff, block / np.linalg.norm(block), 0.0,
+                                           (m0, n0)))
+        L, P = build_L_operator(cutoff), modulus_operator(cutoff)
+
+        def centred_variance(state, op):
+            # ||(A - <A>) psi||^2 keeps its digits where <A^2> - <A>^2
+            # (variance_hermitian) cancels: a one-entry box has variance 0
+            amps = state.amplitudes
+            dev = op.apply(amps) - expectation(state, op).real * amps
+            return np.vdot(dev, dev).real
+
+        for state in states:
+            report = analyze(state)
+            assert report.n_mean == pytest.approx(
+                expectation(state, build_N_operator(cutoff)).real, rel=1e-12, abs=1e-15)
+            assert report.l_mean == pytest.approx(expectation(state, L).real, abs=1e-12)
+            assert report.l_var == pytest.approx(
+                centred_variance(state, L), rel=1e-12, abs=1e-15)
+            e_ref = expectation(state, phase_operator(cutoff))
+            assert abs(report.e_mean - e_ref) <= 1e-12 * abs(e_ref) + 1e-15
+            assert report.p_var == pytest.approx(
+                centred_variance(state, P), rel=1e-9, abs=1e-15)
+        report = analyze(states[0])
         assert report.l_var == pytest.approx(
-            variance_hermitian(state, L), rel=1e-12, abs=1e-15)
-        e_ref = expectation(state, phase_operator(cutoff))
-        assert abs(report.e_mean - e_ref) <= 1e-12 * abs(e_ref) + 1e-15
+            variance_hermitian(states[0], L), rel=1e-12, abs=1e-15)
         assert report.p_var == pytest.approx(
-            variance_hermitian(state, modulus_operator(cutoff)), rel=1e-9, abs=1e-15)
+            variance_hermitian(states[0], P), rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("N", [1000, 6000])
+    def test_small_modulus_variance_keeps_its_digits(self, N):
+        # q = 1e-3 puts Var P near 5e-13 (N=1000) and 1.4e-14 (N=6000),
+        # where <P^2> - <P>^2 keeps only the first few digits
+        psi = from_mathieu(solve_even_mathieu(1e-3, 0))
+        ref = layer_modulus_variance(psi.l_values, psi.amplitudes, N)
+        assert analyze(embed_phase_state(psi, N)).p_var == pytest.approx(ref, rel=1e-9)
 
     def test_rejects_unknown_objects(self):
         with pytest.raises(InvalidParameterError):
