@@ -10,6 +10,7 @@ overrides the default truncation tail tolerance.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -26,8 +27,6 @@ from .errors import (
     TruncationError,
 )
 from .mathieu import se_even_eigenvalue, solve_even_mathieu
-
-FAMILIES = ("coherent", "squeezed", "mathieu", "von_mises")
 
 
 def _fmt(x) -> str:
@@ -109,57 +108,52 @@ def _nbar(value) -> float:
 # ---------------------------------------------------------------------------
 # state construction shared by state / sweep / ellipsometry
 
-def _add_family_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=FAMILIES, help="input state family")
-    p.add_argument("--nbar", type=float, help="mean total photon number")
-    p.add_argument("--q", type=float, help="Mathieu phase-dispersion parameter")
-    p.add_argument("--order", type=int, help="Mathieu order index k (default 0)")
-    p.add_argument("--kappa", type=float, help="von Mises concentration")
-    p.add_argument("--phi0", type=float, help="von Mises mean phase (rad)")
-    p.add_argument("--s", type=float, help="squeezing magnitude")
-    p.add_argument("--dphi", type=float, help="squeezing noise-balance phase (rad)")
-    p.add_argument("--cutoff", type=int, help="per-mode Fock cutoff (default: auto)")
+#: Every family parameter by name, in registry order: the family flags.
+_FAMILY_PARAMS = {p.name: p for _, params in noise.FAMILIES.values()
+                  for p in params}
 
 
-def _state_report(args, cfg: dict, tol: float) -> noise.MomentReport:
-    """One MomentReport from family flags: exact Fock moments for the
-    photon-carrying families, circular moments plus external nbar for the
-    phase-profile families."""
-    family = _require(_pick(args, cfg, "family"), "--family")
+def _add_family_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--family", choices=noise.FAMILIES,
+                        help="input state family")
+    parser.add_argument("--nbar", type=float, help="mean total photon number")
+    for p in _FAMILY_PARAMS.values():
+        parser.add_argument(f"--{p.name}", type=p.type, help=p.help)
+
+
+def _family(args, cfg: dict, tol: float) -> noise.StateFamily:
+    """The registry family named by --family, built from the flags and
+    config keys of its parameters.  A flag the family does not take is an
+    error; config keys are not checked, since one config may serve
+    several subcommands."""
+    name = _require(_pick(args, cfg, "family"), "--family")
+    if not isinstance(name, str) or name not in noise.FAMILIES:
+        raise QellipError(f"unknown family {name!r}; expected one of "
+                          f"{', '.join(noise.FAMILIES)}")
+    build, params = noise.FAMILIES[name]
+    taken = {p.name for p in params}
+    for flag in _FAMILY_PARAMS:
+        if flag not in taken and getattr(args, flag) is not None:
+            raise QellipError(f"--{flag} does not apply to family {name}")
+    kwargs = {}
+    for p in params:
+        value = _pick(args, cfg, p.name)
+        if p.required:
+            _require(value, f"--{p.name}")
+        if value is not None:  # else the constructor's default
+            kwargs[p.name] = p.type(value)
+    return build(tail_tol=tol, **kwargs)
+
+
+def _single_report(args, cfg: dict, tol: float) -> noise.MomentReport:
+    """The report of one state at --nbar: exact Fock moments for the Fock
+    families; for a phase family, the bare phase state's circular moments
+    with nbar as an external parameter, p_var = 4 Var(L) / nbar^2."""
+    family = _family(args, cfg, tol)
     nbar = _nbar(_pick(args, cfg, "nbar", 100.0))
-    cutoff = _pick(args, cfg, "cutoff")
-    if family == "coherent":
-        a = np.sqrt(nbar / 2.0)
-        return noise.analyze(fock.coherent_state(a, a, cutoff, tail_tol=tol))
-    if family == "squeezed":
-        s = float(_require(_pick(args, cfg, "s"), "--s"))
-        dphi = float(_pick(args, cfg, "dphi", 0.0))
-        return noise.analyze(
-            fock.squeezed_for_mean_photons(nbar, s, dphi, cutoff, tail_tol=tol))
-    if family == "mathieu":
-        q = float(_require(_pick(args, cfg, "q"), "--q"))
-        order = int(_pick(args, cfg, "order", 0))
-        psi = phase_space.from_mathieu(solve_even_mathieu(q, order))
-        return noise.analyze(psi, nbar=nbar)
-    kappa = float(_require(_pick(args, cfg, "kappa"), "--kappa"))
-    phi0 = float(_pick(args, cfg, "phi0", 0.0))
-    return noise.analyze(phase_space.from_von_mises(kappa, phi0), nbar=nbar)
-
-
-def _sweep_family(args, cfg: dict, tol: float) -> noise.StateFamily:
-    family = _require(_pick(args, cfg, "family"), "--family")
-    if family == "coherent":
-        return noise.coherent_family(tail_tol=tol)
-    if family == "squeezed":
-        s = float(_require(_pick(args, cfg, "s"), "--s"))
-        return noise.squeezed_family(s, float(_pick(args, cfg, "dphi", 0.0)),
-                                     tail_tol=tol)
-    if family == "mathieu":
-        q = float(_require(_pick(args, cfg, "q"), "--q"))
-        return noise.mathieu_family(q, tail_tol=tol)
-    kappa = float(_require(_pick(args, cfg, "kappa"), "--kappa"))
-    return noise.von_mises_family(kappa, float(_pick(args, cfg, "phi0", 0.0)),
-                                  tail_tol=tol)
+    if family.phase is not None:
+        return noise.analyze(family.phase, nbar=nbar)
+    return family.build_report(nbar)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +162,7 @@ def _sweep_family(args, cfg: dict, tol: float) -> noise.StateFamily:
 def cmd_state(args) -> int:
     tol = _tail_tol()
     cfg = _load_config(args.config)
-    report = _state_report(args, cfg, tol)
+    report = _single_report(args, cfg, tol)
     _write_text(args.output, _json_text(noise.report_to_dict(report)))
     return 0
 
@@ -186,7 +180,7 @@ SWEEP_COLUMNS = ("nbar", "e_var", "l_var", "p_var", "product", "bound",
 def cmd_sweep(args) -> int:
     tol = _tail_tol()
     cfg = _load_config(args.config)
-    family = _sweep_family(args, cfg, tol)
+    family = _family(args, cfg, tol)
     nbar_list = _parse_nbar_list(_require(_pick(args, cfg, "nbar_list"),
                                           "--nbar-list"))
     if not nbar_list:
@@ -205,33 +199,23 @@ def cmd_sweep(args) -> int:
             [(n, noise.target_value(r, t)) for n, r in reports])
         for t in targets
     }
-
-    rows = [",".join(SWEEP_COLUMNS)]
-    for n, r in reports:
-        rows.append(",".join(_fmt(v) for v in (
-            n, r.e_var, r.l_var, r.p_var, r.product, r.bound,
-            r.saturation_ratio, r.pol_squeezed)))
-    table = "\n".join(rows) + "\n"
-
-    def fit_dict(f: noise.ScalingFit) -> dict:
-        return {"slope": f.slope, "intercept": f.intercept,
-                "r_squared": f.r_squared}
-
-    summary = fit_dict(fits[targets[0]]) if len(targets) == 1 \
-        else {t: fit_dict(f) for t, f in fits.items()}
+    rows = [(n, *(getattr(r, c) for c in SWEEP_COLUMNS[1:])) for n, r in reports]
+    summary = {t: {"slope": f.slope, "intercept": f.intercept, "r_squared": f.r_squared}
+               for t, f in fits.items()}
+    if len(targets) == 1:
+        summary = summary[targets[0]]
 
     fmt = _pick(args, cfg, "format", "csv")
     if fmt == "json":
         doc = {
             "columns": list(SWEEP_COLUMNS),
-            "rows": [[n, r.e_var, r.l_var, r.p_var, r.product, r.bound,
-                      r.saturation_ratio, r.pol_squeezed]
-                     for n, r in reports],
+            "rows": [list(row) for row in rows],
             "fit": summary,
         }
         _write_text(args.output, _json_text(doc))
     elif fmt == "csv":
-        _write_text(args.output, table)
+        lines = [",".join(SWEEP_COLUMNS)] + [",".join(map(_fmt, row)) for row in rows]
+        _write_text(args.output, "\n".join(lines) + "\n")
         _write_text(args.fit_output, _json_text(summary))
     else:
         raise QellipError(f"unknown output format {fmt!r}")
@@ -251,21 +235,16 @@ def cmd_density(args) -> int:
     if q is not None:
         q = float(q)
         psi = phase_space.from_mathieu(solve_even_mathieu(q, 0))
-        phi, p_m = phase_space.density_profile(psi, grid)
-        _, p_small = phase_space.density_profile(phase_space.from_von_mises(q), grid)
-        _, p_large = phase_space.density_profile(
-            phase_space.from_von_mises(np.sqrt(q)), grid)
-        rows = ["phi,p_mathieu,p_vonmises_smallq,p_vonmises_largeq"]
-        for i in range(grid):
-            rows.append(",".join(_fmt(v) for v in
-                                 (phi[i], p_m[i], p_small[i], p_large[i])))
+        header = "phi,p_mathieu,p_vonmises_smallq,p_vonmises_largeq"
+        shown = (psi, phase_space.from_von_mises(q),
+                 phase_space.from_von_mises(np.sqrt(q)))
     else:
         psi = phase_space.from_von_mises(float(kappa),
                                          float(_pick(args, cfg, "phi0", 0.0)))
-        phi, p = phase_space.density_profile(psi, grid)
-        rows = ["phi,p_vonmises"]
-        for i in range(grid):
-            rows.append(f"{_fmt(phi[i])},{_fmt(p[i])}")
+        header, shown = "phi,p_vonmises", (psi,)
+    profiles = [phase_space.density_profile(state, grid) for state in shown]
+    columns = [profiles[0][0], *(p for _, p in profiles)]
+    rows = [header] + [",".join(_fmt(c[i]) for c in columns) for i in range(grid)]
     _write_text(args.output, "\n".join(rows) + "\n")
 
     spec_path = args.spectrum_output
@@ -273,9 +252,8 @@ def cmd_density(args) -> int:
         stem, ext = os.path.splitext(args.output)
         spec_path = f"{stem}_spectrum{ext or '.csv'}"
     if spec_path is not None:
-        srows = ["l,psi_sq"]
-        for l, a in zip(psi.l_values, psi.amplitudes):
-            srows.append(f"{l:d},{_fmt(abs(a) ** 2)}")
+        srows = ["l,psi_sq"] + [f"{l:d},{_fmt(abs(a) ** 2)}"
+                                for l, a in zip(psi.l_values, psi.amplitudes)]
         _write_text(spec_path, "\n".join(srows) + "\n")
     return 0
 
@@ -293,14 +271,8 @@ def cmd_ellipsometry(args) -> int:
         "delta_deg": float(np.rad2deg(result.delta)),
     }
     if _pick(args, cfg, "family") is not None:
-        report = _state_report(args, cfg, tol)
-        bars = noise.rho_uncertainty(report)
-        doc["noise"] = {
-            "sigma_delta": bars.sigma_delta,
-            "sigma_tanpsi_rel": bars.sigma_tanpsi_rel,
-            "sigma_rho_rel": bars.sigma_rho_rel,
-            "large_noise": bars.large_noise,
-        }
+        bars = noise.rho_uncertainty(_single_report(args, cfg, tol))
+        doc["noise"] = dataclasses.asdict(bars)
     _write_text(args.output, _json_text(doc))
     return 0
 
@@ -325,6 +297,15 @@ def cmd_mathieu_table(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _subcommand(sub, name: str, func, help: str,
+                output: str = "output path (default stdout)") -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--config", help="JSON config file (flags win)")
+    p.add_argument("--output", help=output)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qellip",
@@ -333,13 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_state = sub.add_parser("state", help="moment report for one input state")
-    _add_family_flags(p_state)
-    p_state.add_argument("--config", help="JSON config file (flags win)")
-    p_state.add_argument("--output", help="output path (default stdout)")
-    p_state.set_defaults(func=cmd_state)
+    _add_family_flags(_subcommand(sub, "state", cmd_state,
+                                  "moment report for one input state"))
 
-    p_sweep = sub.add_parser("sweep", help="photon-number scaling sweep")
+    p_sweep = _subcommand(sub, "sweep", cmd_sweep, "photon-number scaling sweep",
+                          "table output path (default stdout)")
     _add_family_flags(p_sweep)
     p_sweep.add_argument("--nbar-list", dest="nbar_list",
                          help="comma-separated photon numbers")
@@ -347,41 +326,30 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fit target (repeatable): e_var l_var p_var rho_var")
     p_sweep.add_argument("--format", choices=("csv", "json"),
                          help="output format (default csv)")
-    p_sweep.add_argument("--config", help="JSON config file (flags win)")
-    p_sweep.add_argument("--output", help="table output path (default stdout)")
     p_sweep.add_argument("--fit-output", dest="fit_output",
                          help="fit summary path (default stdout)")
-    p_sweep.set_defaults(func=cmd_sweep)
 
-    p_dens = sub.add_parser("density", help="phase density and Fourier spectrum")
+    p_dens = _subcommand(sub, "density", cmd_density,
+                         "phase density and Fourier spectrum",
+                         "density CSV path (default stdout)")
     p_dens.add_argument("--q", type=float, help="Mathieu parameter")
     p_dens.add_argument("--kappa", type=float, help="von Mises concentration")
     p_dens.add_argument("--phi0", type=float, help="von Mises mean phase (rad)")
     p_dens.add_argument("--grid", type=int, help="grid points over [0, 2pi), >= 64")
-    p_dens.add_argument("--config", help="JSON config file (flags win)")
-    p_dens.add_argument("--output", help="density CSV path (default stdout)")
     p_dens.add_argument("--spectrum-output", dest="spectrum_output",
                         help="spectrum CSV path (default: derived from --output)")
-    p_dens.set_defaults(func=cmd_density)
 
-    p_ell = sub.add_parser("ellipsometry",
-                           help="multilayer (rho, psi, Delta) with noise bars")
+    p_ell = _subcommand(sub, "ellipsometry", cmd_ellipsometry,
+                        "multilayer (rho, psi, Delta) with noise bars")
     p_ell.add_argument("--stack", required=True, help="stack description file")
     _add_family_flags(p_ell)
-    p_ell.add_argument("--config", help="JSON config file (flags win)")
-    p_ell.add_argument("--output", help="output path (default stdout)")
-    p_ell.set_defaults(func=cmd_ellipsometry)
 
-    p_mt = sub.add_parser("mathieu-table",
-                          help="eigenvalue / Fourier-coefficient dump")
+    p_mt = _subcommand(sub, "mathieu-table", cmd_mathieu_table,
+                       "eigenvalue / Fourier-coefficient dump")
     p_mt.add_argument("--q", type=float, help="Mathieu parameter")
     p_mt.add_argument("--kmax", type=int, help="largest order index (default 3)")
     p_mt.add_argument("--odd", action="store_true",
                       help="odd-branch eigenvalues instead of the even family")
-    p_mt.add_argument("--config", help="JSON config file (flags win)")
-    p_mt.add_argument("--output", help="output path (default stdout)")
-    p_mt.set_defaults(func=cmd_mathieu_table)
-
     return parser
 
 

@@ -439,13 +439,13 @@ def expectation(state: TwoModeFockState, op) -> complex:
 
 
 def variance_hermitian(state: TwoModeFockState, op) -> float:
-    """<A^2> - <A>^2 for Hermitian A (uses <A^2> = ||A psi||^2)."""
+    """Var A = ||(A - <A>) psi||^2 for Hermitian A; centred, so it keeps
+    the digits <A^2> - <A>^2 cancels (exactly 0 on an eigenvector)."""
     _check_dims(state, op)
     amps = state.amplitudes
     applied = op.apply(amps)
-    mean = np.vdot(amps, applied).real
-    second = np.vdot(applied, applied).real
-    return max(second - mean * mean, 0.0)
+    dev = applied - np.vdot(amps, applied).real * amps
+    return float(np.vdot(dev, dev).real)
 
 
 def circular_variance_unitary(state: TwoModeFockState, unitary) -> float:

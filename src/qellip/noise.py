@@ -11,13 +11,17 @@ flag); ``scaling_sweep`` fits how a chosen variance scales with the mean
 photon number, which separates shot-noise-limited families (slope -1 in
 the circular variance) from Heisenberg-limited ones (slope -2 in the
 modulus variance).
+
+``FAMILIES`` is the one registry of input-state families: each name maps
+to its ``StateFamily`` constructor and the parameters it takes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -68,11 +72,23 @@ class ScalingFit:
 
 @dataclass(frozen=True)
 class StateFamily:
-    """A one-parameter family nbar -> state, for sweeps."""
+    """A one-parameter family nbar -> state.  phase is the bare phase
+    state a phase family embeds on the nbar layer; None for Fock families."""
 
     name: str
-    params: dict
     build_report: Callable[[float], MomentReport]
+    phase: phase_space.PhaseWaveFunction | None = None
+
+
+class Param(NamedTuple):
+    """One parameter of a family constructor: its name (also the CLI flag
+    and config key), value type and help text.  Defaults are the
+    constructor's own."""
+
+    name: str
+    type: type
+    help: str
+    required: bool = False
 
 
 @dataclass(frozen=True)
@@ -187,23 +203,25 @@ def analyze(state, nbar: float | None = None) -> MomentReport:
 
 
 # ---------------------------------------------------------------------------
-# state families for sweeps
+# state families
 
-def coherent_family(tail_tol: float = fock.DEFAULT_TAIL_TOL) -> StateFamily:
+def coherent_family(tail_tol: float = fock.DEFAULT_TAIL_TOL, *,
+                    cutoff: int | None = None) -> StateFamily:
     """Balanced two-mode coherent states, |alpha_p| = |alpha_s| = sqrt(nbar/2)."""
     def build(nbar: float) -> MomentReport:
         a = np.sqrt(nbar / 2.0)
-        return analyze(fock.coherent_state(a, a, tail_tol=tail_tol))
-    return StateFamily("coherent", {}, build)
+        return analyze(fock.coherent_state(a, a, cutoff, tail_tol=tail_tol))
+    return StateFamily("coherent", build)
 
 
 def squeezed_family(s: float, dphi: float = 0.0,
-                    tail_tol: float = fock.DEFAULT_TAIL_TOL) -> StateFamily:
+                    tail_tol: float = fock.DEFAULT_TAIL_TOL, *,
+                    cutoff: int | None = None) -> StateFamily:
     """Displaced squeezed states at the balanced operating point."""
     def build(nbar: float) -> MomentReport:
-        return analyze(fock.squeezed_for_mean_photons(nbar, s, dphi,
+        return analyze(fock.squeezed_for_mean_photons(nbar, s, dphi, cutoff,
                                                       tail_tol=tail_tol))
-    return StateFamily("squeezed", {"s": s, "dphi": dphi}, build)
+    return StateFamily("squeezed", build)
 
 
 def _layer_number(nbar: float) -> int:
@@ -215,21 +233,45 @@ def _layer_number(nbar: float) -> int:
     return N
 
 
-def mathieu_family(q: float, tail_tol: float = fock.DEFAULT_TAIL_TOL) -> StateFamily:
-    """Fundamental Mathieu beam of fixed q embedded on the nbar layer."""
-    psi = phase_space.from_mathieu(solve_even_mathieu(q, 0))
+def _phase_family(name: str, psi: phase_space.PhaseWaveFunction,
+                  tail_tol: float) -> StateFamily:
     def build(nbar: float) -> MomentReport:
         return analyze(fock.embed_phase_state(psi, _layer_number(nbar), tail_tol))
-    return StateFamily("mathieu", {"q": q}, build)
+    return StateFamily(name, build, psi)
+
+
+def mathieu_family(q: float, tail_tol: float = fock.DEFAULT_TAIL_TOL, *,
+                   order: int = 0) -> StateFamily:
+    """Even Mathieu beam of fixed q and order embedded on the nbar layer."""
+    return _phase_family(
+        "mathieu", phase_space.from_mathieu(solve_even_mathieu(q, order)), tail_tol)
 
 
 def von_mises_family(kappa: float, phi0: float = 0.0,
                      tail_tol: float = fock.DEFAULT_TAIL_TOL) -> StateFamily:
     """Von Mises phase state of fixed kappa embedded on the nbar layer."""
-    psi = phase_space.from_von_mises(kappa, phi0)
-    def build(nbar: float) -> MomentReport:
-        return analyze(fock.embed_phase_state(psi, _layer_number(nbar), tail_tol))
-    return StateFamily("von_mises", {"kappa": kappa, "phi0": phi0}, build)
+    return _phase_family(
+        "von_mises", phase_space.from_von_mises(kappa, phi0), tail_tol)
+
+
+_CUTOFF = Param("cutoff", int, "per-mode Fock cutoff (default: auto)")
+
+#: The state families by name: each family's constructor and the
+#: parameters it takes besides the tail tolerance.  The CLI reads its
+#: --family choices and family flags from here.
+FAMILIES: dict[str, tuple[Callable[..., StateFamily], tuple[Param, ...]]] = {
+    "coherent": (coherent_family, (_CUTOFF,)),
+    "squeezed": (squeezed_family, (
+        Param("s", float, "squeezing magnitude", required=True),
+        Param("dphi", float, "squeezing noise-balance phase (rad)"),
+        _CUTOFF)),
+    "mathieu": (mathieu_family, (
+        Param("q", float, "Mathieu phase-dispersion parameter", required=True),
+        Param("order", int, "Mathieu order index k (default 0)"))),
+    "von_mises": (von_mises_family, (
+        Param("kappa", float, "von Mises concentration", required=True),
+        Param("phi0", float, "von Mises mean phase (rad)"))),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -297,34 +339,17 @@ def scaling_sweep(family: StateFamily, n_list, target: str) -> ScalingFit:
 
 def report_to_dict(report: MomentReport) -> dict:
     """Flat JSON-friendly mapping; complex e_mean split into re/im."""
-    return {
-        "n_mean": report.n_mean,
-        "e_mean_re": report.e_mean.real,
-        "e_mean_im": report.e_mean.imag,
-        "e_var": report.e_var,
-        "l_mean": report.l_mean,
-        "l_var": report.l_var,
-        "p_var": report.p_var,
-        "product": report.product,
-        "bound": report.bound,
-        "saturation_ratio": report.saturation_ratio,
-        "pol_squeezed": report.pol_squeezed,
-    }
+    d = dataclasses.asdict(report)
+    e_mean = d.pop("e_mean")
+    d["e_mean_re"], d["e_mean_im"] = e_mean.real, e_mean.imag
+    return d
 
 
 def report_from_dict(d: dict) -> MomentReport:
-    return MomentReport(
-        n_mean=float(d["n_mean"]),
-        e_mean=complex(float(d["e_mean_re"]), float(d["e_mean_im"])),
-        e_var=float(d["e_var"]),
-        l_mean=float(d["l_mean"]),
-        l_var=float(d["l_var"]),
-        p_var=float(d["p_var"]),
-        product=float(d["product"]),
-        bound=float(d["bound"]),
-        saturation_ratio=float(d["saturation_ratio"]),
-        pol_squeezed=bool(d["pol_squeezed"]),
-    )
+    fields = {f.name: float(d[f.name]) for f in dataclasses.fields(MomentReport)
+              if f.name not in ("e_mean", "pol_squeezed")}
+    return MomentReport(e_mean=complex(float(d["e_mean_re"]), float(d["e_mean_im"])),
+                        pol_squeezed=bool(d["pol_squeezed"]), **fields)
 
 
 # ---------------------------------------------------------------------------

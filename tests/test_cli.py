@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qellip.cli import main
-from qellip.noise import report_from_dict
+from qellip.noise import FAMILIES, report_from_dict
 
 STACK = """\
 ambient 1.0
@@ -15,6 +15,10 @@ substrate 3.85 0.02
 wavelength 632.8
 angle 70
 """
+
+#: (family, parameter) for every required parameter in the registry
+REQUIRED_PARAMS = [(name, p.name) for name, (_, params) in FAMILIES.items()
+                   for p in params if p.required]
 
 
 def run(capsys, *argv):
@@ -59,10 +63,32 @@ class TestState:
             "--nbar", "50", "--output", str(path))
         assert report_from_dict(json.loads(path.read_text())) == first
 
-    def test_missing_family_parameter(self, capsys):
-        code, _, err = run(capsys, "state", "--family", "squeezed")
+    @pytest.mark.parametrize("family,missing", REQUIRED_PARAMS)
+    def test_missing_family_parameter(self, capsys, family, missing):
+        given = [a for name, p in REQUIRED_PARAMS
+                 if name == family and p != missing for a in (f"--{p}", "1")]
+        code, _, err = run(capsys, "state", "--family", family, *given)
         assert code == 2
-        assert "--s" in err
+        assert f"--{missing}" in err
+
+    @pytest.mark.parametrize("family,flag", [
+        ("coherent --q 5", "--q"),
+        ("mathieu --q 1 --cutoff 10", "--cutoff"),
+        ("von_mises --kappa 1 --s 1", "--s"),
+        ("squeezed --s 1 --order 1", "--order"),
+    ], ids=["coherent-q", "mathieu-cutoff", "von_mises-s", "squeezed-order"])
+    def test_flag_of_another_family_exits_2(self, capsys, family, flag):
+        code, _, err = run(capsys, "state", "--family", *family.split())
+        assert code == 2
+        assert f"{flag} does not apply" in err
+
+    def test_config_keys_of_other_families_are_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "coherent", "nbar": 16.0, "q": 5,
+                                   "kappa": 2, "nbar_list": [40, 80]}))
+        code, out, _ = run(capsys, "state", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["n_mean"] == pytest.approx(16.0, rel=1e-9)
 
     def test_invalid_parameter_exits_2(self, capsys):
         code, _, _ = run(capsys, "state", "--family", "mathieu", "--q", "-1")
@@ -193,6 +219,84 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--family", "mathieu", "--q", "1",
                          "--nbar-list", "41,80,160,320")
         assert code == 2
+
+
+class TestFamilyRegistry:
+    """state, sweep and ellipsometry read one registry of families."""
+
+    @pytest.mark.parametrize("name", ["bogus", ["coherent"]], ids=["bogus", "list"])
+    @pytest.mark.parametrize("command", ["state", "sweep", "ellipsometry"])
+    def test_unknown_family_in_config_exits_2(self, capsys, tmp_path, command, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": name, "kappa": 2, "nbar": 50,
+                                   "nbar_list": [40, 80]}))
+        stack = tmp_path / "stack.txt"
+        stack.write_text(STACK)
+        extra = ["--stack", str(stack)] if command == "ellipsometry" else []
+        code, out, err = run(capsys, command, *extra, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"unknown family {name!r}" in err
+        assert all(valid in err for valid in FAMILIES)
+
+    def test_sweep_honours_order(self, capsys):
+        rows = {}
+        for order in ("0", "2"):
+            code, out, _ = run(capsys, "sweep", "--family", "mathieu", "--q", "1",
+                               "--order", order, "--nbar-list", "40,80,160",
+                               "--format", "json")
+            assert code == 0
+            rows[order] = json.loads(out)["rows"]
+        assert rows["0"] != rows["2"]
+        # l_var (column 2) is the order's difference variance, the same at
+        # every photon number
+        l_var = [r[2] for r in rows["2"]]
+        assert l_var == pytest.approx([l_var[0]] * 3, rel=1e-12)
+        assert l_var[0] > 10 * rows["0"][0][2]
+
+    @pytest.mark.parametrize("argv", ["state --nbar 40", "sweep --nbar-list 40,80"],
+                             ids=["state", "sweep"])
+    def test_too_small_cutoff_exits_3(self, capsys, argv):
+        command, *nbar = argv.split()
+        code, _, err = run(capsys, command, "--family", "coherent",
+                           "--cutoff", "5", *nbar)
+        assert code == 3
+        assert "tail" in err
+
+    @pytest.mark.parametrize("family", [["coherent"],
+                                        ["squeezed", "--s", "0.7", "--dphi", "0.3"]],
+                             ids=["coherent", "squeezed"])
+    def test_fock_family_state_matches_sweep_row(self, capsys, family):
+        code, out, _ = run(capsys, "state", "--family", *family, "--nbar", "40")
+        assert code == 0
+        state = json.loads(out)
+        code, out, _ = run(capsys, "sweep", "--family", *family,
+                           "--nbar-list", "20,40", "--format", "json")
+        assert code == 0
+        sweep = json.loads(out)
+        row = dict(zip(sweep["columns"], sweep["rows"][1]))
+        assert row.pop("nbar") == 40.0
+        assert row == {key: state[key] for key in row}
+
+    @pytest.mark.parametrize("family", [["mathieu", "--q", "1", "--order", "1"],
+                                        ["von_mises", "--kappa", "2",
+                                         "--phi0", "0.4"]],
+                             ids=["mathieu", "von_mises"])
+    def test_phase_family_state_vs_sweep(self, capsys, family):
+        # state reports the bare phase state with p_var = 4 Var L / nbar^2;
+        # sweep embeds it on the nbar layer and takes the exact modulus P
+        code, out, _ = run(capsys, "state", "--family", *family, "--nbar", "40")
+        assert code == 0
+        state = json.loads(out)
+        code, out, _ = run(capsys, "sweep", "--family", *family,
+                           "--nbar-list", "40,80", "--format", "json")
+        assert code == 0
+        sweep = json.loads(out)
+        row = dict(zip(sweep["columns"], sweep["rows"][0]))
+        assert state["e_var"] == pytest.approx(row["e_var"], rel=1e-12, abs=1e-12)
+        assert state["l_var"] == pytest.approx(row["l_var"], rel=1e-12, abs=1e-12)
+        assert state["p_var"] == pytest.approx(4.0 * state["l_var"] / 40.0 ** 2,
+                                               rel=1e-12)
 
 
 class TestDensity:

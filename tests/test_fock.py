@@ -9,6 +9,7 @@ from qellip import (
     DimensionMismatchError,
     InvalidParameterError,
     TruncationError,
+    TwoModeFockState,
     analyze,
     build_L_operator,
     build_N_operator,
@@ -389,6 +390,12 @@ class TestEmbedding:
 
 
 class TestMomentForms:
+    def test_variance_of_an_eigenvector_is_zero(self):
+        # one entry 0.6+0.8j on |8, 1>: L = 3.5 exactly, and the uncentred
+        # <L^2> - <L>^2 left 1.8e-15 where the variance is 0
+        st = TwoModeFockState(8, np.array([[0.6 + 0.8j]]), 0.0, (8, 1))
+        assert variance_hermitian(st, build_L_operator(8)) == 0.0
+
     def test_dimension_mismatch(self):
         st = coherent_state(0.5, 0.5, 10)
         with pytest.raises(DimensionMismatchError):

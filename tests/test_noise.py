@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qellip import (
     InvalidParameterError,
+    TruncationError,
     TwoModeFockState,
     analyze,
     build_L_operator,
@@ -32,6 +33,7 @@ from qellip import (
     von_mises_family,
 )
 from qellip.noise import (
+    FAMILIES,
     family_reports,
     fit_power_law,
     report_from_dict,
@@ -90,30 +92,17 @@ class TestAnalyze:
             states.append(TwoModeFockState(cutoff, block / np.linalg.norm(block), 0.0,
                                            (m0, n0)))
         L, P = build_L_operator(cutoff), modulus_operator(cutoff)
-
-        def centred_variance(state, op):
-            # ||(A - <A>) psi||^2 keeps its digits where <A^2> - <A>^2
-            # (variance_hermitian) cancels: a one-entry box has variance 0
-            amps = state.amplitudes
-            dev = op.apply(amps) - expectation(state, op).real * amps
-            return np.vdot(dev, dev).real
-
         for state in states:
             report = analyze(state)
             assert report.n_mean == pytest.approx(
                 expectation(state, build_N_operator(cutoff)).real, rel=1e-12, abs=1e-15)
             assert report.l_mean == pytest.approx(expectation(state, L).real, abs=1e-12)
             assert report.l_var == pytest.approx(
-                centred_variance(state, L), rel=1e-12, abs=1e-15)
+                variance_hermitian(state, L), rel=1e-12, abs=1e-15)
             e_ref = expectation(state, phase_operator(cutoff))
             assert abs(report.e_mean - e_ref) <= 1e-12 * abs(e_ref) + 1e-15
             assert report.p_var == pytest.approx(
-                centred_variance(state, P), rel=1e-9, abs=1e-15)
-        report = analyze(states[0])
-        assert report.l_var == pytest.approx(
-            variance_hermitian(states[0], L), rel=1e-12, abs=1e-15)
-        assert report.p_var == pytest.approx(
-            variance_hermitian(states[0], P), rel=1e-9, abs=1e-15)
+                variance_hermitian(state, P), rel=1e-9, abs=1e-15)
 
     @pytest.mark.parametrize("N", [1000, 6000])
     def test_small_modulus_variance_keeps_its_digits(self, N):
@@ -187,6 +176,29 @@ class TestScalingSweeps:
         reports = family_reports(squeezed_family(1.0, 0.0), [10, 20, 40, 80])
         for nbar, r in reports:
             assert r.l_var <= nbar / 4.0 * np.exp(-2.0) + 1e-9
+
+
+class TestFamilyRegistry:
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_constructors_build_their_family(self, name):
+        build, params = FAMILIES[name]
+        required = {p.name: 1.0 for p in params if p.required}
+        family = build(**required)
+        assert family.name == name
+        # the phase families carry their bare phase state; the Fock ones none
+        assert (family.phase is not None) == (name in ("mathieu", "von_mises"))
+        assert family.build_report(40.0).n_mean == pytest.approx(40.0, rel=1e-9)
+
+    def test_mathieu_order_selects_the_eigenfunction(self):
+        for order in (0, 2):
+            expected = from_mathieu(solve_even_mathieu(1.0, order))
+            got = mathieu_family(1.0, order=order).phase
+            assert np.array_equal(got.amplitudes, expected.amplitudes)
+
+    def test_fock_families_take_a_cutoff(self):
+        for family in (coherent_family(cutoff=5), squeezed_family(0.5, cutoff=5)):
+            with pytest.raises(TruncationError):
+                family.build_report(40.0)
 
 
 class TestSaturation:
