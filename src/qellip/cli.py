@@ -98,8 +98,18 @@ def _require(value, what: str):
     return value
 
 
+def _number(kind: type, value, what: str):
+    """``kind(value)`` for a flag or config value; a value of the wrong
+    type (a JSON list or object, say) is a user error naming ``what``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise QellipError(f"{what} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}") from None
+
+
 def _nbar(value) -> float:
-    nbar = float(value)
+    nbar = _number(float, value, "nbar")
     if not math.isfinite(nbar):
         raise QellipError(f"nbar must be finite, got {nbar}")
     return nbar
@@ -113,10 +123,11 @@ _FAMILY_PARAMS = {p.name: p for _, params in noise.FAMILIES.values()
                   for p in params}
 
 
-def _add_family_flags(parser: argparse.ArgumentParser) -> None:
+def _add_family_flags(parser: argparse.ArgumentParser, nbar: bool = True) -> None:
     parser.add_argument("--family", choices=noise.FAMILIES,
                         help="input state family")
-    parser.add_argument("--nbar", type=float, help="mean total photon number")
+    if nbar:
+        parser.add_argument("--nbar", type=float, help="mean total photon number")
     for p in _FAMILY_PARAMS.values():
         parser.add_argument(f"--{p.name}", type=p.type, help=p.help)
 
@@ -141,7 +152,7 @@ def _family(args, cfg: dict, tol: float) -> noise.StateFamily:
         if p.required:
             _require(value, f"--{p.name}")
         if value is not None:  # else the constructor's default
-            kwargs[p.name] = p.type(value)
+            kwargs[p.name] = _number(p.type, value, p.name)
     return build(tail_tol=tol, **kwargs)
 
 
@@ -170,6 +181,9 @@ def cmd_state(args) -> int:
 def _parse_nbar_list(value) -> list[float]:
     if isinstance(value, str):
         value = [v for v in value.split(",") if v.strip()]
+    if not isinstance(value, list):
+        raise QellipError(f"nbar list must be a list or comma-separated string, "
+                          f"got {value!r}")
     return [_nbar(v) for v in value]
 
 
@@ -188,6 +202,9 @@ def cmd_sweep(args) -> int:
     targets = _pick(args, cfg, "targets") or ["e_var"]
     if isinstance(targets, str):
         targets = [t for t in targets.split(",") if t]
+    if not isinstance(targets, list):
+        raise QellipError(f"targets must be a list or comma-separated string, "
+                          f"got {targets!r}")
     for t in targets:
         if t not in noise.SWEEP_TARGETS:
             raise QellipError(
@@ -228,19 +245,19 @@ def cmd_density(args) -> int:
     kappa = _pick(args, cfg, "kappa")
     if (q is None) == (kappa is None):
         raise QellipError("density needs exactly one of --q or --kappa")
-    grid = int(_pick(args, cfg, "grid", 512))
+    grid = _number(int, _pick(args, cfg, "grid", 512), "grid")
     if grid < 64:
         raise QellipError(f"density grid must be >= 64 points, got {grid}")
 
     if q is not None:
-        q = float(q)
+        q = _number(float, q, "q")
         psi = phase_space.from_mathieu(solve_even_mathieu(q, 0))
         header = "phi,p_mathieu,p_vonmises_smallq,p_vonmises_largeq"
         shown = (psi, phase_space.from_von_mises(q),
                  phase_space.from_von_mises(np.sqrt(q)))
     else:
-        psi = phase_space.from_von_mises(float(kappa),
-                                         float(_pick(args, cfg, "phi0", 0.0)))
+        psi = phase_space.from_von_mises(_number(float, kappa, "kappa"),
+                                         _number(float, _pick(args, cfg, "phi0", 0.0), "phi0"))
         header, shown = "phi,p_vonmises", (psi,)
     profiles = [phase_space.density_profile(state, grid) for state in shown]
     columns = [profiles[0][0], *(p for _, p in profiles)]
@@ -273,14 +290,18 @@ def cmd_ellipsometry(args) -> int:
     if _pick(args, cfg, "family") is not None:
         bars = noise.rho_uncertainty(_single_report(args, cfg, tol))
         doc["noise"] = dataclasses.asdict(bars)
+    else:
+        for flag in ("nbar", *_FAMILY_PARAMS):
+            if getattr(args, flag) is not None:
+                raise QellipError(f"--{flag} needs --family")
     _write_text(args.output, _json_text(doc))
     return 0
 
 
 def cmd_mathieu_table(args) -> int:
     cfg = _load_config(args.config)
-    q = float(_require(_pick(args, cfg, "q"), "--q"))
-    kmax = int(_pick(args, cfg, "kmax", 3))
+    q = _number(float, _require(_pick(args, cfg, "q"), "--q"), "q")
+    kmax = _number(int, _pick(args, cfg, "kmax", 3), "kmax")
     if args.odd:
         rows = ["k,q,eigenvalue"]
         for k in range(kmax + 1):
@@ -299,7 +320,9 @@ def cmd_mathieu_table(args) -> int:
 
 def _subcommand(sub, name: str, func, help: str,
                 output: str = "output path (default stdout)") -> argparse.ArgumentParser:
-    p = sub.add_parser(name, help=help)
+    # whole flags only: an abbreviation could name another flag, as a
+    # stray --nbar would name sweep's --nbar-list
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
     p.add_argument("--config", help="JSON config file (flags win)")
     p.add_argument("--output", help=output)
     p.set_defaults(func=func)
@@ -319,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = _subcommand(sub, "sweep", cmd_sweep, "photon-number scaling sweep",
                           "table output path (default stdout)")
-    _add_family_flags(p_sweep)
+    _add_family_flags(p_sweep, nbar=False)
     p_sweep.add_argument("--nbar-list", dest="nbar_list",
                          help="comma-separated photon numbers")
     p_sweep.add_argument("--target", dest="targets", action="append",

@@ -36,7 +36,9 @@ column K, so K is set by s alone (51 at s=0.5, 144 at s=1) while the
 cutoff grows with the displacement; restricting both factors to K
 columns turns the O(M^3) dense products into O(M^2 K) ones.  The columns
 still come from the exactly unitary tridiagonal eigensolve rather than
-from Laguerre recurrences, which lose precision past |alpha| of a few.
+from Laguerre recurrences, which lose precision past |alpha| of a few;
+scipy, which solves it, is imported at the first such build, so
+importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     DimensionMismatchError,
@@ -282,6 +283,7 @@ def _displacement_columns(alpha: complex, cutoff: int, ncols: int) -> np.ndarray
     mag = abs(alpha)
     if mag == 0.0:
         return np.eye(dim, ncols, dtype=complex)
+    from scipy.linalg import eigh_tridiagonal  # loaded at the first squeezed build
     w, v = eigh_tridiagonal(np.zeros(dim), mag * np.sqrt(np.arange(1.0, dim)))
     # core = v e^{iw} v[:ncols]^T, taken as one real product so that the
     # (dim x dim) eigenvector matrix is never copied to complex

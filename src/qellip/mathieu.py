@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     InconsistentSolutionError,
@@ -94,6 +93,43 @@ def _validate_q(q: float) -> float:
     return q
 
 
+def _eigenpair(q: float, k: int, truncation: int | None,
+               odd: bool) -> tuple[float, int, float, np.ndarray]:
+    """Validated (q, J) and the k-th eigenpair (a, v) of one branch's
+    J x J symmetric tridiagonal recurrence matrix.
+
+    The even branch has diagonal (2j)^2, j = 0..J-1, and off-diagonal
+    (sqrt(2) q, q, q, ...); the odd branch diagonal (2j)^2, j = 1..J,
+    and off-diagonal q.  At q = 0 the matrix is diagonal and sorted, so
+    the pair is exact: (2j)^2 at j = k and a unit vector.  scipy loads
+    at the first eigensolve, not at import.
+
+    Raises InvalidParameterError for q non-finite or negative, k negative
+    or J < 1, and TruncationError for k >= J.
+    """
+    q = _validate_q(q)
+    k = int(k)
+    if k < 0:
+        raise InvalidParameterError(f"order index k must be >= 0, got {k}")
+    J = auto_truncation(q) if truncation is None else int(truncation)
+    if J < 1:
+        raise InvalidParameterError(f"truncation must be positive, got {J}")
+    if k >= J:
+        raise TruncationError(f"order k={k} requires truncation J > k, got J={J}")
+
+    diag = (2.0 * np.arange(int(odd), J + int(odd))) ** 2
+    if q == 0.0:
+        vec = np.zeros(J)
+        vec[k] = 1.0
+        return 0.0, J, float(diag[k]), vec
+    offdiag = np.full(J - 1, q)
+    if not odd:
+        offdiag[0] = _SQRT2 * q
+    from scipy.linalg import eigh_tridiagonal
+    vals, vecs = eigh_tridiagonal(diag, offdiag, select="i", select_range=(k, k))
+    return q, J, float(vals[0]), vecs[:, 0]
+
+
 def solve_even_mathieu(q: float, k: int = 0, truncation: int | None = None) -> MathieuSolution:
     """Compute the k-th even pi-periodic Mathieu eigenpair ce_{2k}(eta, q).
 
@@ -114,33 +150,13 @@ def solve_even_mathieu(q: float, k: int = 0, truncation: int | None = None) -> M
     Raises
     ------
     InvalidParameterError
-        q non-finite or negative, or k negative.
+        q non-finite or negative, k negative, or J < 1.
     TruncationError
         k >= J, or the coefficient tail does not decay below TAIL_TOL
         within the window.
     """
-    q = _validate_q(q)
-    k = int(k)
-    if k < 0:
-        raise InvalidParameterError(f"order index k must be >= 0, got {k}")
-    J = auto_truncation(q) if truncation is None else int(truncation)
-    if J < 1:
-        raise InvalidParameterError(f"truncation must be positive, got {J}")
-    if k >= J:
-        raise TruncationError(f"order k={k} requires truncation J > k, got J={J}")
-
-    if q == 0.0:
-        # decoupled recurrence: a_{2k} = 4 k^2, single cosine component
-        coeffs = np.zeros(J)
-        coeffs[k] = 1.0 / _SQRT2 if k == 0 else 1.0
-        return MathieuSolution(k, 0.0, 4.0 * k * k, coeffs, J)
-
-    diag = (2.0 * np.arange(J)) ** 2
-    offdiag = np.full(J - 1, q)
-    offdiag[0] = _SQRT2 * q
-    vals, vecs = eigh_tridiagonal(diag, offdiag, select="i", select_range=(k, k))
-    a = float(vals[0])
-    coeffs = vecs[:, 0].copy()
+    q, J, a, vec = _eigenpair(q, k, truncation, odd=False)
+    coeffs = vec.copy()
     coeffs[0] /= _SQRT2  # undo the symmetrizing scale; norm is now McLachlan
     if coeffs[0] < 0.0:
         coeffs = -coeffs
@@ -150,7 +166,7 @@ def solve_even_mathieu(q: float, k: int = 0, truncation: int | None = None) -> M
             f"coefficient tail |A_(2(J-1))| = {abs(coeffs[-1]):.3e} at J={J}; "
             "increase truncation"
         )
-    return MathieuSolution(k, q, a, coeffs, J)
+    return MathieuSolution(int(k), q, a, coeffs, J)
 
 
 def se_even_eigenvalue(q: float, k: int = 0, truncation: int | None = None) -> float:
@@ -159,21 +175,9 @@ def se_even_eigenvalue(q: float, k: int = 0, truncation: int | None = None) -> f
     The odd-branch recurrence (a - 4j^2) B_{2j} = q (B_{2j-2} + B_{2j+2}),
     j >= 1 with B_0 absent, is symmetric tridiagonal as is.  Only the
     eigenvalue is exposed; the variance pipeline covers the even branch.
+    Validation and errors are those of ``solve_even_mathieu``.
     """
-    q = _validate_q(q)
-    k = int(k)
-    if k < 0:
-        raise InvalidParameterError(f"order index k must be >= 0, got {k}")
-    J = auto_truncation(q) if truncation is None else int(truncation)
-    if k >= J:
-        raise TruncationError(f"order k={k} requires truncation J > k, got J={J}")
-    if q == 0.0:
-        return 4.0 * (k + 1) ** 2
-    diag = (2.0 * np.arange(1, J + 1)) ** 2
-    offdiag = np.full(J - 1, q)
-    vals = eigh_tridiagonal(diag, offdiag, select="i", select_range=(k, k),
-                            eigvals_only=True)
-    return float(vals[0])
+    return _eigenpair(q, k, truncation, odd=True)[2]
 
 
 def eval_ce(sol: MathieuSolution, eta) -> np.ndarray | float:

@@ -17,18 +17,25 @@ index translations so the state stays 2 pi - periodic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ive
 
-from .errors import InvalidParameterError, InvalidStateError
+from .errors import InconsistentSolutionError, InvalidParameterError, InvalidStateError
 from .mathieu import MathieuSolution
 
 _SQRT2 = np.sqrt(2.0)
 
 #: probability mass allowed outside the stored support window
 WINDOW_TAIL_TOL = 1e-12
+
+#: Largest von Mises window, in components, a constructor may allocate.
+MAX_PHASE_WINDOW = 2 ** 18
+
+#: Smallest kappa/2 the Bessel recurrence runs at: its steps 2 l / z stay
+#: far below overflow, and I_1 is already under 1e-100 of I_0 there.
+Z_FLOOR = 1e-100
 
 
 @dataclass(frozen=True)
@@ -134,12 +141,46 @@ def from_mathieu(sol: MathieuSolution, mean_l: int = 0) -> PhaseWaveFunction:
     return _trimmed(-(J - 1) + mean_l, amps, mean_l)
 
 
+def _bessel_ive(z: float, l_max: int) -> np.ndarray:
+    """I_l(z) e^{-z} for l = 0..l_max by Miller's backward recurrence.
+
+    I_{l-1} = I_{l+1} + (2 l / z) I_l runs down from l = 2 l_max, started
+    from (0, 1); the backward direction is stable for I_l, the minimal
+    solution, and the start's error has died out long before l_max.  The
+    values are scaled down by 1e-200 whenever one passes 1e200, so
+    nothing overflows for z >= Z_FLOOR, and the unknown common scale is
+    fixed by the identity e^z = I_0(z) + 2 sum_{l>=1} I_l(z) (Gautschi,
+    SIAM Review 9, 24 (1967)).
+    """
+    big, small = 1e200, 1e-200
+    start = 2 * l_max
+    y = [0.0] * (start + 2)
+    y[start] = 1.0
+    two_over_z = 2.0 / z
+    for l in range(start, 0, -1):
+        v = y[l + 1] + (l * two_over_z) * y[l]
+        y[l - 1] = v
+        if v > big:
+            y[l - 1:] = [x * small for x in y[l - 1:]]
+    w = np.array(y[:start + 1])
+    return w[:l_max + 1] / (w[0] + 2.0 * np.sum(w[1:]))
+
+
 def from_von_mises(kappa: float, phi0: float = 0.0, mean_l: int = 0) -> PhaseWaveFunction:
     """Phase state with von Mises density ~ exp[-kappa cos(phi - phi0)].
 
     Fourier components are Psi_l ~ (-1)^l exp(i l phi0) I_l(kappa/2),
-    so |Psi_l|^2 = I_l(kappa/2)^2 / I_0(kappa).  Exponentially scaled
-    Bessel values keep the construction stable at large kappa.
+    so |Psi_l|^2 = I_l(kappa/2)^2 / I_0(kappa).  The exponentially scaled
+    values I_l(z) e^{-z}, z = kappa/2, come from Miller's backward
+    recurrence (``_bessel_ive``) on |l| <= l_max = ceil(9 sqrt(z) + 20):
+    for large z, I_l(z) / I_0(z) ~ exp(-l^2 / 2z) (DLMF 10.41), so the
+    edge sits 9 standard deviations of that Gaussian out, and the +20
+    covers small z, where I_l(z) ~ (z/2)^l / l!.  A window of more than
+    MAX_PHASE_WINDOW components raises InvalidParameterError before
+    anything is allocated (l_max = 63660 at kappa = 1e8 fits), and an
+    edge weight that is not negligible raises InconsistentSolutionError.
+    Below kappa = 2 Z_FLOOR the recurrence runs at z = Z_FLOOR, which
+    changes nothing: there every component but l = 0 is trimmed.
     """
     kappa = float(kappa)
     if not np.isfinite(kappa) or kappa < 0.0:
@@ -152,15 +193,21 @@ def from_von_mises(kappa: float, phi0: float = 0.0, mean_l: int = 0) -> PhaseWav
     if kappa == 0.0:
         return PhaseWaveFunction(mean_l, np.ones(1, dtype=complex), mean_l)
 
-    z = 0.5 * kappa
-    l_max = int(np.ceil(z + 10.0 * np.sqrt(z + 1.0) + 20.0))
-    while True:
-        l = np.arange(-l_max, l_max + 1)
-        w = ive(np.abs(l), z)  # I_l(z) exp(-z); common factor is normalized away
-        if (w[0] / w[l_max]) ** 2 < WINDOW_TAIL_TOL * 1e-4:
-            break
-        l_max *= 2
-    amps = ((-1.0) ** np.abs(l)) * np.exp(1j * l * phi0) * w
+    z = max(0.5 * kappa, Z_FLOOR)
+    l_max = math.ceil(9.0 * math.sqrt(z) + 20.0)
+    if 2 * l_max + 1 > MAX_PHASE_WINDOW:
+        raise InvalidParameterError(
+            f"kappa={kappa} needs a window of {2 * l_max + 1} components, over "
+            f"the budget of {MAX_PHASE_WINDOW}"
+        )
+    w = _bessel_ive(z, l_max)
+    if (w[-1] / w[0]) ** 2 >= WINDOW_TAIL_TOL * 1e-4:
+        raise InconsistentSolutionError(
+            f"von Mises window l_max={l_max} leaves edge weight "
+            f"{(w[-1] / w[0]) ** 2:.3e} at kappa={kappa}"
+        )
+    l = np.arange(-l_max, l_max + 1)
+    amps = ((-1.0) ** np.abs(l)) * np.exp(1j * l * phi0) * np.concatenate([w[:0:-1], w])
     return _trimmed(-l_max + mean_l, amps, mean_l)
 
 

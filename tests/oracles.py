@@ -4,10 +4,11 @@ Each routine here deliberately avoids the code path it checks: the
 continued fraction replaces the tridiagonal eigensolve, ODE shooting
 replaces the Fourier evaluation, explicit multiple-bounce (Airy)
 summation replaces characteristic matrices, quadrature replaces Bessel
-identities, the Laguerre closed form replaces the displacement
-eigensolve, sums over fixed-photon-number layers replace the grid
-moments of coherent states, and exactly rounded sums over one layer
-replace the box moments of embedded phase states.
+identities, scipy's exponentially scaled Bessel function replaces the
+backward recurrence of von Mises states, the Laguerre closed form
+replaces the displacement eigensolve, sums over fixed-photon-number
+layers replace the grid moments of coherent states, and exactly rounded
+sums over one layer replace the box moments of embedded phase states.
 """
 
 import math
@@ -15,9 +16,10 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import eval_genlaguerre, gammaln, ive
 
 from qellip.optics import Layer, LayerStack
+from qellip.phase_space import WINDOW_TAIL_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +64,33 @@ def von_mises_circular_mean(kappa: float, phi0: float = 0.0,
     phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     w = np.exp(-kappa * np.cos(phi - phi0))
     return complex(np.sum(np.exp(1j * phi) * w) / np.sum(w))
+
+
+def von_mises_components(kappa: float, phi0: float = 0.0,
+                         l_max: int | None = None) -> tuple[int, np.ndarray]:
+    """(l_min, Psi_l) of the von Mises phase state, from scipy's ``ive``.
+
+    Psi_l ~ (-1)^l e^{i l phi0} I_l(kappa/2) e^{-kappa/2} on |l| <= l_max,
+    trimmed to the components whose squared magnitude exceeds
+    WINDOW_TAIL_TOL * 1e-3 and normalized.  By default l_max starts at
+    kappa/2 + 10 sqrt(kappa/2 + 1) + 20 and doubles until the edge weight
+    is negligible; that window is linear in kappa (5 GB of arrays at
+    kappa 1e8), so large kappa passes its own l_max.
+    """
+    z = 0.5 * kappa
+    grow = l_max is None
+    if grow:
+        l_max = int(np.ceil(z + 10.0 * np.sqrt(z + 1.0) + 20.0))
+    while True:
+        l = np.arange(-l_max, l_max + 1)
+        w = ive(np.abs(l), z)
+        if not grow or (w[0] / w[l_max]) ** 2 < WINDOW_TAIL_TOL * 1e-4:
+            break
+        l_max *= 2
+    amps = ((-1.0) ** np.abs(l)) * np.exp(1j * l * phi0) * w
+    keep = np.nonzero(np.abs(amps) ** 2 > WINDOW_TAIL_TOL * 1e-3)[0]
+    amps = amps[keep[0]:keep[-1] + 1]
+    return int(l[keep[0]]), amps / np.sqrt(np.sum(np.abs(amps) ** 2))
 
 
 # ---------------------------------------------------------------------------

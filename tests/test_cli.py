@@ -1,6 +1,10 @@
 """CLI contract: subcommands, exit codes, file formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +129,12 @@ class TestState:
         code, _, _ = run(capsys, "state", "--family", "coherent",
                          "--config", str(cfg))
         assert code == 2
+
+    def test_von_mises_window_over_budget_exits_2(self, capsys):
+        code, _, err = run(capsys, "state", "--family", "von_mises",
+                           "--kappa", "1e12", "--nbar", "100")
+        assert code == 2
+        assert "budget" in err
 
 
 class TestSweep:
@@ -297,6 +307,68 @@ class TestFamilyRegistry:
         assert state["l_var"] == pytest.approx(row["l_var"], rel=1e-12, abs=1e-12)
         assert state["p_var"] == pytest.approx(4.0 * state["l_var"] / 40.0 ** 2,
                                                rel=1e-12)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("command,cfg,what", [
+        ("state", {"family": "squeezed", "s": [1], "nbar": 10}, "s"),
+        ("state", {"family": "squeezed", "s": 1, "nbar": [1]}, "nbar"),
+        ("state", {"family": "mathieu", "q": 1, "order": {"k": 1}}, "order"),
+        ("sweep", {"family": "coherent", "nbar_list": 40}, "nbar list"),
+        ("sweep", {"family": "coherent", "nbar_list": [40, [80]]}, "nbar"),
+        ("sweep", {"family": "coherent", "nbar_list": [40, 80], "targets": 3}, "targets"),
+        ("density", {"q": [1]}, "q"),
+        ("density", {"kappa": 2, "grid": [64]}, "grid"),
+        ("mathieu-table", {"q": 1, "kmax": [3]}, "kmax"),
+    ])
+    def test_config_value_of_wrong_type_exits_2(self, capsys, tmp_path,
+                                                command, cfg, what):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run(capsys, command, "--config", str(path))
+        assert code == 2
+        assert err.startswith(f"error: {what} must be")
+
+    @pytest.mark.parametrize("flag", ["--nbar", "--nb"])
+    def test_sweep_has_no_nbar_flag(self, capsys, flag):
+        # neither the flag nor an abbreviation of --nbar-list is taken
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--family", "coherent", flag, "5",
+                  "--nbar-list", "25,50"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--q", "5"], ["--nbar", "100"],
+                                       ["--kappa", "2", "--phi0", "0.1"]])
+    def test_ellipsometry_family_flags_need_family(self, capsys, tmp_path, flags):
+        stack = tmp_path / "stack.txt"
+        stack.write_text(STACK)
+        code, out, err = run(capsys, "ellipsometry", "--stack", str(stack), *flags)
+        assert code == 2
+        assert out == ""
+        assert f"{flags[0]} needs --family" in err
+
+
+class TestStartup:
+    def test_no_scipy_on_the_import_path(self):
+        # coherent and von Mises states need numpy only; scipy loads at
+        # the first squeezed or Mathieu eigensolve
+        code = (
+            "import contextlib, io, sys\n"
+            "import qellip, qellip.cli\n"
+            "for argv in (['state', '--family', 'coherent', '--nbar', '100'],\n"
+            "             ['state', '--family', 'von_mises', '--kappa', '4', '--nbar', '100']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert qellip.cli.main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestDensity:

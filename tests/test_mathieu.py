@@ -186,3 +186,10 @@ class TestOddBranch:
     def test_rejects_negative_q(self):
         with pytest.raises(InvalidParameterError):
             se_even_eigenvalue(-2.0, 0)
+
+    @pytest.mark.parametrize("solver", [solve_even_mathieu, se_even_eigenvalue])
+    def test_zero_truncation_is_invalid(self, solver):
+        # both branches validate through one helper: J = 0 is bad input,
+        # not a truncation failure
+        with pytest.raises(InvalidParameterError, match="truncation must be positive"):
+            solver(1.0, 0, truncation=0)

@@ -1,5 +1,9 @@
 """Relative-phase states: constructors, moments, densities, covariances."""
 
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +27,7 @@ from qellip import (
 )
 from qellip.phase_space import wave_function_values
 
-from oracles import von_mises_circular_mean
+from oracles import von_mises_circular_mean, von_mises_components
 
 
 def random_state(seed: int, width: int = 9) -> PhaseWaveFunction:
@@ -101,6 +105,54 @@ class TestFromVonMises:
     def test_negative_kappa_rejected(self):
         with pytest.raises(InvalidParameterError):
             from_von_mises(-0.5)
+
+
+class TestVonMisesRecurrence:
+    """Miller's recurrence against scipy's ``ive`` on the old window rule."""
+
+    @pytest.mark.parametrize("kappa", [1e-12, 1e-3, 1.0, 3.7, 80.0, 1e4, 1e6])
+    def test_matches_ive_oracle(self, kappa):
+        psi = from_von_mises(kappa, 0.3)
+        l_min, amps = von_mises_components(kappa, 0.3)
+        assert psi.l_min == l_min
+        assert len(psi.amplitudes) == len(amps)
+        assert np.max(np.abs(psi.amplitudes - amps)) < 1e-14
+
+    def test_kappa_1e8_moments_and_memory(self):
+        kappa = 1e8
+        tracemalloc.start()
+        try:
+            psi = from_von_mises(kappa)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        # the old window rule would need 5 GB here; 10 sqrt(kappa) holds
+        # the support, about 5.5 sqrt(kappa) wide
+        l_min, amps = von_mises_components(kappa, l_max=math.ceil(10.0 * math.sqrt(kappa)))
+        ref = circular_moments(PhaseWaveFunction(l_min, amps))
+        m = circular_moments(psi)
+        assert abs(m.e_mean - ref.e_mean) < 1e-12
+        assert m.l_var == pytest.approx(ref.l_var, rel=1e-10)
+
+    @pytest.mark.parametrize("kappa", [1e-300, 5e-324])
+    def test_tiny_kappa_is_one_component(self, kappa):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = from_von_mises(kappa, mean_l=3)
+        assert psi.l_min == 3
+        assert psi.amplitudes.tolist() == [1.0]
+
+    @pytest.mark.parametrize("kappa", [1e12, 1e20])
+    def test_window_over_budget_refused_before_allocating(self, kappa):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameterError, match="budget"):
+                from_von_mises(kappa)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestCircularMoments:
