@@ -31,7 +31,7 @@ anything, so the dense view of any state fits the budget.
 
 Displaced squeezed states are built from the columns of the displacement
 factors that their pair part reaches.  The pair amplitudes
-(e^{i theta} tanh s)^n / cosh s leave (tanh s)^K of the norm beyond
+(e^{i theta} tanh s)^n / cosh s leave (tanh s)^(2K) of the norm beyond
 column K, so K is set by s alone (51 at s=0.5, 144 at s=1) while the
 cutoff grows with the displacement; restricting both factors to K
 columns turns the O(M^3) dense products into O(M^2 K) ones.  The columns
@@ -61,9 +61,10 @@ DEFAULT_TAIL_TOL = 1e-10
 #: Largest amplitude grid a constructor may allocate, in bytes.
 MAX_GRID_BYTES = 2 ** 30
 
-#: Norm left out of a displaced squeezed state's pair part: under one
+#: Pair amplitude (tanh s)^K below which a displaced squeezed state's pair
+#: terms are dropped; the norm they hold, (tanh s)^(2K), is far under one
 #: rounding unit of a unit-norm state.
-PAIR_NORM_FLOOR = 1e-17
+PAIR_AMPLITUDE_FLOOR = 1e-17
 
 #: Smallest coherent mode amplitude kept, relative to the mode's peak.
 COHERENT_FLOOR = 1e-16
@@ -325,7 +326,7 @@ def displaced_squeezed_state(alpha_p: complex, alpha_s: complex, zeta: complex,
     The pair part is sum_n (e^{i theta} tanh s)^n |n, n> / cosh s with
     zeta = s e^{i theta}; the displacements act as truncated matrices.
     Only the first K pair terms are kept, K the smallest with
-    (tanh s)^K < PAIR_NORM_FLOOR, so the amplitudes are
+    (tanh s)^K < PAIR_AMPLITUDE_FLOOR, so the amplitudes are
     D_p[:, :K] diag(c) D_s[:, :K]^T at O(M^2 K) cost.  zeta = 0 reduces
     exactly to ``coherent_state``.  Raises TruncationError when the pair
     tail or the mass pressed against the grid boundary exceeds
@@ -355,7 +356,7 @@ def displaced_squeezed_state(alpha_p: complex, alpha_s: complex, zeta: complex,
     # the pair terms from K on hold r^(2K) of the norm
     pairs = cutoff + 1
     if r < 1.0:
-        pairs = min(pairs, int(math.log(PAIR_NORM_FLOOR) / math.log(r)) + 1)
+        pairs = min(pairs, int(math.log(PAIR_AMPLITUDE_FLOOR) / math.log(r)) + 1)
     pair_amps = (1.0 / np.cosh(s)) * (r * np.exp(1j * np.angle(zeta))) ** np.arange(pairs)
     d_p = _displacement_columns(alpha_p, cutoff, pairs)
     d_s = d_p if alpha_s == alpha_p else _displacement_columns(alpha_s, cutoff, pairs)

@@ -20,10 +20,24 @@ coefficients are un-scaled on output.  Normalization is McLachlan's
 
 with the sign fixed by A_0 > 0.  Only q >= 0 is supported.  The odd
 (elliptic-sine) pi-periodic branch is exposed for eigenvalue checks only.
+
+The default window follows the support, not the recurrence's turning
+point 2 sqrt(q): for large q the coefficients of ce_{2k} tend to a
+Hermite-Gauss profile of width ~q^(1/4) in j (DLMF 28.8), so J grows
+like (6.5 + k/2) q^(1/4), and it doubles until the last coefficient
+falls below TAIL_TOL.  At q = 1e8 that is J = 662 where 2 sqrt(q) would
+give 20024.  Eigenvalues come from bisection to full relative accuracy
+(Barlow & Demmel, SIAM J. Numer. Anal. 27, 762 (1990)), which keeps the
+small-q eigenvalue a_0 ~ -q^2/2 to the last digits.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +53,24 @@ _SQRT2 = np.sqrt(2.0)
 #: below this, |A_{2(J-1)}| signals a sufficient truncation window
 TAIL_TOL = 1e-12
 
+#: Largest Fourier window J a solve may allocate (q up to about 1.6e17
+#: at k = 0); the phase state of such a window fits
+#: phase_space.MAX_PHASE_WINDOW.
+MAX_TRUNCATION = 2 ** 17
 
-def auto_truncation(q: float) -> int:
-    """Default Fourier window: grows like 2*sqrt(q) plus a safety margin."""
-    return max(32, int(np.ceil(2.0 * np.sqrt(max(q, 0.0)))) + 24)
+#: absolute tolerance of the bisection: LAPACK's setting for eigenvalues
+#: to high relative accuracy, down to the smallest |a|
+EIG_ABSTOL = 2.0 * np.finfo(float).tiny
+
+
+def auto_truncation(q: float, k: int = 0) -> int:
+    """Default Fourier window J for ce_{2k}: ceil((6.5 + k/2) q^(1/4)) + 12 + 2k.
+
+    The coefficients of ce_{2k} spread over ~q^(1/4) rows (DLMF 28.8),
+    wider for higher k; the constant covers small q, where
+    A_{2j} ~ q^j / (4^j j!^2) needs a dozen rows to reach TAIL_TOL.
+    """
+    return math.ceil((6.5 + 0.5 * k) * max(q, 0.0) ** 0.25) + 12 + 2 * k
 
 
 @dataclass(frozen=True)
@@ -74,14 +102,11 @@ class MathieuSolution:
     def recurrence_residuals(self) -> np.ndarray:
         """Residual of each recurrence row; all should be ~ machine zero."""
         a, q, A = self.eigenvalue, self.q, self.coefficients
-        J = self.truncation_dim
-        res = np.empty(J - 1)
-        res[0] = a * A[0] - q * A[1]
-        if J > 2:
-            res[1] = (a - 4.0) * A[1] - q * (A[2] + 2.0 * A[0])
-        for j in range(2, J - 1):
-            res[j] = (a - 4.0 * j * j) * A[j] - q * (A[j - 1] + A[j + 1])
-        return res
+        j = np.arange(len(A) - 1)
+        below = np.zeros(len(A) - 1)  # A_{2j-2}; row 1 couples to 2 A_0
+        below[1:] = A[:-2]
+        below[1:2] *= 2.0
+        return (a - 4.0 * j * j) * A[:-1] - q * (below + A[1:])
 
 
 def _validate_q(q: float) -> float:
@@ -90,44 +115,105 @@ def _validate_q(q: float) -> float:
         raise InvalidParameterError(f"Mathieu parameter q must be finite, got {q}")
     if q < 0.0:
         raise InvalidParameterError(f"Mathieu parameter q must be >= 0, got {q}")
-    return q
+    return abs(q)  # -0.0 -> 0.0
+
+
+@functools.cache
+def _lapack():
+    """scipy's LAPACK module, loaded by itself at the first eigensolve.
+
+    ``scipy.linalg.lapack`` re-exports the functions of the f2py
+    extension ``scipy.linalg._flapack``, but importing it runs the
+    ``scipy.linalg`` package first: some 330 modules, 27 MB resident
+    with scipy 1.17, that the two routines used here never touch.  So the
+    extension is loaded from scipy's ``linalg`` directory directly, after
+    the light ``scipy`` package itself, whose import prepares the library
+    search path of its wheels.  Where the file is not there, or does not
+    load, the public module serves.
+    """
+    import scipy
+    finder = importlib.machinery.FileFinder(
+        os.path.join(os.path.dirname(scipy.__file__), "linalg"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is not None:
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+        except ImportError:
+            pass
+    from scipy.linalg import lapack
+    return lapack
+
+
+def _solve(q: float, k: int, J: int, odd: bool) -> tuple[float, np.ndarray]:
+    """The k-th eigenpair (a, v) of one branch's J x J symmetric
+    tridiagonal recurrence matrix.
+
+    The even branch has diagonal (2j)^2, j = 0..J-1, and off-diagonal
+    (sqrt(2) q, q, q, ...); the odd branch diagonal (2j)^2, j = 1..J,
+    and off-diagonal q.  At q = 0, or for J = 1, the matrix is diagonal
+    and sorted, so the pair is exact: (2j)^2 at j = k and a unit vector.
+    Otherwise LAPACK's bisection (dstebz) finds the eigenvalue and
+    inverse iteration (dstein) its vector, the two routines that
+    scipy's ``eigh_tridiagonal(select='i')`` wraps, without its
+    argument checks; they come from ``_lapack()``, so scipy loads at the
+    first call, not at import.  A window over MAX_TRUNCATION raises
+    InvalidParameterError before anything is allocated.
+    """
+    if J > MAX_TRUNCATION:
+        raise InvalidParameterError(
+            f"Fourier window J={J} at q={q}, k={k} is over the budget of {MAX_TRUNCATION}")
+    diag = (2.0 * np.arange(int(odd), J + int(odd))) ** 2
+    if q == 0.0 or J == 1:
+        vec = np.zeros(J)
+        vec[k] = 1.0
+        return float(diag[k]), vec
+    offdiag = np.full(J - 1, q)
+    if not odd:
+        offdiag[0] = _SQRT2 * q
+    lapack = _lapack()
+    _, w, iblock, isplit, info = lapack.dstebz(diag, offdiag, 2, 0.0, 0.0, k + 1, k + 1,
+                                               EIG_ABSTOL, "B")
+    if info == 0:
+        vecs, info = lapack.dstein(diag, offdiag, w[:1], iblock, isplit)
+    if info != 0:
+        raise InconsistentSolutionError(
+            f"tridiagonal eigensolve failed (LAPACK info {info}) at q={q}, k={k}, J={J}")
+    return float(w[0]), vecs[:, 0]
 
 
 def _eigenpair(q: float, k: int, truncation: int | None,
                odd: bool) -> tuple[float, int, float, np.ndarray]:
-    """Validated (q, J) and the k-th eigenpair (a, v) of one branch's
-    J x J symmetric tridiagonal recurrence matrix.
+    """Validated (q, J) and the k-th eigenpair (a, v) of one branch.
 
-    The even branch has diagonal (2j)^2, j = 0..J-1, and off-diagonal
-    (sqrt(2) q, q, q, ...); the odd branch diagonal (2j)^2, j = 1..J,
-    and off-diagonal q.  At q = 0 the matrix is diagonal and sorted, so
-    the pair is exact: (2j)^2 at j = k and a unit vector.  scipy loads
-    at the first eigensolve, not at import.
+    An explicit ``truncation`` is the window J as given.  By default J
+    starts at ``auto_truncation(q, k)`` and doubles while the last
+    component is not below TAIL_TOL; once J passes the recurrence's
+    turning point near 2 sqrt(q) the tail decays faster than
+    geometrically, so the doubling ends.
 
-    Raises InvalidParameterError for q non-finite or negative, k negative
-    or J < 1, and TruncationError for k >= J.
+    Raises InvalidParameterError for q non-finite or negative, k negative,
+    J < 1 or J over MAX_TRUNCATION, and TruncationError for k >= J.
     """
     q = _validate_q(q)
     k = int(k)
     if k < 0:
         raise InvalidParameterError(f"order index k must be >= 0, got {k}")
-    J = auto_truncation(q) if truncation is None else int(truncation)
+    if truncation is None:
+        J = auto_truncation(q, k)
+        a, vec = _solve(q, k, J, odd)
+        while abs(vec[-1]) >= TAIL_TOL:
+            J *= 2
+            a, vec = _solve(q, k, J, odd)
+        return q, J, a, vec
+    J = int(truncation)
     if J < 1:
         raise InvalidParameterError(f"truncation must be positive, got {J}")
     if k >= J:
         raise TruncationError(f"order k={k} requires truncation J > k, got J={J}")
-
-    diag = (2.0 * np.arange(int(odd), J + int(odd))) ** 2
-    if q == 0.0:
-        vec = np.zeros(J)
-        vec[k] = 1.0
-        return 0.0, J, float(diag[k]), vec
-    offdiag = np.full(J - 1, q)
-    if not odd:
-        offdiag[0] = _SQRT2 * q
-    from scipy.linalg import eigh_tridiagonal
-    vals, vecs = eigh_tridiagonal(diag, offdiag, select="i", select_range=(k, k))
-    return q, J, float(vals[0]), vecs[:, 0]
+    return (q, J, *_solve(q, k, J, odd))
 
 
 def solve_even_mathieu(q: float, k: int = 0, truncation: int | None = None) -> MathieuSolution:
@@ -141,7 +227,8 @@ def solve_even_mathieu(q: float, k: int = 0, truncation: int | None = None) -> M
         Order index; the eigenvalue is a_{2k}(q), eigenvalues sorted
         ascending.
     truncation : int, optional
-        Fourier window length J.  Defaults to ``auto_truncation(q)``.
+        Fourier window length J.  Defaults to ``auto_truncation(q, k)``,
+        doubled until the coefficient tail decays below TAIL_TOL.
 
     Returns
     -------
@@ -150,10 +237,11 @@ def solve_even_mathieu(q: float, k: int = 0, truncation: int | None = None) -> M
     Raises
     ------
     InvalidParameterError
-        q non-finite or negative, k negative, or J < 1.
+        q non-finite or negative, k negative, J < 1, or J over
+        MAX_TRUNCATION (q above about 1.6e17 by default).
     TruncationError
         k >= J, or the coefficient tail does not decay below TAIL_TOL
-        within the window.
+        within an explicit window.
     """
     q, J, a, vec = _eigenpair(q, k, truncation, odd=False)
     coeffs = vec.copy()

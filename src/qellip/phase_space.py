@@ -92,14 +92,14 @@ def _require_int(value, name: str) -> int:
 
 
 def _trimmed(l_min: int, amps: np.ndarray, mean_l_offset: int) -> PhaseWaveFunction:
-    """Drop negligible edge components, renormalize, freeze the window."""
+    """Drop edge components under WINDOW_TAIL_TOL * 1e-3 of a unit-norm
+    state's mass, renormalize the rest, freeze the window."""
     mag2 = np.abs(amps) ** 2
-    keep = np.nonzero(mag2 > WINDOW_TAIL_TOL * 1e-3)[0]
+    keep = np.flatnonzero(mag2 > WINDOW_TAIL_TOL * 1e-3)
     if len(keep) == 0:
         raise InvalidStateError("phase state has no support")
     lo, hi = keep[0], keep[-1] + 1
-    amps = amps[lo:hi].astype(complex)
-    amps = amps / np.sqrt(np.sum(np.abs(amps) ** 2))
+    amps = amps[lo:hi].astype(complex) / np.sqrt(np.sum(mag2[lo:hi]))
     return PhaseWaveFunction(l_min + lo, amps, mean_l_offset)
 
 
@@ -132,13 +132,9 @@ def from_mathieu(sol: MathieuSolution, mean_l: int = 0) -> PhaseWaveFunction:
     """
     mean_l = _require_int(mean_l, "mean_l")
     A = sol.coefficients
-    J = len(A)
-    amps = np.zeros(2 * J - 1, dtype=complex)
-    amps[J - 1] = _SQRT2 * A[0]
-    for j in range(1, J):
-        amps[J - 1 + j] = A[j] / _SQRT2
-        amps[J - 1 - j] = A[j] / _SQRT2
-    return _trimmed(-(J - 1) + mean_l, amps, mean_l)
+    side = A[1:] / _SQRT2
+    amps = np.concatenate((side[::-1], [_SQRT2 * A[0]], side))
+    return _trimmed(1 - len(A) + mean_l, amps, mean_l)
 
 
 def _bessel_ive(z: float, l_max: int) -> np.ndarray:
@@ -179,6 +175,8 @@ def from_von_mises(kappa: float, phi0: float = 0.0, mean_l: int = 0) -> PhaseWav
     MAX_PHASE_WINDOW components raises InvalidParameterError before
     anything is allocated (l_max = 63660 at kappa = 1e8 fits), and an
     edge weight that is not negligible raises InconsistentSolutionError.
+    The components are normalized before the trimming, so the dropped
+    mass stays under WINDOW_TAIL_TOL at any kappa.
     Below kappa = 2 Z_FLOOR the recurrence runs at z = Z_FLOOR, which
     changes nothing: there every component but l = 0 is trimmed.
     """
@@ -206,6 +204,9 @@ def from_von_mises(kappa: float, phi0: float = 0.0, mean_l: int = 0) -> PhaseWav
             f"von Mises window l_max={l_max} leaves edge weight "
             f"{(w[-1] / w[0]) ** 2:.3e} at kappa={kappa}"
         )
+    # unit norm before trimming, so the cut is on the state's mass: the
+    # raw squares sum to I_0(kappa) e^{-kappa} ~ (2 pi kappa)^(-1/2)
+    w = w / math.sqrt(w[0] ** 2 + 2.0 * float(np.sum(w[1:] ** 2)))
     l = np.arange(-l_max, l_max + 1)
     amps = ((-1.0) ** np.abs(l)) * np.exp(1j * l * phi0) * np.concatenate([w[:0:-1], w])
     return _trimmed(-l_max + mean_l, amps, mean_l)

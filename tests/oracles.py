@@ -38,9 +38,15 @@ def mathieu_char_equation(a: float, q: float, depth: int = 200) -> float:
     return a - 2.0 * q * q / (a - 4.0 - q * r)
 
 
-def mathieu_eigenvalue_cf(q: float, bracket: tuple[float, float]) -> float:
-    """Root of the characteristic equation inside a pole-free bracket."""
-    return brentq(lambda a: mathieu_char_equation(a, q), *bracket,
+def mathieu_eigenvalue_cf(q: float, bracket: tuple[float, float],
+                          depth: int = 200) -> float:
+    """Root of the characteristic equation inside a pole-free bracket.
+
+    ``depth`` must reach past the rows the coefficients occupy, several
+    times q^(1/4) at large q (about 400 at q = 1e8), so large q needs
+    more than the default.
+    """
+    return brentq(lambda a: mathieu_char_equation(a, q, depth), *bracket,
                   xtol=1e-14, rtol=1e-15)
 
 
@@ -71,8 +77,8 @@ def von_mises_components(kappa: float, phi0: float = 0.0,
     """(l_min, Psi_l) of the von Mises phase state, from scipy's ``ive``.
 
     Psi_l ~ (-1)^l e^{i l phi0} I_l(kappa/2) e^{-kappa/2} on |l| <= l_max,
-    trimmed to the components whose squared magnitude exceeds
-    WINDOW_TAIL_TOL * 1e-3 and normalized.  By default l_max starts at
+    normalized, trimmed to the components whose squared magnitude exceeds
+    WINDOW_TAIL_TOL * 1e-3, and normalized again.  By default l_max starts at
     kappa/2 + 10 sqrt(kappa/2 + 1) + 20 and doubles until the edge weight
     is negligible; that window is linear in kappa (5 GB of arrays at
     kappa 1e8), so large kappa passes its own l_max.
@@ -88,6 +94,7 @@ def von_mises_components(kappa: float, phi0: float = 0.0,
             break
         l_max *= 2
     amps = ((-1.0) ** np.abs(l)) * np.exp(1j * l * phi0) * w
+    amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
     keep = np.nonzero(np.abs(amps) ** 2 > WINDOW_TAIL_TOL * 1e-3)[0]
     amps = amps[keep[0]:keep[-1] + 1]
     return int(l[keep[0]]), amps / np.sqrt(np.sum(np.abs(amps) ** 2))

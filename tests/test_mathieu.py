@@ -1,5 +1,11 @@
 """Even pi-periodic Mathieu solver: eigenvalues, coefficients, variances."""
 
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +19,7 @@ from qellip import (
     solve_even_mathieu,
     theta_series,
 )
+from qellip import mathieu
 from qellip.mathieu import auto_truncation
 
 from oracles import mathieu_eigenvalue_cf, mathieu_ode_value
@@ -86,6 +93,13 @@ class TestErrors:
     def test_negative_order(self):
         with pytest.raises(InvalidParameterError):
             solve_even_mathieu(1.0, -1)
+
+    def test_one_row_window(self):
+        # a 1 x 1 recurrence is diagonal: the even branch's lone A_0 is its
+        # own tail, the odd branch's eigenvalue is exact
+        with pytest.raises(TruncationError):
+            solve_even_mathieu(1.0, 0, truncation=1)
+        assert se_even_eigenvalue(1.0, 0, truncation=1) == 4.0
 
     def test_tail_not_decayed(self):
         with pytest.raises(TruncationError):
@@ -193,3 +207,126 @@ class TestOddBranch:
         # not a truncation failure
         with pytest.raises(InvalidParameterError, match="truncation must be positive"):
             solver(1.0, 0, truncation=0)
+
+
+def turning_point_window(q: float) -> int:
+    """The earlier default window, sized from the turning point 2 sqrt(q)."""
+    return max(32, math.ceil(2.0 * math.sqrt(q)) + 24)
+
+
+class TestSupportWindow:
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_default_window_needs_no_doubling(self, odd):
+        for q in [0.0] + list(np.logspace(-3, 8, 45)):
+            for k in range(11):
+                J = mathieu._eigenpair(q, k, None, odd)[1]
+                assert J == auto_truncation(q, k), (q, k)
+
+    def test_too_small_default_window_doubles(self, monkeypatch):
+        q, k = 100.0, 2
+        wide = solve_even_mathieu(q, k, truncation=200)
+        b_wide = se_even_eigenvalue(q, k, truncation=200)
+        monkeypatch.setattr(mathieu, "auto_truncation", lambda q, k=0: k + 1)
+        sol = solve_even_mathieu(q, k)
+        J = sol.truncation_dim
+        assert J > k + 1  # doubled from the patched window
+        assert sol.eigenvalue == pytest.approx(wide.eigenvalue, rel=1e-14)
+        assert np.max(np.abs(sol.coefficients - wide.coefficients[:J])) < 1e-14
+        assert np.max(np.abs(wide.coefficients[J:])) < mathieu.TAIL_TOL
+        assert se_even_eigenvalue(q, k) == pytest.approx(b_wide, rel=1e-14)
+
+    @pytest.mark.parametrize("q, truncation", [(1e20, None), (1e300, None),
+                                               (1.0, mathieu.MAX_TRUNCATION + 1)])
+    def test_window_over_budget_refused_before_allocating(self, q, truncation):
+        tracemalloc.start()
+        try:
+            for solver in (solve_even_mathieu, se_even_eigenvalue):
+                with pytest.raises(InvalidParameterError, match="budget"):
+                    solver(q, 0, truncation=truncation)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_explicit_window_is_not_doubled(self):
+        assert solve_even_mathieu(100.0, 0, truncation=40).truncation_dim == 40
+        with pytest.raises(TruncationError):
+            solve_even_mathieu(100.0, 0, truncation=12)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_large_q_window_and_continued_fraction(self, k):
+        q = 1e8
+        sol = solve_even_mathieu(q, k)
+        assert sol.truncation_dim <= 1000
+        a = sol.eigenvalue
+        width = 1e-9 * abs(a)
+        a_cf = mathieu_eigenvalue_cf(q, (a - width, a + width), depth=1000)
+        assert a == pytest.approx(a_cf, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("q", np.logspace(-3, 8, 12))
+    def test_odd_branch_matches_wide_window(self, q):
+        for k in range(4):
+            wide = se_even_eigenvalue(q, k, truncation=2 * turning_point_window(q))
+            assert se_even_eigenvalue(q, k) == pytest.approx(wide, rel=1e-14, abs=1e-300)
+
+
+class TestSmallQPrecision:
+    """Bisection to full relative accuracy keeps a_0 ~ -q^2/2 exact."""
+
+    @pytest.mark.parametrize("q", [1e-3, 3e-3, 1e-2])
+    def test_eigenvalue_series(self, q):
+        # DLMF 28.6.1
+        series = (-q ** 2 / 2.0 + 7.0 * q ** 4 / 128.0 - 29.0 * q ** 6 / 2304.0
+                  + 68687.0 * q ** 8 / 18874368.0)
+        assert solve_even_mathieu(q, 0).eigenvalue == pytest.approx(series, rel=1e-13, abs=0.0)
+
+    def test_variance_series(self):
+        q = 1e-3
+        dl2, _ = mathieu_variances(solve_even_mathieu(q, 0))
+        assert dl2 == pytest.approx(q ** 2 / 8.0 - 21.0 * q ** 4 / 512.0, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("q", [0.1, 10.0, 1e4])
+def test_recurrence_residuals_match_row_loop(q):
+    sol = solve_even_mathieu(q, 1)
+    a, A = sol.eigenvalue, sol.coefficients
+    loop = [a * A[0] - q * A[1], (a - 4.0) * A[1] - q * (A[2] + 2.0 * A[0])]
+    loop += [(a - 4.0 * j * j) * A[j] - q * (A[j - 1] + A[j + 1])
+             for j in range(2, len(A) - 1)]
+    np.testing.assert_array_max_ulp(sol.recurrence_residuals(), np.array(loop), maxulp=1)
+
+
+class TestLapackLoading:
+    def test_solve_loads_no_scipy_linalg_package(self):
+        # the two LAPACK routines come from scipy's extension module alone,
+        # not through the scipy.linalg package and its ~330 modules
+        code = (
+            "import sys\n"
+            "from qellip import from_mathieu, se_even_eigenvalue, solve_even_mathieu\n"
+            "from qellip.mathieu import _lapack\n"
+            "sol = solve_even_mathieu(3.0, 1)\n"
+            "from_mathieu(sol)\n"
+            "se_even_eigenvalue(3.0, 1)\n"
+            "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg imported'\n"
+            "import numpy as np, scipy.linalg\n"
+            "assert _lapack().dstebz is scipy.linalg.lapack.dstebz\n"
+            "J = sol.truncation_dim\n"
+            "d = (2.0 * np.arange(J)) ** 2\n"
+            "e = np.full(J - 1, 3.0)\n"
+            "e[0] *= np.sqrt(2.0)\n"
+            "w = scipy.linalg.eigh_tridiagonal(d, e, select='i', select_range=(1, 1))[0]\n"
+            "assert abs(w[0] - sol.eigenvalue) < 1e-13 * abs(w[0]), (w[0], sol.eigenvalue)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_public_module_when_extension_not_found(self, monkeypatch):
+        import importlib.machinery
+
+        import scipy.linalg.lapack
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        assert mathieu._lapack.__wrapped__() is scipy.linalg.lapack

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import iv
+from scipy.special import iv, ive
 
 from qellip import (
     InvalidParameterError,
@@ -69,6 +69,29 @@ class TestFromMathieu:
     def test_non_integer_mean_l_rejected(self):
         with pytest.raises(InvalidParameterError):
             from_mathieu(solve_even_mathieu(1.0, 0), mean_l=0.5)
+
+    @pytest.mark.parametrize("q", [0.1, 10.0, 1e4])
+    def test_matches_component_loop(self, q):
+        sol = solve_even_mathieu(q, 0)
+        A = sol.coefficients
+        components = {0: np.sqrt(2.0) * A[0]}
+        for j in range(1, len(A)):
+            components[j] = components[-j] = A[j] / np.sqrt(2.0)
+        ref = phase_state(components, normalize=False)
+        psi = from_mathieu(sol)
+        assert psi.l_min == ref.l_min
+        np.testing.assert_array_equal(psi.amplitudes, ref.amplitudes)
+
+    def test_support_window_keeps_turning_point_window_state(self):
+        # the window sized from q^(1/4) holds every component the earlier
+        # window, sized from 2 sqrt(q), kept
+        for q in np.logspace(-3, 8, 45):
+            psi = from_mathieu(solve_even_mathieu(q, 0))
+            J = max(32, math.ceil(2.0 * math.sqrt(q)) + 24)
+            ref = from_mathieu(solve_even_mathieu(q, 0, truncation=J))
+            assert psi.l_min == ref.l_min, q
+            assert len(psi.amplitudes) == len(ref.amplitudes), q
+            assert np.max(np.abs(psi.amplitudes - ref.amplitudes)) < 1e-13, q
 
 
 class TestFromVonMises:
@@ -134,6 +157,15 @@ class TestVonMisesRecurrence:
         m = circular_moments(psi)
         assert abs(m.e_mean - ref.e_mean) < 1e-12
         assert m.l_var == pytest.approx(ref.l_var, rel=1e-10)
+
+    @pytest.mark.parametrize("kappa, e_rel", [(1e4, 1e-10), (1e6, 1e-8), (1e8, 1e-6)])
+    def test_large_kappa_moments_against_bessel_ratio(self, kappa, e_rel):
+        # the trimming cuts on the normalized mass, so the moments keep
+        # the closed forms <e^{i phi}> = -I_1/I_0 and Var L = kappa I_1 / (4 I_0)
+        ratio = ive(1, kappa) / ive(0, kappa)
+        m = circular_moments(from_von_mises(kappa))
+        assert m.e_var == pytest.approx(1.0 - ratio ** 2, rel=e_rel, abs=0.0)
+        assert m.l_var == pytest.approx(0.25 * kappa * ratio, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("kappa", [1e-300, 5e-324])
     def test_tiny_kappa_is_one_component(self, kappa):
