@@ -19,20 +19,12 @@ from .errors import (
 from .fock import (
     LayerOperator,
     TwoModeFockState,
-    build_L_operator,
-    build_N_operator,
-    circular_variance_unitary,
     coherent_state,
     displaced_squeezed_state,
-    displacement_matrix,
     embed_phase_state,
-    expectation,
     extract_layer,
-    modulus_operator,
-    phase_operator,
     phase_operator_layer,
     squeezed_for_mean_photons,
-    variance_hermitian,
 )
 from .mathieu import (
     MathieuSolution,

@@ -20,14 +20,14 @@ block of amplitudes of |m0 + i, n0 + j> and its offset (m0, n0).  A
 phase state embedded on one layer fills a w x w box for a support of
 width w, whatever the layer; a coherent state keeps the rows and columns
 where its mode vectors reach COHERENT_FLOOR of their peaks; squeezed
-states keep the whole grid.  The dense (M+1)^2 grid is formed only on
-request (``TwoModeFockState.amplitudes``), for the operator objects below.
+states keep the whole grid.  ``noise.analyze`` takes every moment from
+the box; no dense grid or operator object is built.
 
 Construction is tail-checked: every constructor records the probability
 lost to the truncation before renormalizing, and raises TruncationError
 when it exceeds the tolerance (default 1e-10).  Every constructor also
-checks the (M+1)^2 grid against ``MAX_GRID_BYTES`` before allocating
-anything, so the dense view of any state fits the budget.
+checks ``MAX_GRID_BYTES`` before allocating anything, still on the
+nominal (M+1)^2 grid, which only squeezed states allocate.
 
 Displaced squeezed states are built from the columns of the displacement
 factors that their pair part reaches.  The pair amplitudes
@@ -36,9 +36,10 @@ column K, so K is set by s alone (51 at s=0.5, 144 at s=1) while the
 cutoff grows with the displacement; restricting both factors to K
 columns turns the O(M^3) dense products into O(M^2 K) ones.  The columns
 still come from the exactly unitary tridiagonal eigensolve rather than
-from Laguerre recurrences, which lose precision past |alpha| of a few;
-scipy, which solves it, is imported at the first such build, so
-importing this module loads numpy only.
+from Laguerre recurrences, which lose precision past |alpha| of a few.
+LAPACK's dstevd solves it, taken from scipy's extension module by
+``mathieu._lapack`` at the first such build, so importing this module
+loads numpy only and a build loads no ``scipy.linalg`` package.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .errors import (
     InvalidParameterError,
     TruncationError,
 )
+from .mathieu import _lapack
 from .phase_space import PhaseWaveFunction
 
 DEFAULT_TAIL_TOL = 1e-10
@@ -94,15 +96,6 @@ class TwoModeFockState:
                 f"grid of cutoff {self.cutoff}"
             )
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Dense (cutoff+1)^2 grid, amplitudes[m, n] of |m>_p |n>_s."""
-        grid = np.zeros((self.cutoff + 1, self.cutoff + 1), dtype=complex)
-        m0, n0 = self.offset
-        rows, cols = self.block.shape
-        grid[m0:m0 + rows, n0:n0 + cols] = self.block
-        return grid
-
 
 @dataclass(frozen=True)
 class LayerOperator:
@@ -111,61 +104,6 @@ class LayerOperator:
 
     photon_number: int
     matrix: np.ndarray
-
-
-class DiagonalOperator:
-    """Operator diagonal in the number basis, stored as its entry grid."""
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-        self.cutoff = values.shape[0] - 1
-
-    def apply(self, amps: np.ndarray) -> np.ndarray:
-        return self.values * amps
-
-
-class PhaseOperator:
-    """The relative-phase unitary E on the square truncation."""
-
-    def __init__(self, cutoff: int):
-        self.cutoff = int(cutoff)
-
-    def apply(self, amps: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(amps)
-        out[:-1, 1:] = amps[1:, :-1]   # |m,n> <- |m+1,n-1| within each layer
-        out[:, 0] = amps[0, :]         # wrap term |N,0><0,N| for every layer
-        return out
-
-
-def _index_grids(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    m = np.arange(cutoff + 1, dtype=float)
-    return np.meshgrid(m, m, indexing="ij")
-
-
-def build_N_operator(cutoff: int) -> DiagonalOperator:
-    """Total photon number, entries m + n."""
-    m, n = _index_grids(cutoff)
-    return DiagonalOperator(m + n)
-
-
-def build_L_operator(cutoff: int) -> DiagonalOperator:
-    """Half photon-number difference, entries (m - n) / 2."""
-    m, n = _index_grids(cutoff)
-    return DiagonalOperator(0.5 * (m - n))
-
-
-def modulus_operator(cutoff: int) -> DiagonalOperator:
-    """Amplitude-ratio modulus P = sqrt(N_p / (N_s + 1)).
-
-    The +1 in the denominator is forced by operator ordering and breaks
-    the classical p <-> s interchange symmetry.
-    """
-    m, n = _index_grids(cutoff)
-    return DiagonalOperator(np.sqrt(m / (n + 1.0)))
-
-
-def phase_operator(cutoff: int) -> PhaseOperator:
-    return PhaseOperator(cutoff)
 
 
 def phase_operator_layer(N: int) -> LayerOperator:
@@ -184,7 +122,9 @@ def phase_operator_layer(N: int) -> LayerOperator:
 
 
 def _check_cutoff(cutoff: int) -> int:
-    """Validated cutoff whose (cutoff+1)^2 complex grid fits the budget."""
+    """Validated cutoff whose nominal (cutoff+1)^2 complex grid fits the
+    budget.  The grid is checked whether or not the state allocates it:
+    squeezed states fill it, coherent and embedded states keep a box."""
     cutoff = int(cutoff)
     if cutoff < 1:
         raise InvalidParameterError(f"cutoff must be >= 1, got {cutoff}")
@@ -279,13 +219,24 @@ def _coherent_support(alpha: complex, cutoff: int) -> tuple[np.ndarray, int]:
 
 
 def _displacement_columns(alpha: complex, cutoff: int, ncols: int) -> np.ndarray:
-    """The first ``ncols`` columns of ``displacement_matrix(alpha, cutoff)``."""
+    """The first ``ncols`` columns of exp(alpha a^dag - conj(alpha) a),
+    truncated, in the number basis.
+
+    The generator is gauge-equivalent (by a diagonal phase) to i times a
+    real symmetric tridiagonal matrix, whose eigensolve (LAPACK dstevd)
+    gives the exponential, exactly unitary on the truncated space.  Local
+    Laguerre recurrences amplify roundoff like e^{n/2} and lose all
+    precision past |alpha| of a few; do not revert to them.
+    """
     dim = cutoff + 1
     mag = abs(alpha)
     if mag == 0.0:
         return np.eye(dim, ncols, dtype=complex)
-    from scipy.linalg import eigh_tridiagonal  # loaded at the first squeezed build
-    w, v = eigh_tridiagonal(np.zeros(dim), mag * np.sqrt(np.arange(1.0, dim)))
+    w, v, info = _lapack().dstevd(np.zeros(dim), mag * np.sqrt(np.arange(1.0, dim)),
+                                  compute_v=1)
+    if info != 0:
+        raise InconsistentSolutionError(
+            f"displacement eigensolve failed (LAPACK info {info}) at |alpha|={mag}")
     # core = v e^{iw} v[:ncols]^T, taken as one real product so that the
     # (dim x dim) eigenvector matrix is never copied to complex
     head = v[:ncols].T
@@ -294,28 +245,6 @@ def _displacement_columns(alpha: complex, cutoff: int, ncols: int) -> np.ndarray
     core = parts[:, :ncols] + 1j * parts[:, ncols:]
     gauge = (-1j * np.exp(1j * np.angle(alpha))) ** np.arange(dim)
     return (gauge[:, np.newaxis] * core) * np.conj(gauge[:ncols])[np.newaxis, :]
-
-
-def displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
-    """Truncated single-mode displacement matrix in the number basis.
-
-    Computed as exp of the truncated generator alpha a^dag - conj(alpha) a,
-    which is anti-Hermitian tridiagonal and gauge-equivalent (by a diagonal
-    phase) to i times a real symmetric tridiagonal matrix; a structured
-    eigensolve then gives the exponential directly.  The result is exactly
-    unitary on the truncated space, with entries matching the infinite-
-    space operator wherever its support is clear of the cutoff.
-
-    This is the all-columns case of the column builder that
-    ``displaced_squeezed_state`` calls with only the K columns its pair
-    part reaches; each column costs O(M^2) after the O(M^2) eigensolve.
-
-    Local three-term recurrences for the associated-Laguerre entries look
-    cheaper but amplify roundoff like e^{n/2} along the matrix diagonals,
-    losing all precision past |alpha| of a few; do not revert to them.
-    """
-    cutoff = _check_cutoff(cutoff)
-    return _displacement_columns(alpha, cutoff, cutoff + 1)
 
 
 def displaced_squeezed_state(alpha_p: complex, alpha_s: complex, zeta: complex,
@@ -425,36 +354,6 @@ def embed_phase_state(psi: PhaseWaveFunction, N: int,
     block[i, width - 1 - i] = psi.amplitudes[l_lo - l_min:l_lo - l_min + width]
     return _finish_state(block, (half + l_lo, half - l_hi), N, tail_tol,
                          f"phase state on layer N={N}")
-
-
-def _check_dims(state: TwoModeFockState, op) -> None:
-    if getattr(op, "cutoff", None) != state.cutoff:
-        raise DimensionMismatchError(
-            f"operator cutoff {getattr(op, 'cutoff', None)} != state cutoff {state.cutoff}"
-        )
-
-
-def expectation(state: TwoModeFockState, op) -> complex:
-    """<psi| A |psi> for any operator exposing apply()."""
-    _check_dims(state, op)
-    amps = state.amplitudes
-    return complex(np.vdot(amps, op.apply(amps)))
-
-
-def variance_hermitian(state: TwoModeFockState, op) -> float:
-    """Var A = ||(A - <A>) psi||^2 for Hermitian A; centred, so it keeps
-    the digits <A^2> - <A>^2 cancels (exactly 0 on an eigenvector)."""
-    _check_dims(state, op)
-    amps = state.amplitudes
-    applied = op.apply(amps)
-    dev = applied - np.vdot(amps, applied).real * amps
-    return float(np.vdot(dev, dev).real)
-
-
-def circular_variance_unitary(state: TwoModeFockState, unitary) -> float:
-    """1 - |<U>|^2, the variance notion adapted to unitary operators."""
-    e = expectation(state, unitary)
-    return min(max(1.0 - abs(e) ** 2, 0.0), 1.0)
 
 
 def extract_layer(state: TwoModeFockState, N: int) -> np.ndarray:

@@ -104,7 +104,8 @@ def _trimmed(l_min: int, amps: np.ndarray, mean_l_offset: int) -> PhaseWaveFunct
 
 
 def phase_state(components: dict[int, complex], normalize: bool = True) -> PhaseWaveFunction:
-    """Build a state from an {l: Psi_l} mapping (test/CLI convenience)."""
+    """Build a state from an {l: Psi_l} mapping (test/CLI convenience);
+    a non-finite component raises InvalidParameterError."""
     if not components:
         raise InvalidStateError("empty component map")
     ls = sorted(components)
@@ -112,6 +113,10 @@ def phase_state(components: dict[int, complex], normalize: bool = True) -> Phase
     amps = np.zeros(l_max - l_min + 1, dtype=complex)
     for l, c in components.items():
         amps[_require_int(l, "l") - l_min] = c
+    bad = np.flatnonzero(~np.isfinite(amps))
+    if bad.size:
+        raise InvalidParameterError(
+            f"component Psi_{l_min + bad[0]} must be finite, got {amps[bad[0]]}")
     nrm = np.sqrt(np.sum(np.abs(amps) ** 2))
     if nrm == 0.0:
         raise InvalidStateError("zero-norm component map")
@@ -222,9 +227,12 @@ def shift(psi: PhaseWaveFunction, m: int) -> PhaseWaveFunction:
 def rotate(psi: PhaseWaveFunction, theta: float) -> PhaseWaveFunction:
     """Rotate the density by theta: p(phi) -> p(phi - theta).
 
-    Acts as Psi_l -> exp(i l theta) Psi_l, multiplying <e^{i phi}> by
-    exp(i theta) and leaving every variance unchanged.
+    Acts as Psi_l -> exp(i l theta) Psi_l: <e^{i phi}> gains exp(i theta),
+    every variance stays.  A non-finite theta raises InvalidParameterError.
     """
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise InvalidParameterError(f"theta must be finite, got {theta}")
     amps = psi.amplitudes * np.exp(1j * psi.l_values * theta)
     return PhaseWaveFunction(psi.l_min, amps, psi.mean_l_offset)
 
@@ -233,18 +241,19 @@ def circular_moments(psi: PhaseWaveFunction) -> CircularMoments:
     """Moments <e^{i phi}>, circular variance, <L>, Var L.
 
     <e^{i phi}> = sum_l conj(Psi_l) Psi_{l+1}; the circular variance is
-    1 - |<e^{i phi}>|^2.  Raises InvalidStateError if the input norm is
-    off by more than 1e-9.
+    1 - |<e^{i phi}>|^2; Var L = sum |Psi_l|^2 (l - <L>)^2 is centred, so
+    it keeps its digits far from l = 0.  Raises InvalidStateError if the
+    norm is off by more than 1e-9 or is NaN.
     """
     nrm2 = psi.norm_sq()
-    if abs(nrm2 - 1.0) > 1e-9:
+    if not abs(nrm2 - 1.0) <= 1e-9:
         raise InvalidStateError(f"state not normalized: |Psi|^2 = {nrm2:.12e}")
     a = psi.amplitudes
     ls = psi.l_values.astype(float)
     p = np.abs(a) ** 2
     e_mean = complex(np.vdot(a[:-1], a[1:])) if len(a) > 1 else 0.0j
     l_mean = float(ls @ p)
-    l_var = max(float((ls * ls) @ p) - l_mean * l_mean, 0.0)
+    l_var = float(((ls - l_mean) ** 2) @ p)
     e_var = min(max(1.0 - abs(e_mean) ** 2, 0.0), 1.0)
     return CircularMoments(e_mean, e_var, l_mean, l_var)
 

@@ -7,11 +7,15 @@ summation replaces characteristic matrices, quadrature replaces Bessel
 identities, scipy's exponentially scaled Bessel function replaces the
 backward recurrence of von Mises states, the Laguerre closed form
 replaces the displacement eigensolve, sums over fixed-photon-number
-layers replace the grid moments of coherent states, and exactly rounded
-sums over one layer replace the box moments of embedded phase states.
+layers replace the grid moments of coherent states, exactly rounded
+sums over one layer replace the box moments of embedded phase states
+and over the index window the Var L of bare ones, and the dense (cutoff+1)^2 grid, scattered from a state's stored box,
+with N, L, P and E applied to it entry by entry, replaces the box
+moments of every two-mode state.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -129,6 +133,66 @@ def displacement_entry(m, n, alpha: complex):
 
 
 # ---------------------------------------------------------------------------
+# two-mode moments on the dense grid
+
+def dense_amplitudes(state) -> np.ndarray:
+    """The (cutoff+1)^2 grid of a two-mode state, [m, n] the amplitude of
+    |m>_p |n>_s, scattered from its stored block at its offset."""
+    grid = np.zeros((state.cutoff + 1, state.cutoff + 1), dtype=complex)
+    m0, n0 = state.offset
+    rows, cols = state.block.shape
+    grid[m0:m0 + rows, n0:n0 + cols] = state.block
+    return grid
+
+
+def diagonal_values(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entry grids of N = m + n, L = (m - n) / 2 and the modulus
+    P = sqrt(m / (n + 1)), whose +1 comes from operator ordering."""
+    m, n = np.meshgrid(np.arange(cutoff + 1.0), np.arange(cutoff + 1.0), indexing="ij")
+    return m + n, 0.5 * (m - n), np.sqrt(m / (n + 1.0))
+
+
+def apply_phase(amps: np.ndarray) -> np.ndarray:
+    """E on a dense grid: |m, n> -> |m-1, n+1> within each layer, and the
+    vacuum wrap |0, N> -> |N, 0> for every layer."""
+    out = np.zeros_like(amps)
+    out[:-1, 1:] = amps[1:, :-1]
+    out[:, 0] = amps[0, :]
+    return out
+
+
+@dataclass(frozen=True)
+class DenseMoments:
+    n_mean: float
+    l_mean: float
+    l_var: float
+    p_var: float
+    e_mean: complex
+
+    @property
+    def e_var(self) -> float:
+        return min(max(1.0 - abs(self.e_mean) ** 2, 0.0), 1.0)
+
+
+def _centred_variance(amps: np.ndarray, values: np.ndarray) -> float:
+    """||(A - <A>) psi||^2 of a diagonal A, exactly 0 on an eigenvector."""
+    applied = values * amps
+    dev = applied - np.vdot(amps, applied).real * amps
+    return float(np.vdot(dev, dev).real)
+
+
+def dense_moments(state) -> DenseMoments:
+    """<N>, <L>, Var L, Var P and <E> of a two-mode state, each from its
+    operator applied to the dense grid."""
+    amps = dense_amplitudes(state)
+    n, l, p = diagonal_values(state.cutoff)
+    return DenseMoments(float(np.vdot(amps, n * amps).real),
+                        float(np.vdot(amps, l * amps).real),
+                        _centred_variance(amps, l), _centred_variance(amps, p),
+                        complex(np.vdot(amps, apply_phase(amps))))
+
+
+# ---------------------------------------------------------------------------
 # balanced coherent <E> by fixed-photon-number layers
 
 def coherent_e_mean(nbar: float) -> float:
@@ -152,7 +216,7 @@ def coherent_e_mean(nbar: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# modulus variance of a phase state on one layer, by exactly rounded sums
+# phase-state variances by exactly rounded sums
 
 def layer_modulus_variance(l_values, amps, N: int) -> float:
     """Var P of Psi_l placed on |N/2 + l, N/2 - l>, components outside
@@ -169,6 +233,20 @@ def layer_modulus_variance(l_values, amps, N: int) -> float:
     terms = [(math.sqrt((half + l) / (half - l + 1)), w / total) for l, w in weights]
     mean = math.fsum(w * p for p, w in terms)
     return math.fsum(w * (p - mean) ** 2 for p, w in terms)
+
+
+def index_variance(l_values, amps) -> float:
+    """Var L of the normalized components Psi_l.
+
+    The indices are taken relative to the first one, so a window shifted
+    far from l = 0 loses nothing to the size of l, and the mean and the
+    centred second moment are both taken with ``math.fsum``.
+    """
+    l0 = int(l_values[0])
+    weights = [(int(l) - l0, abs(complex(a)) ** 2) for l, a in zip(l_values, amps)]
+    total = math.fsum(w for _, w in weights)
+    mean = math.fsum(l * w for l, w in weights) / total
+    return math.fsum(w * (l - mean) ** 2 for l, w in weights) / total
 
 
 # ---------------------------------------------------------------------------

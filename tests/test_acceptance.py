@@ -23,7 +23,6 @@ import pytest
 
 from qellip import (
     analyze,
-    build_L_operator,
     circular_moments,
     coherent_state,
     density_profile,
@@ -31,19 +30,17 @@ from qellip import (
     from_mathieu,
     from_von_mises,
     mathieu_variances,
-    phase_operator,
     phase_operator_layer,
     phase_state,
     solve_even_mathieu,
     squeezed_for_mean_photons,
     stack_reflection,
     theta_series,
-    variance_hermitian,
 )
 from qellip.cli import main as cli_main
 from qellip.noise import coherent_family, mathieu_family, scaling_sweep
 
-from oracles import airy_reflection, mathieu_eigenvalue_cf, random_stack
+from oracles import airy_reflection, dense_moments, mathieu_eigenvalue_cf, random_stack
 
 Q_TESTED = [0.01, 0.1, 1.0, 10.0, 100.0]
 
@@ -68,9 +65,9 @@ def test_01_coherent_baseline():
         start = time.perf_counter()
         a = np.sqrt(nbar / 2.0)
         state = coherent_state(a, a, cutoff=200)
-        l_var = variance_hermitian(state, build_L_operator(200))
-        e_mean = abs(complex(np.vdot(state.amplitudes,
-                                     phase_operator(200).apply(state.amplitudes))))
+        dense = dense_moments(state)
+        l_var = dense.l_var
+        e_mean = abs(dense.e_mean)
         e_var = 1.0 - e_mean ** 2
         elapsed = time.perf_counter() - start
         assert l_var == pytest.approx(nbar / 4.0, abs=1e-6), f"nbar={nbar}"
@@ -90,13 +87,13 @@ def test_02_squeezed_closed_form():
     for s in (0.5, 1.0):
         for dphi in (0.0, np.pi / 2.0):
             state = squeezed_for_mean_photons(nbar, s, dphi)
-            got = variance_hermitian(state, build_L_operator(state.cutoff))
+            got = dense_moments(state).l_var
             assert got == pytest.approx(printed_l_var(s, dphi), rel=1e-3), \
                 f"s={s}, dphi={dphi}"
     # cosine dependence across five sampled noise-balance phases
     for dphi in np.linspace(0.0, np.pi, 5):
         state = squeezed_for_mean_photons(nbar, 1.0, float(dphi))
-        got = variance_hermitian(state, build_L_operator(state.cutoff))
+        got = dense_moments(state).l_var
         assert got == pytest.approx(printed_l_var(1.0, dphi), rel=1e-3)
 
 

@@ -298,18 +298,22 @@ def test_recurrence_residuals_match_row_loop(q):
 
 class TestLapackLoading:
     def test_solve_loads_no_scipy_linalg_package(self):
-        # the two LAPACK routines come from scipy's extension module alone,
+        # the LAPACK routines of the Mathieu solve and of the squeezed
+        # displacement factors come from scipy's extension module alone,
         # not through the scipy.linalg package and its ~330 modules
         code = (
             "import sys\n"
-            "from qellip import from_mathieu, se_even_eigenvalue, solve_even_mathieu\n"
+            "from qellip import (from_mathieu, se_even_eigenvalue, solve_even_mathieu,\n"
+            "                    squeezed_for_mean_photons)\n"
             "from qellip.mathieu import _lapack\n"
             "sol = solve_even_mathieu(3.0, 1)\n"
             "from_mathieu(sol)\n"
             "se_even_eigenvalue(3.0, 1)\n"
+            "squeezed_for_mean_photons(10.0, 1.0)\n"
             "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg imported'\n"
             "import numpy as np, scipy.linalg\n"
             "assert _lapack().dstebz is scipy.linalg.lapack.dstebz\n"
+            "assert _lapack().dstevd is scipy.linalg.lapack.dstevd\n"
             "J = sol.truncation_dim\n"
             "d = (2.0 * np.arange(J)) ** 2\n"
             "e = np.full(J - 1, 3.0)\n"

@@ -14,6 +14,7 @@ from qellip import (
     InvalidParameterError,
     InvalidStateError,
     PhaseWaveFunction,
+    analyze,
     circular_moments,
     density_profile,
     from_mathieu,
@@ -27,7 +28,7 @@ from qellip import (
 )
 from qellip.phase_space import wave_function_values
 
-from oracles import von_mises_circular_mean, von_mises_components
+from oracles import index_variance, von_mises_circular_mean, von_mises_components
 
 
 def random_state(seed: int, width: int = 9) -> PhaseWaveFunction:
@@ -213,6 +214,36 @@ class TestCircularMoments:
         bad = PhaseWaveFunction(0, np.array([0.5, 0.5], dtype=complex))
         with pytest.raises(InvalidStateError):
             circular_moments(bad)
+
+    def test_nan_norm_rejected(self):
+        # abs(nan - 1) > 1e-9 is False, so the check must be written to fail on NaN
+        bad = PhaseWaveFunction(0, np.array([np.nan, 1.0], dtype=complex))
+        with pytest.raises(InvalidStateError):
+            circular_moments(bad)
+
+    @pytest.mark.parametrize("family", ["mathieu", "von_mises"])
+    def test_shifted_state_variance_keeps_its_digits(self, family):
+        # regression: <L^2> - <L>^2 cancelled to Var L = 0.0 for the q = 1e-3
+        # beam at <L> = 1e6, a false violation of the uncertainty relation
+        if family == "mathieu":
+            psi = from_mathieu(solve_even_mathieu(1e-3, 0), mean_l=10 ** 6)
+        else:
+            psi = from_von_mises(4.0, mean_l=10 ** 7)
+        ref = index_variance(psi.l_values, psi.amplitudes)
+        assert circular_moments(psi).l_var == pytest.approx(ref, rel=1e-9)
+        assert analyze(psi, nbar=100.0).saturation_ratio >= 1.0
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_rotation_angle(self, theta):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            rotate(from_von_mises(2.0), theta)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(1.0, math.nan)])
+    def test_component(self, value):
+        with pytest.raises(InvalidParameterError, match="Psi_0 must be finite"):
+            phase_state({0: value, 1: 1.0})
 
 
 class TestDensity:
