@@ -17,7 +17,6 @@ from .errors import (
     TruncationError,
 )
 from .fock import (
-    LayerOperator,
     TwoModeFockState,
     coherent_state,
     displaced_squeezed_state,

@@ -19,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from . import fock, noise, optics, phase_space
+from . import fock, mathieu, noise, optics, phase_space
 from .errors import (
     InconsistentSolutionError,
     NumericalDomainError,
@@ -27,6 +27,9 @@ from .errors import (
     TruncationError,
 )
 from .mathieu import se_even_eigenvalue, solve_even_mathieu
+
+#: Most rows a mathieu-table may ask for: its orders' default Fourier windows, summed.
+MAX_TABLE_ROWS = 2 ** 20
 
 
 def _fmt(x) -> str:
@@ -302,6 +305,17 @@ def cmd_mathieu_table(args) -> int:
     cfg = _load_config(args.config)
     q = _number(float, _require(_pick(args, cfg, "q"), "--q"), "q")
     kmax = _number(int, _pick(args, cfg, "kmax", 3), "kmax")
+    mathieu._validate_q(q)
+    if kmax < 0:
+        raise QellipError(f"kmax must be >= 0, got {kmax}")
+    needed = 0
+    for k in range(kmax + 1):  # stops once over budget, long before a large kmax
+        window = mathieu.auto_truncation(q, k)
+        if window > mathieu.MAX_TRUNCATION:
+            break  # the solve of order k refuses this window itself
+        needed += window
+        if needed > MAX_TABLE_ROWS:
+            raise QellipError(f"kmax={kmax} at q={q} passes {MAX_TABLE_ROWS} table rows at k={k}")
     if args.odd:
         rows = ["k,q,eigenvalue"]
         for k in range(kmax + 1):

@@ -22,7 +22,7 @@ class InvalidStateError(QellipError, ValueError):
 
 
 class DimensionMismatchError(QellipError, ValueError):
-    """Operator and state dimensions do not agree."""
+    """A state's box or a requested layer does not fit the Fock cutoff."""
 
 
 class TruncationError(QellipError):

@@ -97,17 +97,9 @@ class TwoModeFockState:
             )
 
 
-@dataclass(frozen=True)
-class LayerOperator:
-    """Dense operator restricted to one fixed-photon-number layer,
-    in the basis |n, N-n> for n = 0..N."""
-
-    photon_number: int
-    matrix: np.ndarray
-
-
-def phase_operator_layer(N: int) -> LayerOperator:
-    """Cyclic-shift restriction of E to the N-photon layer.
+def phase_operator_layer(N: int) -> np.ndarray:
+    """Cyclic-shift restriction of E to the N-photon layer, as a dense
+    matrix in the basis |n, N-n> for n = 0..N.
 
     The matrix is the (N+1)-cycle permutation, hence unitary with
     eigenphases exactly uniform on the circle.
@@ -118,7 +110,7 @@ def phase_operator_layer(N: int) -> LayerOperator:
     mat = np.zeros((N + 1, N + 1), dtype=complex)
     mat[np.arange(N), np.arange(1, N + 1)] = 1.0  # |n,N-n><n+1,N-n-1|
     mat[N, 0] = 1.0                               # |N,0><0,N|
-    return LayerOperator(N, mat)
+    return mat
 
 
 def _check_cutoff(cutoff: int) -> int:
@@ -182,12 +174,6 @@ def _coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
     return v
 
 
-def auto_cutoff_coherent(alpha_p: complex, alpha_s: complex) -> int:
-    """Cutoff putting the Poisson tail of both modes far below 1e-10."""
-    mu = max(abs(alpha_p) ** 2, abs(alpha_s) ** 2)
-    return int(np.ceil(mu + 12.0 * np.sqrt(mu + 1.0) + 25.0))
-
-
 def coherent_state(alpha_p: complex, alpha_s: complex,
                    cutoff: int | None = None,
                    tail_tol: float = DEFAULT_TAIL_TOL) -> TwoModeFockState:
@@ -200,8 +186,9 @@ def coherent_state(alpha_p: complex, alpha_s: complex,
     """
     _check_finite("alpha_p", alpha_p)
     _check_finite("alpha_s", alpha_s)
-    if cutoff is None:
-        cutoff = auto_cutoff_coherent(alpha_p, alpha_s)
+    if cutoff is None:  # the Poisson tail of both modes far below 1e-10
+        mu = max(abs(alpha_p) ** 2, abs(alpha_s) ** 2)
+        cutoff = int(np.ceil(mu + 12.0 * np.sqrt(mu + 1.0) + 25.0))
     cutoff = _check_cutoff(cutoff)
     v_p, m0 = _coherent_support(alpha_p, cutoff)
     v_s, n0 = _coherent_support(alpha_s, cutoff)

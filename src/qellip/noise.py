@@ -75,7 +75,6 @@ class StateFamily:
     """A one-parameter family nbar -> state.  phase is the bare phase
     state a phase family embeds on the nbar layer; None for Fock families."""
 
-    name: str
     build_report: Callable[[float], MomentReport]
     phase: phase_space.PhaseWaveFunction | None = None
 
@@ -211,7 +210,7 @@ def coherent_family(tail_tol: float = fock.DEFAULT_TAIL_TOL, *,
     def build(nbar: float) -> MomentReport:
         a = np.sqrt(nbar / 2.0)
         return analyze(fock.coherent_state(a, a, cutoff, tail_tol=tail_tol))
-    return StateFamily("coherent", build)
+    return StateFamily(build)
 
 
 def squeezed_family(s: float, dphi: float = 0.0,
@@ -221,7 +220,7 @@ def squeezed_family(s: float, dphi: float = 0.0,
     def build(nbar: float) -> MomentReport:
         return analyze(fock.squeezed_for_mean_photons(nbar, s, dphi, cutoff,
                                                       tail_tol=tail_tol))
-    return StateFamily("squeezed", build)
+    return StateFamily(build)
 
 
 def _layer_number(nbar: float) -> int:
@@ -233,25 +232,22 @@ def _layer_number(nbar: float) -> int:
     return N
 
 
-def _phase_family(name: str, psi: phase_space.PhaseWaveFunction,
-                  tail_tol: float) -> StateFamily:
+def _phase_family(psi: phase_space.PhaseWaveFunction, tail_tol: float) -> StateFamily:
     def build(nbar: float) -> MomentReport:
         return analyze(fock.embed_phase_state(psi, _layer_number(nbar), tail_tol))
-    return StateFamily(name, build, psi)
+    return StateFamily(build, psi)
 
 
 def mathieu_family(q: float, tail_tol: float = fock.DEFAULT_TAIL_TOL, *,
                    order: int = 0) -> StateFamily:
     """Even Mathieu beam of fixed q and order embedded on the nbar layer."""
-    return _phase_family(
-        "mathieu", phase_space.from_mathieu(solve_even_mathieu(q, order)), tail_tol)
+    return _phase_family(phase_space.from_mathieu(solve_even_mathieu(q, order)), tail_tol)
 
 
 def von_mises_family(kappa: float, phi0: float = 0.0,
                      tail_tol: float = fock.DEFAULT_TAIL_TOL) -> StateFamily:
     """Von Mises phase state of fixed kappa embedded on the nbar layer."""
-    return _phase_family(
-        "von_mises", phase_space.from_von_mises(kappa, phi0), tail_tol)
+    return _phase_family(phase_space.from_von_mises(kappa, phi0), tail_tol)
 
 
 _CUTOFF = Param("cutoff", int, "per-mode Fock cutoff (default: auto)")

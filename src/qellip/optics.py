@@ -158,6 +158,10 @@ def stack_reflection(stack: LayerStack) -> EllipsometricResult:
 # ---------------------------------------------------------------------------
 # stack description files
 
+#: The keys given once in a stack file, in schema order, and their value counts.
+_SINGLE_KEYS = {"ambient": 1, "substrate": 2, "wavelength": 1, "angle": 1}
+
+
 def parse_stack_text(text: str) -> LayerStack:
     """Parse the flat stack schema.
 
@@ -167,7 +171,7 @@ def parse_stack_text(text: str) -> LayerStack:
     ``angle <deg>``.  Other keys, duplicates, or missing entries raise
     StackParseError.
     """
-    ambient = substrate = wavelength = angle = None
+    single: dict[str, list[float]] = {}
     layers: list[Layer] = []
 
     def floats(parts: list[str], count: int, lineno: int) -> list[float]:
@@ -185,36 +189,22 @@ def parse_stack_text(text: str) -> LayerStack:
         if not line:
             continue
         key, *parts = line.split()
-        if key == "ambient":
-            if ambient is not None:
-                raise StackParseError(f"line {lineno}: duplicate ambient")
-            ambient = floats(parts, 1, lineno)[0]
-        elif key == "layer":
+        if key == "layer":
             n_re, n_im, d = floats(parts, 3, lineno)
             layers.append(Layer(complex(n_re, n_im), d))
-        elif key == "substrate":
-            if substrate is not None:
-                raise StackParseError(f"line {lineno}: duplicate substrate")
-            n_re, n_im = floats(parts, 2, lineno)
-            substrate = complex(n_re, n_im)
-        elif key == "wavelength":
-            if wavelength is not None:
-                raise StackParseError(f"line {lineno}: duplicate wavelength")
-            wavelength = floats(parts, 1, lineno)[0]
-        elif key == "angle":
-            if angle is not None:
-                raise StackParseError(f"line {lineno}: duplicate angle")
-            angle = floats(parts, 1, lineno)[0]
+        elif key in _SINGLE_KEYS:
+            if key in single:
+                raise StackParseError(f"line {lineno}: duplicate {key}")
+            single[key] = floats(parts, _SINGLE_KEYS[key], lineno)
         else:
             raise StackParseError(f"line {lineno}: unknown key {key!r}")
 
-    missing = [name for name, v in [("ambient", ambient), ("substrate", substrate),
-                                    ("wavelength", wavelength), ("angle", angle)]
-               if v is None]
+    missing = [key for key in _SINGLE_KEYS if key not in single]
     if missing:
         raise StackParseError(f"missing required entries: {', '.join(missing)}")
+    (ambient,), substrate, (wavelength,), (angle,) = (single[k] for k in _SINGLE_KEYS)
     try:
-        return LayerStack(complex(ambient), tuple(layers), substrate,
+        return LayerStack(complex(ambient), tuple(layers), complex(*substrate),
                           wavelength, np.deg2rad(angle))
     except InvalidParameterError as exc:
         raise StackParseError(str(exc)) from exc

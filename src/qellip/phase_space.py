@@ -11,8 +11,8 @@ density is derived on demand.
 
 Constructors produce states whose density peaks at phi = pi (the
 exp(-q cos phi) / exp(-kappa cos(phi - phi_0)) convention); use
-``rotate`` to move the peak.  Mean photon-difference shifts are integer
-index translations so the state stays 2 pi - periodic.
+``rotate`` to move the peak and ``shift`` to move <L>: an integer index
+translation, so the state stays 2 pi - periodic.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ WINDOW_TAIL_TOL = 1e-12
 #: Largest von Mises window, in components, a constructor may allocate.
 MAX_PHASE_WINDOW = 2 ** 18
 
+#: Largest grid x support phase matrix a density may build, in bytes.
+MAX_DENSITY_BYTES = 2 ** 30
+
 #: Smallest kappa/2 the Bessel recurrence runs at: its steps 2 l / z stay
 #: far below overflow, and I_1 is already under 1e-100 of I_0 there.
 Z_FLOOR = 1e-100
@@ -44,13 +47,10 @@ class PhaseWaveFunction:
 
     ``amplitudes[i]`` is Psi_l for l = ``l_min + i``; outside the window
     the components are zero (tail mass below WINDOW_TAIL_TOL).
-    ``mean_l_offset`` records the integer index translation applied at
-    construction.
     """
 
     l_min: int
     amplitudes: np.ndarray
-    mean_l_offset: int = 0
 
     @property
     def l_values(self) -> np.ndarray:
@@ -91,7 +91,7 @@ def _require_int(value, name: str) -> int:
     return out
 
 
-def _trimmed(l_min: int, amps: np.ndarray, mean_l_offset: int) -> PhaseWaveFunction:
+def _trimmed(l_min: int, amps: np.ndarray) -> PhaseWaveFunction:
     """Drop edge components under WINDOW_TAIL_TOL * 1e-3 of a unit-norm
     state's mass, renormalize the rest, freeze the window."""
     mag2 = np.abs(amps) ** 2
@@ -100,12 +100,12 @@ def _trimmed(l_min: int, amps: np.ndarray, mean_l_offset: int) -> PhaseWaveFunct
         raise InvalidStateError("phase state has no support")
     lo, hi = keep[0], keep[-1] + 1
     amps = amps[lo:hi].astype(complex) / np.sqrt(np.sum(mag2[lo:hi]))
-    return PhaseWaveFunction(l_min + lo, amps, mean_l_offset)
+    return PhaseWaveFunction(l_min + lo, amps)
 
 
-def phase_state(components: dict[int, complex], normalize: bool = True) -> PhaseWaveFunction:
-    """Build a state from an {l: Psi_l} mapping (test/CLI convenience);
-    a non-finite component raises InvalidParameterError."""
+def phase_state(components: dict[int, complex]) -> PhaseWaveFunction:
+    """Build a normalized state from an {l: Psi_l} mapping (test/CLI
+    convenience); a non-finite component raises InvalidParameterError."""
     if not components:
         raise InvalidStateError("empty component map")
     ls = sorted(components)
@@ -120,26 +120,20 @@ def phase_state(components: dict[int, complex], normalize: bool = True) -> Phase
     nrm = np.sqrt(np.sum(np.abs(amps) ** 2))
     if nrm == 0.0:
         raise InvalidStateError("zero-norm component map")
-    if normalize:
-        amps /= nrm
-    elif abs(nrm - 1.0) > 1e-9:
-        raise InvalidStateError(f"components not normalized: |Psi|^2 = {nrm**2:.3e}")
-    return _trimmed(l_min, amps, 0)
+    return _trimmed(l_min, amps / nrm)
 
 
-def from_mathieu(sol: MathieuSolution, mean_l: int = 0) -> PhaseWaveFunction:
+def from_mathieu(sol: MathieuSolution) -> PhaseWaveFunction:
     """Phase state of the even Mathieu beam ce_{2k}( phi/2, q).
 
     The cosine coefficients map onto the Fourier side as
     Psi_0 = sqrt(2) A_0 and Psi_{+-j} = A_{2j} / sqrt(2); McLachlan
-    normalization makes the result unit-norm by construction.  ``mean_l``
-    translates the index window, fixing <L> exactly.
+    normalization makes the result unit-norm by construction.
     """
-    mean_l = _require_int(mean_l, "mean_l")
     A = sol.coefficients
     side = A[1:] / _SQRT2
     amps = np.concatenate((side[::-1], [_SQRT2 * A[0]], side))
-    return _trimmed(1 - len(A) + mean_l, amps, mean_l)
+    return _trimmed(1 - len(A), amps)
 
 
 def _bessel_ive(z: float, l_max: int) -> np.ndarray:
@@ -167,7 +161,7 @@ def _bessel_ive(z: float, l_max: int) -> np.ndarray:
     return w[:l_max + 1] / (w[0] + 2.0 * np.sum(w[1:]))
 
 
-def from_von_mises(kappa: float, phi0: float = 0.0, mean_l: int = 0) -> PhaseWaveFunction:
+def from_von_mises(kappa: float, phi0: float = 0.0) -> PhaseWaveFunction:
     """Phase state with von Mises density ~ exp[-kappa cos(phi - phi0)].
 
     Fourier components are Psi_l ~ (-1)^l exp(i l phi0) I_l(kappa/2),
@@ -182,8 +176,8 @@ def from_von_mises(kappa: float, phi0: float = 0.0, mean_l: int = 0) -> PhaseWav
     edge weight that is not negligible raises InconsistentSolutionError.
     The components are normalized before the trimming, so the dropped
     mass stays under WINDOW_TAIL_TOL at any kappa.
-    Below kappa = 2 Z_FLOOR the recurrence runs at z = Z_FLOOR, which
-    changes nothing: there every component but l = 0 is trimmed.
+    Below kappa = 2 Z_FLOOR, 0 included, the recurrence runs at z = Z_FLOOR,
+    which changes nothing: every component but Psi_0 = 1 is trimmed.
     """
     kappa = float(kappa)
     if not np.isfinite(kappa) or kappa < 0.0:
@@ -191,11 +185,6 @@ def from_von_mises(kappa: float, phi0: float = 0.0, mean_l: int = 0) -> PhaseWav
     phi0 = float(phi0)
     if not np.isfinite(phi0):
         raise InvalidParameterError(f"phi0 must be finite, got {phi0}")
-    mean_l = _require_int(mean_l, "mean_l")
-
-    if kappa == 0.0:
-        return PhaseWaveFunction(mean_l, np.ones(1, dtype=complex), mean_l)
-
     z = max(0.5 * kappa, Z_FLOOR)
     l_max = math.ceil(9.0 * math.sqrt(z) + 20.0)
     if 2 * l_max + 1 > MAX_PHASE_WINDOW:
@@ -214,14 +203,13 @@ def from_von_mises(kappa: float, phi0: float = 0.0, mean_l: int = 0) -> PhaseWav
     w = w / math.sqrt(w[0] ** 2 + 2.0 * float(np.sum(w[1:] ** 2)))
     l = np.arange(-l_max, l_max + 1)
     amps = ((-1.0) ** np.abs(l)) * np.exp(1j * l * phi0) * np.concatenate([w[:0:-1], w])
-    return _trimmed(-l_max + mean_l, amps, mean_l)
+    return _trimmed(-l_max, amps)
 
 
 def shift(psi: PhaseWaveFunction, m: int) -> PhaseWaveFunction:
     """Translate the index window by m: l_mean moves by exactly m."""
     m = _require_int(m, "m")
-    return PhaseWaveFunction(psi.l_min + m, psi.amplitudes.copy(),
-                             psi.mean_l_offset + m)
+    return PhaseWaveFunction(psi.l_min + m, psi.amplitudes.copy())
 
 
 def rotate(psi: PhaseWaveFunction, theta: float) -> PhaseWaveFunction:
@@ -234,7 +222,7 @@ def rotate(psi: PhaseWaveFunction, theta: float) -> PhaseWaveFunction:
     if not math.isfinite(theta):
         raise InvalidParameterError(f"theta must be finite, got {theta}")
     amps = psi.amplitudes * np.exp(1j * psi.l_values * theta)
-    return PhaseWaveFunction(psi.l_min, amps, psi.mean_l_offset)
+    return PhaseWaveFunction(psi.l_min, amps)
 
 
 def circular_moments(psi: PhaseWaveFunction) -> CircularMoments:
@@ -270,11 +258,15 @@ def density_profile(psi: PhaseWaveFunction, grid_points: int) -> tuple[np.ndarra
 
     Returns (phi, p) arrays of length ``grid_points``.  On any grid finer
     than twice the support width the rectangle rule integrates p exactly
-    (trigonometric polynomial), so sum(p) * dphi == 1 to rounding.
+    (trigonometric polynomial), so sum(p) * dphi == 1 to rounding.  The
+    grid x support phase matrix (32 B an entry) must fit MAX_DENSITY_BYTES.
     """
     grid_points = int(grid_points)
     if grid_points < 2:
         raise InvalidParameterError(f"grid_points must be >= 2, got {grid_points}")
+    if 32 * grid_points * len(psi.amplitudes) > MAX_DENSITY_BYTES:
+        raise InvalidParameterError(f"a {grid_points} x {len(psi.amplitudes)} phase matrix "
+                                    f"is over the budget of {MAX_DENSITY_BYTES} bytes")
     phi = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
     p = np.abs(wave_function_values(psi, phi)) ** 2
     return phi, p

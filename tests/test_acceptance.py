@@ -100,7 +100,7 @@ def test_02_squeezed_closed_form():
 @criterion(3, "layer operator spectrum")
 def test_03_layer_operator():
     for N in (1, 4, 10, 40):
-        mat = phase_operator_layer(N).matrix
+        mat = phase_operator_layer(N)
         dim = N + 1
         assert np.abs(mat.conj().T @ mat - np.eye(dim)).max() < 1e-12
         phases = np.sort(np.angle(np.linalg.eigvals(mat)) % (2.0 * np.pi))

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qellip import cli
 from qellip.cli import main
 from qellip.noise import FAMILIES, report_from_dict
 
@@ -417,6 +418,14 @@ class TestDensity:
         code, _, _ = run(capsys, "density", "--q", "1", "--kappa", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [("--q", "1", "--grid", "1000000000000000"),
+                                      ("--kappa", "1e8", "--grid", "512")])
+    def test_phase_matrix_over_budget_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "density", *argv)
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
+
 
 class TestEllipsometry:
     def test_brewster_null(self, capsys, tmp_path):
@@ -490,6 +499,46 @@ class TestMathieuTable:
         lines = out.splitlines()
         assert lines[0] == "k,q,eigenvalue"
         assert [float(l.split(",")[2]) for l in lines[1:]] == [4.0, 16.0]
+
+    @pytest.mark.parametrize("odd", [(), ("--odd",)])
+    def test_negative_kmax_exits_2(self, capsys, odd):
+        code, out, err = run(capsys, "mathieu-table", "--q", "1", "--kmax", "-1", *odd)
+        assert code == 2
+        assert out == ""
+        assert "kmax must be >= 0" in err
+
+    @staticmethod
+    def _no_solves(monkeypatch):
+        def solve(q, k):
+            raise AssertionError(f"solved order {k}")
+        monkeypatch.setattr(cli, "solve_even_mathieu", solve)
+        monkeypatch.setattr(cli, "se_even_eigenvalue", solve)
+
+    @pytest.mark.parametrize("odd", [(), ("--odd",)])
+    def test_row_budget_refused_before_the_first_solve(self, capsys, monkeypatch, odd):
+        self._no_solves(monkeypatch)
+        code, out, err = run(capsys, "mathieu-table", "--q", "1", "--kmax", "1000000", *odd)
+        assert code == 2
+        assert out == ""
+        assert "table rows" in err
+
+    def test_row_budget_edge(self, capsys, monkeypatch):
+        # at q = 0 the windows are 12 + 2k: orders 0..1017 sum to
+        # 1018 * 1029 <= 2^20 rows, orders 0..1018 to 1019 * 1030 > 2^20
+        monkeypatch.setattr(cli, "se_even_eigenvalue", lambda q, k: 0.0)
+        code, out, _ = run(capsys, "mathieu-table", "--q", "0", "--kmax", "1017", "--odd")
+        assert code == 0
+        assert len(out.splitlines()) == 1019
+        self._no_solves(monkeypatch)
+        code, _, err = run(capsys, "mathieu-table", "--q", "0", "--kmax", "1018", "--odd")
+        assert code == 2
+        assert "table rows at k=1018" in err
+
+    def test_window_over_truncation_budget_keeps_solver_message(self, capsys):
+        code, out, err = run(capsys, "mathieu-table", "--q", "1e300")
+        assert code == 2
+        assert out == ""
+        assert "Fourier window J=" in err
 
 
 class TestEnvironmentTolerance:

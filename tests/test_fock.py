@@ -36,19 +36,19 @@ from oracles import (
 
 class TestLayerOperator:
     def test_smallest_layer_is_exchange(self):
-        mat = phase_operator_layer(1).matrix
+        mat = phase_operator_layer(1)
         assert np.array_equal(mat, np.array([[0, 1], [1, 0]], dtype=complex))
         assert sorted(np.linalg.eigvals(mat).real) == pytest.approx([-1.0, 1.0])
 
     def test_eigenvalues_are_roots_of_unity(self):
-        ev = np.linalg.eigvals(phase_operator_layer(4).matrix)
+        ev = np.linalg.eigvals(phase_operator_layer(4))
         expected = np.exp(2j * np.pi * np.arange(5) / 5.0)
         assert np.allclose(np.sort_complex(ev), np.sort_complex(expected),
                            atol=1e-12)
 
     @pytest.mark.parametrize("N", [1, 4, 10, 40])
     def test_unitarity(self, N):
-        mat = phase_operator_layer(N).matrix
+        mat = phase_operator_layer(N)
         assert np.abs(mat.conj().T @ mat - np.eye(N + 1)).max() < 1e-14
 
     def test_invalid_layer(self):
@@ -66,7 +66,7 @@ class TestLayerOperator:
         amps[n, 4 - n] = vec
         applied = apply_phase(amps)
         assert np.allclose(applied[n, 4 - n],
-                           phase_operator_layer(4).matrix @ vec, atol=1e-15)
+                           phase_operator_layer(4) @ vec, atol=1e-15)
 
 
 class TestDiagonalOperators:

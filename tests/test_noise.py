@@ -174,7 +174,6 @@ class TestFamilyRegistry:
         build, params = FAMILIES[name]
         required = {p.name: 1.0 for p in params if p.required}
         family = build(**required)
-        assert family.name == name
         # the phase families carry their bare phase state; the Fock ones none
         assert (family.phase is not None) == (name in ("mathieu", "von_mises"))
         assert family.build_report(40.0).n_mean == pytest.approx(40.0, rel=1e-9)

@@ -227,3 +227,38 @@ angle 70
     def test_parse_errors(self, text):
         with pytest.raises(StackParseError):
             parse_stack_text(text)
+
+    BASE = ["ambient 1.0", "substrate 1.5 0", "wavelength 600", "angle 50"]
+
+    @pytest.mark.parametrize("key", [0, 1, 2, 3])
+    def test_duplicate_entry_names_key_and_line(self, key):
+        lines = self.BASE[:key + 1] + ["# repeated below", self.BASE[key]] + self.BASE[key + 1:]
+        name = self.BASE[key].split()[0]
+        with pytest.raises(StackParseError) as err:
+            parse_stack_text("\n".join(lines))
+        assert str(err.value) == f"line {key + 3}: duplicate {name}"
+
+    @pytest.mark.parametrize("present, missing", [
+        ([], "ambient, substrate, wavelength, angle"),
+        ([3, 0], "substrate, wavelength"),
+        ([2, 1], "ambient, angle"),
+        ([0, 1, 2], "angle"),
+    ])
+    def test_missing_entries_listed_in_schema_order(self, present, missing):
+        with pytest.raises(StackParseError) as err:
+            parse_stack_text("\n".join(self.BASE[i] for i in present))
+        assert str(err.value) == f"missing required entries: {missing}"
+
+    @pytest.mark.parametrize("line, count, got", [
+        ("ambient 1.0 0.0", 1, 2),
+        ("substrate 1.5", 2, 1),
+        ("wavelength", 1, 0),
+        ("angle 50 60", 1, 2),
+        ("layer 1.46 0.0", 3, 2),
+    ])
+    def test_wrong_value_count(self, line, count, got):
+        key = line.split()[0]
+        lines = [line] + [b for b in self.BASE if b.split()[0] != key]
+        with pytest.raises(StackParseError) as err:
+            parse_stack_text("\n".join(lines))
+        assert str(err.value) == f"line 1: expected {count} value(s), got {got}"

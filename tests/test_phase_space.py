@@ -26,7 +26,8 @@ from qellip import (
     solve_even_mathieu,
     theta_series,
 )
-from qellip.phase_space import wave_function_values
+from qellip import phase_space
+from qellip.phase_space import _trimmed, wave_function_values
 
 from oracles import index_variance, von_mises_circular_mean, von_mises_components
 
@@ -54,8 +55,8 @@ class TestFromMathieu:
 
     def test_mean_l_translates_profile(self):
         sol = solve_even_mathieu(1.0, 0)
-        base = from_mathieu(sol, mean_l=0)
-        moved = from_mathieu(sol, mean_l=5)
+        base = from_mathieu(sol)
+        moved = shift(base, 5)
         assert np.allclose(np.abs(moved.amplitudes), np.abs(base.amplitudes))
         m0, m5 = circular_moments(base), circular_moments(moved)
         assert m5.l_mean == pytest.approx(m0.l_mean + 5.0, abs=1e-12)
@@ -69,7 +70,7 @@ class TestFromMathieu:
 
     def test_non_integer_mean_l_rejected(self):
         with pytest.raises(InvalidParameterError):
-            from_mathieu(solve_even_mathieu(1.0, 0), mean_l=0.5)
+            shift(from_mathieu(solve_even_mathieu(1.0, 0)), 0.5)
 
     @pytest.mark.parametrize("q", [0.1, 10.0, 1e4])
     def test_matches_component_loop(self, q):
@@ -78,7 +79,8 @@ class TestFromMathieu:
         components = {0: np.sqrt(2.0) * A[0]}
         for j in range(1, len(A)):
             components[j] = components[-j] = A[j] / np.sqrt(2.0)
-        ref = phase_state(components, normalize=False)
+        ls = sorted(components)
+        ref = _trimmed(ls[0], np.array([components[l] for l in ls], dtype=complex))
         psi = from_mathieu(sol)
         assert psi.l_min == ref.l_min
         np.testing.assert_array_equal(psi.amplitudes, ref.amplitudes)
@@ -102,6 +104,13 @@ class TestFromVonMises:
         m = circular_moments(psi)
         assert m.e_var == 1.0
         assert m.l_var == 0.0
+
+    @pytest.mark.parametrize("phi0", [0.0, 1.3, -2.0])
+    def test_kappa_zero_is_the_l0_component(self, phi0):
+        # kappa = 0 runs the recurrence at Z_FLOOR like any tiny kappa
+        psi = from_von_mises(0.0, phi0)
+        assert psi.l_min == 0
+        assert psi.amplitudes.tolist() == [1 + 0j]
 
     def test_bessel_ratio_identity(self):
         m = circular_moments(from_von_mises(2.0, 0.0))
@@ -172,7 +181,7 @@ class TestVonMisesRecurrence:
     def test_tiny_kappa_is_one_component(self, kappa):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            psi = from_von_mises(kappa, mean_l=3)
+            psi = shift(from_von_mises(kappa), 3)
         assert psi.l_min == 3
         assert psi.amplitudes.tolist() == [1.0]
 
@@ -226,9 +235,9 @@ class TestCircularMoments:
         # regression: <L^2> - <L>^2 cancelled to Var L = 0.0 for the q = 1e-3
         # beam at <L> = 1e6, a false violation of the uncertainty relation
         if family == "mathieu":
-            psi = from_mathieu(solve_even_mathieu(1e-3, 0), mean_l=10 ** 6)
+            psi = shift(from_mathieu(solve_even_mathieu(1e-3, 0)), 10 ** 6)
         else:
-            psi = from_von_mises(4.0, mean_l=10 ** 7)
+            psi = shift(from_von_mises(4.0), 10 ** 7)
         ref = index_variance(psi.l_values, psi.amplitudes)
         assert circular_moments(psi).l_var == pytest.approx(ref, rel=1e-9)
         assert analyze(psi, nbar=100.0).saturation_ratio >= 1.0
@@ -250,6 +259,24 @@ class TestDensity:
     def test_uniform(self):
         _, p = density_profile(from_von_mises(0.0), 128)
         assert np.allclose(p, 1.0 / (2.0 * np.pi), atol=1e-15)
+
+    def test_grid_over_budget_refused_before_allocating(self):
+        psi = from_von_mises(1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameterError, match="budget"):
+                density_profile(psi, 10 ** 15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_budget_counts_32_bytes_an_entry(self, monkeypatch):
+        psi = from_von_mises(1.0)
+        monkeypatch.setattr(phase_space, "MAX_DENSITY_BYTES", 32 * 64 * len(psi.amplitudes))
+        assert len(density_profile(psi, 64)[1]) == 64
+        with pytest.raises(InvalidParameterError, match="budget"):
+            density_profile(psi, 65)
 
     def test_quadrature_normalization(self):
         phi, p = density_profile(from_mathieu(solve_even_mathieu(0.1, 0)), 512)
