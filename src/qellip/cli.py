@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
-import math
 import os
 import sys
 import tempfile
@@ -22,9 +22,12 @@ import numpy as np
 from . import fock, mathieu, noise, optics, phase_space
 from .errors import (
     InconsistentSolutionError,
+    InvalidParameterError,
     NumericalDomainError,
     QellipError,
     TruncationError,
+    finite,
+    integer,
 )
 from .mathieu import se_even_eigenvalue, solve_even_mathieu
 
@@ -38,25 +41,23 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _write_text(path: str | None, text: str) -> None:
-    """Write to stdout, or atomically (temp file + rename) to a path."""
+def _write_lines(path: str | None, lines) -> None:
+    """Write each line and a newline atomically (temp file + rename) to a
+    path, streamed as the lines come, or to stdout in one write, so that
+    a failure part way prints nothing."""
     if path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qellip-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(f"{line}\n" for line in lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _tail_tol() -> float:
@@ -85,37 +86,40 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _pick(args, cfg: dict, key: str, default=None):
-    """Flags win over config values, config over defaults."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _require(value, what: str):
+def _param(args, cfg: dict, key: str, kind: type | None = None, default=None,
+           required: bool = False):
+    """One parameter: its flag wins over its config key, which wins over
+    ``default``.  Missing, it is an error if ``required``, else None.  A
+    ``kind`` (float or int) converts it by ``_number``."""
+    value = getattr(args, key, None)
     if value is None:
-        raise QellipError(f"missing required parameter: {what}")
-    return value
+        value = cfg.get(key, default)
+    if value is None and required:
+        raise QellipError(f"missing required parameter: --{key.replace('_', '-')}")
+    if kind is None or (value is None and default is None):
+        return value
+    return _number(kind, value, key)
 
 
 def _number(kind: type, value, what: str):
-    """``kind(value)`` for a flag or config value; a value of the wrong
-    type (a JSON list or object, say) is a user error naming ``what``."""
+    """A flag or config value as a float, or as an int that must be whole.
+    A string is parsed first ("12" is 12); a value of the wrong type (a
+    JSON list or object, say) is a user error naming ``what``."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        number = kind(value) if isinstance(value, str) else value
+        return integer(what, number) if kind is int else float(number)
+    except (TypeError, ValueError, OverflowError):
         raise QellipError(f"{what} must be {'an integer' if kind is int else 'a number'}, "
                           f"got {value!r}") from None
 
 
-def _nbar(value) -> float:
-    nbar = _number(float, value, "nbar")
-    if not math.isfinite(nbar):
-        raise QellipError(f"nbar must be finite, got {nbar}")
-    return nbar
+def _items(value, what: str) -> list:
+    """A list, or the non-blank items of a comma-separated string."""
+    if isinstance(value, str):
+        value = [v for v in value.split(",") if v.strip()]
+    if not isinstance(value, list):
+        raise QellipError(f"{what} must be a list or comma-separated string, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +144,7 @@ def _family(args, cfg: dict, tol: float) -> noise.StateFamily:
     config keys of its parameters.  A flag the family does not take is an
     error; config keys are not checked, since one config may serve
     several subcommands."""
-    name = _require(_pick(args, cfg, "family"), "--family")
+    name = _param(args, cfg, "family", required=True)
     if not isinstance(name, str) or name not in noise.FAMILIES:
         raise QellipError(f"unknown family {name!r}; expected one of "
                           f"{', '.join(noise.FAMILIES)}")
@@ -149,14 +153,10 @@ def _family(args, cfg: dict, tol: float) -> noise.StateFamily:
     for flag in _FAMILY_PARAMS:
         if flag not in taken and getattr(args, flag) is not None:
             raise QellipError(f"--{flag} does not apply to family {name}")
-    kwargs = {}
-    for p in params:
-        value = _pick(args, cfg, p.name)
-        if p.required:
-            _require(value, f"--{p.name}")
-        if value is not None:  # else the constructor's default
-            kwargs[p.name] = _number(p.type, value, p.name)
-    return build(tail_tol=tol, **kwargs)
+    kwargs = {p.name: _param(args, cfg, p.name, p.type, required=p.required)
+              for p in params}
+    # a missing optional parameter takes the constructor's default
+    return build(tail_tol=tol, **{k: v for k, v in kwargs.items() if v is not None})
 
 
 def _single_report(args, cfg: dict, tol: float) -> noise.MomentReport:
@@ -164,7 +164,7 @@ def _single_report(args, cfg: dict, tol: float) -> noise.MomentReport:
     families; for a phase family, the bare phase state's circular moments
     with nbar as an external parameter, p_var = 4 Var(L) / nbar^2."""
     family = _family(args, cfg, tol)
-    nbar = _nbar(_pick(args, cfg, "nbar", 100.0))
+    nbar = finite("nbar", _param(args, cfg, "nbar", float, 100.0))
     if family.phase is not None:
         return noise.analyze(family.phase, nbar=nbar)
     return family.build_report(nbar)
@@ -177,17 +177,9 @@ def cmd_state(args) -> int:
     tol = _tail_tol()
     cfg = _load_config(args.config)
     report = _single_report(args, cfg, tol)
-    _write_text(args.output, _json_text(noise.report_to_dict(report)))
+    _write_lines(args.output, [json.dumps(noise.report_to_dict(report), indent=2,
+                                          sort_keys=True)])
     return 0
-
-
-def _parse_nbar_list(value) -> list[float]:
-    if isinstance(value, str):
-        value = [v for v in value.split(",") if v.strip()]
-    if not isinstance(value, list):
-        raise QellipError(f"nbar list must be a list or comma-separated string, "
-                          f"got {value!r}")
-    return [_nbar(v) for v in value]
 
 
 SWEEP_COLUMNS = ("nbar", "e_var", "l_var", "p_var", "product", "bound",
@@ -198,16 +190,11 @@ def cmd_sweep(args) -> int:
     tol = _tail_tol()
     cfg = _load_config(args.config)
     family = _family(args, cfg, tol)
-    nbar_list = _parse_nbar_list(_require(_pick(args, cfg, "nbar_list"),
-                                          "--nbar-list"))
+    nbar_list = [finite("nbar", _number(float, v, "nbar"))
+                 for v in _items(_param(args, cfg, "nbar_list", required=True), "nbar list")]
     if not nbar_list:
         raise QellipError("empty nbar list")
-    targets = _pick(args, cfg, "targets") or ["e_var"]
-    if isinstance(targets, str):
-        targets = [t for t in targets.split(",") if t]
-    if not isinstance(targets, list):
-        raise QellipError(f"targets must be a list or comma-separated string, "
-                          f"got {targets!r}")
+    targets = _items(_param(args, cfg, "targets") or ["e_var"], "targets")
     for t in targets:
         if t not in noise.SWEEP_TARGETS:
             raise QellipError(
@@ -225,18 +212,18 @@ def cmd_sweep(args) -> int:
     if len(targets) == 1:
         summary = summary[targets[0]]
 
-    fmt = _pick(args, cfg, "format", "csv")
+    fmt = _param(args, cfg, "format", default="csv")
     if fmt == "json":
         doc = {
             "columns": list(SWEEP_COLUMNS),
             "rows": [list(row) for row in rows],
             "fit": summary,
         }
-        _write_text(args.output, _json_text(doc))
+        _write_lines(args.output, [json.dumps(doc, indent=2, sort_keys=True)])
     elif fmt == "csv":
-        lines = [",".join(SWEEP_COLUMNS)] + [",".join(map(_fmt, row)) for row in rows]
-        _write_text(args.output, "\n".join(lines) + "\n")
-        _write_text(args.fit_output, _json_text(summary))
+        _write_lines(args.output, itertools.chain([",".join(SWEEP_COLUMNS)],
+                                                  (",".join(map(_fmt, row)) for row in rows)))
+        _write_lines(args.fit_output, [json.dumps(summary, indent=2, sort_keys=True)])
     else:
         raise QellipError(f"unknown output format {fmt!r}")
     return 0
@@ -244,37 +231,39 @@ def cmd_sweep(args) -> int:
 
 def cmd_density(args) -> int:
     cfg = _load_config(args.config)
-    q = _pick(args, cfg, "q")
-    kappa = _pick(args, cfg, "kappa")
+    q = _param(args, cfg, "q", float)
+    kappa = _param(args, cfg, "kappa", float)
     if (q is None) == (kappa is None):
         raise QellipError("density needs exactly one of --q or --kappa")
-    grid = _number(int, _pick(args, cfg, "grid", 512), "grid")
+    grid = _param(args, cfg, "grid", int, 512)
     if grid < 64:
         raise QellipError(f"density grid must be >= 64 points, got {grid}")
 
     if q is not None:
-        q = _number(float, q, "q")
         psi = phase_space.from_mathieu(solve_even_mathieu(q, 0))
         header = "phi,p_mathieu,p_vonmises_smallq,p_vonmises_largeq"
-        shown = (psi, phase_space.from_von_mises(q),
-                 phase_space.from_von_mises(np.sqrt(q)))
+        try:
+            small_q = phase_space.from_von_mises(q)
+        except InvalidParameterError as exc:
+            raise QellipError(f"--q {q} is over the budget of the p_vonmises_smallq "
+                              f"column, a von Mises state at kappa = q: {exc}") from None
+        shown = (psi, small_q, phase_space.from_von_mises(np.sqrt(q)))
     else:
-        psi = phase_space.from_von_mises(_number(float, kappa, "kappa"),
-                                         _number(float, _pick(args, cfg, "phi0", 0.0), "phi0"))
+        psi = phase_space.from_von_mises(kappa, _param(args, cfg, "phi0", float, 0.0))
         header, shown = "phi,p_vonmises", (psi,)
     profiles = [phase_space.density_profile(state, grid) for state in shown]
     columns = [profiles[0][0], *(p for _, p in profiles)]
-    rows = [header] + [",".join(_fmt(c[i]) for c in columns) for i in range(grid)]
-    _write_text(args.output, "\n".join(rows) + "\n")
+    _write_lines(args.output, itertools.chain(
+        [header], (",".join(map(_fmt, row)) for row in zip(*columns))))
 
     spec_path = args.spectrum_output
     if spec_path is None and args.output not in (None, "-"):
         stem, ext = os.path.splitext(args.output)
         spec_path = f"{stem}_spectrum{ext or '.csv'}"
     if spec_path is not None:
-        srows = ["l,psi_sq"] + [f"{l:d},{_fmt(abs(a) ** 2)}"
-                                for l, a in zip(psi.l_values, psi.amplitudes)]
-        _write_text(spec_path, "\n".join(srows) + "\n")
+        _write_lines(spec_path, itertools.chain(
+            ["l,psi_sq"], (f"{l:d},{_fmt(abs(a) ** 2)}"
+                           for l, a in zip(psi.l_values, psi.amplitudes))))
     return 0
 
 
@@ -290,21 +279,21 @@ def cmd_ellipsometry(args) -> int:
         "psi_deg": float(np.rad2deg(result.psi_angle)),
         "delta_deg": float(np.rad2deg(result.delta)),
     }
-    if _pick(args, cfg, "family") is not None:
+    if _param(args, cfg, "family") is not None:
         bars = noise.rho_uncertainty(_single_report(args, cfg, tol))
         doc["noise"] = dataclasses.asdict(bars)
     else:
         for flag in ("nbar", *_FAMILY_PARAMS):
             if getattr(args, flag) is not None:
                 raise QellipError(f"--{flag} needs --family")
-    _write_text(args.output, _json_text(doc))
+    _write_lines(args.output, [json.dumps(doc, indent=2, sort_keys=True)])
     return 0
 
 
 def cmd_mathieu_table(args) -> int:
     cfg = _load_config(args.config)
-    q = _number(float, _require(_pick(args, cfg, "q"), "--q"), "q")
-    kmax = _number(int, _pick(args, cfg, "kmax", 3), "kmax")
+    q = _param(args, cfg, "q", float, required=True)
+    kmax = _param(args, cfg, "kmax", int, 3)
     mathieu._validate_q(q)
     if kmax < 0:
         raise QellipError(f"kmax must be >= 0, got {kmax}")
@@ -317,16 +306,14 @@ def cmd_mathieu_table(args) -> int:
         if needed > MAX_TABLE_ROWS:
             raise QellipError(f"kmax={kmax} at q={q} passes {MAX_TABLE_ROWS} table rows at k={k}")
     if args.odd:
-        rows = ["k,q,eigenvalue"]
-        for k in range(kmax + 1):
-            rows.append(f"{k:d},{_fmt(q)},{_fmt(se_even_eigenvalue(q, k))}")
-    else:
-        rows = ["k,q,eigenvalue,j,coeff"]
-        for k in range(kmax + 1):
-            sol = solve_even_mathieu(q, k)
-            for j, c in enumerate(sol.coefficients):
-                rows.append(f"{k:d},{_fmt(q)},{_fmt(sol.eigenvalue)},{j:d},{_fmt(c)}")
-    _write_text(args.output, "\n".join(rows) + "\n")
+        header = "k,q,eigenvalue"
+        rows = (f"{k:d},{_fmt(q)},{_fmt(se_even_eigenvalue(q, k))}" for k in range(kmax + 1))
+    else:  # one order's solution at a time
+        header = "k,q,eigenvalue,j,coeff"
+        rows = (f"{sol.order_index:d},{_fmt(q)},{_fmt(sol.eigenvalue)},{j:d},{_fmt(c)}"
+                for sol in (solve_even_mathieu(q, k) for k in range(kmax + 1))
+                for j, c in enumerate(sol.coefficients))
+    _write_lines(args.output, itertools.chain([header], rows))
     return 0
 
 

@@ -5,7 +5,11 @@ Two broad classes matter for the CLI exit-code contract: bad user input
 `StackParseError` -> exit 2) and internal tolerance failures
 (`TruncationError`, `InconsistentSolutionError`, `NumericalDomainError`
 -> exit 3).
+
+Every caller-supplied scalar goes through ``finite`` or ``integer``.
 """
+
+import math
 
 
 class QellipError(Exception):
@@ -42,3 +46,22 @@ class NumericalDomainError(QellipError):
 
 class StackParseError(QellipError, ValueError):
     """A layer-stack description file could not be parsed."""
+
+
+def finite(what: str, value):
+    """``value``, refused unless it is a finite real or complex number.  The
+    message shows it as passed, so a complex parameter passes complex(x)."""
+    z = complex(value)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise InvalidParameterError(f"{what} must be finite, got {value}")
+    return value
+
+
+def integer(what: str, value) -> int:
+    """``value`` as an int, refused unless it is a whole number (1.5 is not 1)."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidParameterError(f"{what} must be an integer, got {value!r}")

@@ -54,6 +54,8 @@ from .errors import (
     InconsistentSolutionError,
     InvalidParameterError,
     TruncationError,
+    finite,
+    integer,
 )
 from .mathieu import _lapack
 from .phase_space import PhaseWaveFunction
@@ -104,7 +106,7 @@ def phase_operator_layer(N: int) -> np.ndarray:
     The matrix is the (N+1)-cycle permutation, hence unitary with
     eigenphases exactly uniform on the circle.
     """
-    N = int(N)
+    N = integer("layer photon number", N)
     if N < 1:
         raise InvalidParameterError(f"layer photon number must be >= 1, got {N}")
     mat = np.zeros((N + 1, N + 1), dtype=complex)
@@ -117,22 +119,28 @@ def _check_cutoff(cutoff: int) -> int:
     """Validated cutoff whose nominal (cutoff+1)^2 complex grid fits the
     budget.  The grid is checked whether or not the state allocates it:
     squeezed states fill it, coherent and embedded states keep a box."""
-    cutoff = int(cutoff)
+    cutoff = integer("cutoff", cutoff)
     if cutoff < 1:
         raise InvalidParameterError(f"cutoff must be >= 1, got {cutoff}")
     grid_bytes = (cutoff + 1) ** 2 * np.dtype(complex).itemsize
     if grid_bytes > MAX_GRID_BYTES:
+        # no float holds the size of a grid past 2^1000 bytes
+        size = f"a {grid_bytes / 2 ** 20:.0f} MiB" if grid_bytes < 2 ** 1000 else "an"
         raise InvalidParameterError(
-            f"cutoff {cutoff} needs a {grid_bytes / 2 ** 20:.0f} MiB amplitude grid, "
+            f"cutoff {cutoff} needs {size} amplitude grid, "
             f"over the {MAX_GRID_BYTES / 2 ** 20:.0f} MiB budget"
         )
     return cutoff
 
 
-def _check_finite(what: str, value: complex) -> None:
-    value = complex(value)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise InvalidParameterError(f"{what} must be finite, got {value}")
+def _default_cutoff(mag: float, spread: float) -> int:
+    """ceil(mu + spread sqrt(mu + 1) + 25) for a support reaching mu = mag^2;
+    a mag whose mu passes 1e308 is refused before its square overflows."""
+    if not mag < 1e154:
+        raise InvalidParameterError(f"a mode amplitude of {mag} needs a cutoff past 1e308, "
+                                    f"over the {MAX_GRID_BYTES / 2 ** 20:.0f} MiB budget")
+    mu = mag ** 2
+    return int(np.ceil(mu + spread * np.sqrt(mu + 1.0) + 25.0))
 
 
 def _finish_state(block: np.ndarray, offset: tuple[int, int], cutoff: int,
@@ -184,11 +192,10 @@ def coherent_state(alpha_p: complex, alpha_s: complex,
     far below one rounding unit.  Raises TruncationError when the
     Poisson tail beyond the cutoff exceeds ``tail_tol``.
     """
-    _check_finite("alpha_p", alpha_p)
-    _check_finite("alpha_s", alpha_s)
+    finite("alpha_p", complex(alpha_p))
+    finite("alpha_s", complex(alpha_s))
     if cutoff is None:  # the Poisson tail of both modes far below 1e-10
-        mu = max(abs(alpha_p) ** 2, abs(alpha_s) ** 2)
-        cutoff = int(np.ceil(mu + 12.0 * np.sqrt(mu + 1.0) + 25.0))
+        cutoff = _default_cutoff(max(abs(alpha_p), abs(alpha_s)), 12.0)
     cutoff = _check_cutoff(cutoff)
     v_p, m0 = _coherent_support(alpha_p, cutoff)
     v_s, n0 = _coherent_support(alpha_s, cutoff)
@@ -248,10 +255,9 @@ def displaced_squeezed_state(alpha_p: complex, alpha_s: complex, zeta: complex,
     tail or the mass pressed against the grid boundary exceeds
     ``tail_tol``.
     """
-    _check_finite("alpha_p", alpha_p)
-    _check_finite("alpha_s", alpha_s)
-    _check_finite("zeta", zeta)
-    zeta = complex(zeta)
+    finite("alpha_p", complex(alpha_p))
+    finite("alpha_s", complex(alpha_s))
+    zeta = finite("zeta", complex(zeta))
     s = abs(zeta)
     if s == 0.0:
         return coherent_state(alpha_p, alpha_s, cutoff, tail_tol)
@@ -265,8 +271,7 @@ def displaced_squeezed_state(alpha_p: complex, alpha_s: complex, zeta: complex,
                 f"squeezing s={s} rounds tanh s to 1: no finite cutoff holds it")
         amax = max(abs(alpha_p), abs(alpha_s))
         n_used = (12.0 * np.log(10.0) - np.log(1.0 - r * r)) / (-2.0 * np.log(r))
-        edge = (np.sqrt(n_used) + amax) ** 2
-        cutoff = int(np.ceil(edge + 8.0 * np.sqrt(edge + 1.0) + 25.0))
+        cutoff = _default_cutoff(np.sqrt(n_used) + amax, 8.0)
     cutoff = _check_cutoff(cutoff)
 
     # the pair terms from K on hold r^(2K) of the norm
@@ -300,9 +305,9 @@ def squeezed_for_mean_photons(nbar: float, s: float, dphi: float = 0.0,
     dphi = phi_p + phi_s - theta is the requested noise-balance phase
     (dphi = 0 minimizes the photon-difference variance).
     """
-    _check_finite("nbar", nbar)
-    _check_finite("squeezing magnitude", s)
-    _check_finite("dphi", dphi)
+    finite("nbar", complex(nbar))
+    finite("squeezing magnitude", complex(s))
+    finite("dphi", complex(dphi))
     s = float(s)
     if s < 0.0:
         raise InvalidParameterError(f"squeezing magnitude must be >= 0, got {s}")
@@ -327,12 +332,12 @@ def embed_phase_state(psi: PhaseWaveFunction, N: int,
     anti-diagonal of a w x w box at offset (N/2 + l_lo, N/2 - l_hi),
     w = l_hi - l_lo + 1, so the cost does not depend on N.
     """
-    N = int(N)
+    N = integer("layer photon number", N)
     if N < 2 or N % 2 != 0:
         raise InvalidParameterError(f"layer photon number must be even and >= 2, got {N}")
     _check_cutoff(N)
     half = N // 2
-    l_min = int(psi.l_min)
+    l_min = integer("l_min", psi.l_min)
     l_lo = max(l_min, -half)
     l_hi = min(l_min + len(psi.amplitudes) - 1, half)
     width = max(l_hi - l_lo + 1, 0)
@@ -345,7 +350,7 @@ def embed_phase_state(psi: PhaseWaveFunction, N: int,
 
 def extract_layer(state: TwoModeFockState, N: int) -> np.ndarray:
     """Unnormalized layer-N amplitude vector, entries <n, N-n | psi>."""
-    N = int(N)
+    N = integer("layer photon number", N)
     if N < 0:
         raise InvalidParameterError(f"layer photon number must be >= 0, got {N}")
     if N > state.cutoff:

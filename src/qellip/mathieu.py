@@ -46,6 +46,8 @@ from .errors import (
     InconsistentSolutionError,
     InvalidParameterError,
     TruncationError,
+    finite,
+    integer,
 )
 
 _SQRT2 = np.sqrt(2.0)
@@ -110,9 +112,7 @@ class MathieuSolution:
 
 
 def _validate_q(q: float) -> float:
-    q = float(q)
-    if not np.isfinite(q):
-        raise InvalidParameterError(f"Mathieu parameter q must be finite, got {q}")
+    q = finite("Mathieu parameter q", float(q))
     if q < 0.0:
         raise InvalidParameterError(f"Mathieu parameter q must be >= 0, got {q}")
     return abs(q)  # -0.0 -> 0.0
@@ -185,8 +185,8 @@ def _solve(q: float, k: int, J: int, odd: bool) -> tuple[float, np.ndarray]:
 
 
 def _eigenpair(q: float, k: int, truncation: int | None,
-               odd: bool) -> tuple[float, int, float, np.ndarray]:
-    """Validated (q, J) and the k-th eigenpair (a, v) of one branch.
+               odd: bool) -> tuple[float, int, float, np.ndarray, int]:
+    """Validated (q, J), the k-th eigenpair (a, v) of one branch, and k as an int.
 
     An explicit ``truncation`` is the window J as given.  By default J
     starts at ``auto_truncation(q, k)`` and doubles while the last
@@ -194,11 +194,11 @@ def _eigenpair(q: float, k: int, truncation: int | None,
     turning point near 2 sqrt(q) the tail decays faster than
     geometrically, so the doubling ends.
 
-    Raises InvalidParameterError for q non-finite or negative, k negative,
-    J < 1 or J over MAX_TRUNCATION, and TruncationError for k >= J.
+    Raises InvalidParameterError for q non-finite or negative, k or J not
+    whole, k < 0, J < 1 or J > MAX_TRUNCATION; TruncationError for k >= J.
     """
     q = _validate_q(q)
-    k = int(k)
+    k = integer("order index k", k)
     if k < 0:
         raise InvalidParameterError(f"order index k must be >= 0, got {k}")
     if truncation is None:
@@ -207,13 +207,13 @@ def _eigenpair(q: float, k: int, truncation: int | None,
         while abs(vec[-1]) >= TAIL_TOL:
             J *= 2
             a, vec = _solve(q, k, J, odd)
-        return q, J, a, vec
-    J = int(truncation)
+        return q, J, a, vec, k
+    J = integer("truncation", truncation)
     if J < 1:
         raise InvalidParameterError(f"truncation must be positive, got {J}")
     if k >= J:
         raise TruncationError(f"order k={k} requires truncation J > k, got J={J}")
-    return (q, J, *_solve(q, k, J, odd))
+    return (q, J, *_solve(q, k, J, odd), k)
 
 
 def solve_even_mathieu(q: float, k: int = 0, truncation: int | None = None) -> MathieuSolution:
@@ -237,13 +237,13 @@ def solve_even_mathieu(q: float, k: int = 0, truncation: int | None = None) -> M
     Raises
     ------
     InvalidParameterError
-        q non-finite or negative, k negative, J < 1, or J over
-        MAX_TRUNCATION (q above about 1.6e17 by default).
+        q non-finite or negative, k or J not a whole number, k negative,
+        J < 1, or J over MAX_TRUNCATION (q above about 1.6e17 by default).
     TruncationError
         k >= J, or the coefficient tail does not decay below TAIL_TOL
         within an explicit window.
     """
-    q, J, a, vec = _eigenpair(q, k, truncation, odd=False)
+    q, J, a, vec, k = _eigenpair(q, k, truncation, odd=False)
     coeffs = vec.copy()
     coeffs[0] /= _SQRT2  # undo the symmetrizing scale; norm is now McLachlan
     if coeffs[0] < 0.0:
@@ -254,7 +254,7 @@ def solve_even_mathieu(q: float, k: int = 0, truncation: int | None = None) -> M
             f"coefficient tail |A_(2(J-1))| = {abs(coeffs[-1]):.3e} at J={J}; "
             "increase truncation"
         )
-    return MathieuSolution(int(k), q, a, coeffs, J)
+    return MathieuSolution(k, q, a, coeffs, J)
 
 
 def se_even_eigenvalue(q: float, k: int = 0, truncation: int | None = None) -> float:

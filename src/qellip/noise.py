@@ -208,6 +208,8 @@ def coherent_family(tail_tol: float = fock.DEFAULT_TAIL_TOL, *,
                     cutoff: int | None = None) -> StateFamily:
     """Balanced two-mode coherent states, |alpha_p| = |alpha_s| = sqrt(nbar/2)."""
     def build(nbar: float) -> MomentReport:
+        if not (math.isfinite(nbar) and nbar >= 0.0):
+            raise InvalidParameterError(f"nbar must be finite and >= 0, got {nbar}")
         a = np.sqrt(nbar / 2.0)
         return analyze(fock.coherent_state(a, a, cutoff, tail_tol=tail_tol))
     return StateFamily(build)
@@ -224,12 +226,11 @@ def squeezed_family(s: float, dphi: float = 0.0,
 
 
 def _layer_number(nbar: float) -> int:
-    N = int(nbar)
-    if N != nbar or N < 2 or N % 2 != 0:
+    if not (nbar >= 2 and nbar % 2 == 0):  # inf % 2 is nan
         raise InvalidParameterError(
             f"embedded phase families need even integer photon numbers, got {nbar}"
         )
-    return N
+    return int(nbar)
 
 
 def _phase_family(psi: phase_space.PhaseWaveFunction, tail_tol: float) -> StateFamily:

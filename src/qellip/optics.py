@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericalDomainError, StackParseError
+from .errors import InvalidParameterError, NumericalDomainError, StackParseError, finite
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,13 @@ class LayerStack:
             )
         for n in (self.ambient_index, self.substrate_index,
                   *(l.index for l in self.layers)):
-            n = complex(n)
-            if not (math.isfinite(n.real) and math.isfinite(n.imag)):
-                raise InvalidParameterError(f"refractive index must be finite, got {n}")
+            n = finite("refractive index", complex(n))
             if n.imag < 0.0:
                 raise InvalidParameterError(
                     f"absorbing convention requires Im(n) >= 0, got {n}"
                 )
         for l in self.layers:
-            if not math.isfinite(l.thickness):
-                raise InvalidParameterError(f"film thickness must be finite, got {l.thickness}")
+            finite("film thickness", l.thickness)
             if l.thickness < 0.0:
                 raise InvalidParameterError(f"negative thickness {l.thickness}")
         object.__setattr__(self, "layers", tuple(self.layers))

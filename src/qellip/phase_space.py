@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentSolutionError, InvalidParameterError, InvalidStateError
+from .errors import (InconsistentSolutionError, InvalidParameterError, InvalidStateError,
+                     finite, integer)
 from .mathieu import MathieuSolution
 
 _SQRT2 = np.sqrt(2.0)
@@ -58,7 +59,7 @@ class PhaseWaveFunction:
 
     def component(self, l: int) -> complex:
         """Psi_l, zero outside the stored window."""
-        i = int(l) - self.l_min
+        i = integer("l", l) - self.l_min
         if 0 <= i < len(self.amplitudes):
             return complex(self.amplitudes[i])
         return 0.0j
@@ -79,16 +80,6 @@ class CircularMoments:
     e_var: float
     l_mean: float
     l_var: float
-
-
-def _require_int(value, name: str) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-    if out != value:
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-    return out
 
 
 def _trimmed(l_min: int, amps: np.ndarray) -> PhaseWaveFunction:
@@ -112,7 +103,7 @@ def phase_state(components: dict[int, complex]) -> PhaseWaveFunction:
     l_min, l_max = ls[0], ls[-1]
     amps = np.zeros(l_max - l_min + 1, dtype=complex)
     for l, c in components.items():
-        amps[_require_int(l, "l") - l_min] = c
+        amps[integer("l", l) - l_min] = c
     bad = np.flatnonzero(~np.isfinite(amps))
     if bad.size:
         raise InvalidParameterError(
@@ -182,9 +173,7 @@ def from_von_mises(kappa: float, phi0: float = 0.0) -> PhaseWaveFunction:
     kappa = float(kappa)
     if not np.isfinite(kappa) or kappa < 0.0:
         raise InvalidParameterError(f"kappa must be finite and >= 0, got {kappa}")
-    phi0 = float(phi0)
-    if not np.isfinite(phi0):
-        raise InvalidParameterError(f"phi0 must be finite, got {phi0}")
+    phi0 = finite("phi0", float(phi0))
     z = max(0.5 * kappa, Z_FLOOR)
     l_max = math.ceil(9.0 * math.sqrt(z) + 20.0)
     if 2 * l_max + 1 > MAX_PHASE_WINDOW:
@@ -208,7 +197,7 @@ def from_von_mises(kappa: float, phi0: float = 0.0) -> PhaseWaveFunction:
 
 def shift(psi: PhaseWaveFunction, m: int) -> PhaseWaveFunction:
     """Translate the index window by m: l_mean moves by exactly m."""
-    m = _require_int(m, "m")
+    m = integer("m", m)
     return PhaseWaveFunction(psi.l_min + m, psi.amplitudes.copy())
 
 
@@ -218,9 +207,7 @@ def rotate(psi: PhaseWaveFunction, theta: float) -> PhaseWaveFunction:
     Acts as Psi_l -> exp(i l theta) Psi_l: <e^{i phi}> gains exp(i theta),
     every variance stays.  A non-finite theta raises InvalidParameterError.
     """
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise InvalidParameterError(f"theta must be finite, got {theta}")
+    theta = finite("theta", float(theta))
     amps = psi.amplitudes * np.exp(1j * psi.l_values * theta)
     return PhaseWaveFunction(psi.l_min, amps)
 
@@ -261,7 +248,7 @@ def density_profile(psi: PhaseWaveFunction, grid_points: int) -> tuple[np.ndarra
     (trigonometric polynomial), so sum(p) * dphi == 1 to rounding.  The
     grid x support phase matrix (32 B an entry) must fit MAX_DENSITY_BYTES.
     """
-    grid_points = int(grid_points)
+    grid_points = integer("grid_points", grid_points)
     if grid_points < 2:
         raise InvalidParameterError(f"grid_points must be >= 2, got {grid_points}")
     if 32 * grid_points * len(psi.amplitudes) > MAX_DENSITY_BYTES:

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from qellip import cli
 from qellip.cli import main
+from qellip.mathieu import auto_truncation
 from qellip.noise import FAMILIES, report_from_dict
 
 STACK = """\
@@ -321,6 +324,11 @@ class TestInputChecks:
         ("density", {"q": [1]}, "q"),
         ("density", {"kappa": 2, "grid": [64]}, "grid"),
         ("mathieu-table", {"q": 1, "kmax": [3]}, "kmax"),
+        # integers must be whole numbers: the parent read 1.5 as 1
+        ("state", {"family": "mathieu", "q": 1, "order": 1.5}, "order"),
+        ("state", {"family": "coherent", "nbar": 20, "cutoff": 40.7}, "cutoff"),
+        ("density", {"kappa": 2, "grid": 100.5}, "grid"),
+        ("mathieu-table", {"q": 1, "kmax": 1.9}, "kmax"),
     ])
     def test_config_value_of_wrong_type_exits_2(self, capsys, tmp_path,
                                                 command, cfg, what):
@@ -329,6 +337,40 @@ class TestInputChecks:
         code, _, err = run(capsys, command, "--config", str(path))
         assert code == 2
         assert err.startswith(f"error: {what} must be")
+
+    def test_numeric_strings_and_whole_floats_are_read(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        outputs = []
+        for cfg in ({"q": 1, "kmax": 2}, {"q": "1", "kmax": "2"}, {"q": 1.0, "kmax": 2.0}):
+            path.write_text(json.dumps(cfg))
+            code, out, _ = run(capsys, "mathieu-table", "--config", str(path))
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("argv", [
+        "state --family coherent --nbar 1e200",
+        "sweep --family mathieu --q 1 --nbar-list 1e200,2e200,4e200,8e200",
+        "state --family squeezed --s 1 --nbar 1e300",
+    ], ids=["coherent", "mathieu-sweep", "squeezed"])
+    def test_huge_photon_numbers_refused_by_the_budget(self, capsys, argv):
+        # the parent died in an OverflowError traceback, exit 1
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
+
+    @pytest.mark.parametrize("argv", ["state --family coherent --nbar -5",
+                                      "sweep --family coherent --nbar-list=-4,10,20,40"],
+                             ids=["state", "sweep"])
+    def test_negative_coherent_nbar_is_named(self, capsys, argv):
+        # the parent warned from numpy's sqrt, then blamed alpha_p
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv.split())
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: nbar must be finite and >= 0, got -")
 
     @pytest.mark.parametrize("flag", ["--nbar", "--nb"])
     def test_sweep_has_no_nbar_flag(self, capsys, flag):
@@ -417,6 +459,15 @@ class TestDensity:
     def test_q_and_kappa_together_exit_2(self, capsys):
         code, _, _ = run(capsys, "density", "--q", "1", "--kappa", "1")
         assert code == 2
+
+    def test_small_q_column_over_budget_names_q(self, capsys):
+        # the Mathieu density is in budget; its von Mises comparison
+        # column at kappa = q is not, and the user gave no kappa
+        code, out, err = run(capsys, "density", "--q", "1e12", "--grid", "64")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --q 1000000000000.0 ")
+        assert "p_vonmises_smallq" in err and "budget" in err
 
     @pytest.mark.parametrize("argv", [("--q", "1", "--grid", "1000000000000000"),
                                       ("--kappa", "1e8", "--grid", "512")])
@@ -533,6 +584,26 @@ class TestMathieuTable:
         code, _, err = run(capsys, "mathieu-table", "--q", "0", "--kmax", "1018", "--odd")
         assert code == 2
         assert "table rows at k=1018" in err
+
+    def test_table_streams_to_its_output(self, capsys, tmp_path):
+        # rows go to the file as they come: one order's solution at a
+        # time, not the 4.97 MB table and its join (21.7 MB traced before)
+        path = tmp_path / "t.csv"
+        assert main(["mathieu-table", "--q", "1", "--kmax", "0"]) == 0  # loads LAPACK
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "mathieu-table", "--q", "1", "--kmax", "300",
+                               "--output", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out == ""
+        assert peak < 2 * 2 ** 20
+        lines = path.read_text().splitlines()
+        assert lines[0] == "k,q,eigenvalue,j,coeff"
+        assert len(lines) == 1 + sum(auto_truncation(1.0, k) for k in range(301))
+        assert lines[-1].startswith("300,1,")
 
     def test_window_over_truncation_budget_keeps_solver_message(self, capsys):
         code, out, err = run(capsys, "mathieu-table", "--q", "1e300")

@@ -174,6 +174,48 @@ class TestGridBudget:
             embed_phase_state(from_von_mises(0.0), 12)
 
 
+class TestHugeInputs:
+    """Inputs far past the grid budget are refused by it, not by an
+    OverflowError from the sizes computed on the way."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: coherent_state(1e100, 1e100),
+        lambda: coherent_state(1e200, 1e200),
+        lambda: squeezed_for_mean_photons(1e300, 1.0),
+        lambda: displaced_squeezed_state(1e200, 1e200, 0.5),
+        lambda: embed_phase_state(from_von_mises(2.0), 10 ** 200),
+    ], ids=["coherent-1e100", "coherent-1e200", "squeezed-nbar-1e300",
+            "displaced-squeezed-1e200", "embed-layer-1e200"])
+    def test_refused_by_the_budget(self, call):
+        with pytest.raises(InvalidParameterError, match="budget"):
+            call()
+
+    def test_message_within_float_range_keeps_its_size(self):
+        with pytest.raises(InvalidParameterError) as exc:
+            coherent_state(1.0, 1.0, cutoff=100000)
+        assert str(exc.value) == ("cutoff 100000 needs a 152591 MiB amplitude grid, "
+                                  "over the 1024 MiB budget")
+
+
+class TestIntegerArguments:
+    """Integer arguments must be whole numbers: 10.5 is refused, not read as 10."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: embed_phase_state(from_von_mises(2.0), 100.7),
+        lambda: extract_layer(coherent_state(1.0, 1.0), 10.5),
+        lambda: phase_operator_layer(4.5),
+        lambda: coherent_state(1.0, 1.0, cutoff=10.5),
+    ], ids=["embed", "extract", "layer-operator", "cutoff"])
+    def test_fraction_refused(self, call):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            call()
+
+    def test_whole_floats_accepted(self):
+        assert phase_operator_layer(4.0).shape == (5, 5)
+        assert coherent_state(1.0, 1.0, cutoff=30.0).cutoff == 30
+        assert embed_phase_state(from_von_mises(2.0), 100.0).cutoff == 100
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("nbar", [np.nan, np.inf])
     def test_squeezed_photon_number(self, nbar):

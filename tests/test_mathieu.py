@@ -94,6 +94,20 @@ class TestErrors:
         with pytest.raises(InvalidParameterError):
             solve_even_mathieu(1.0, -1)
 
+    @pytest.mark.parametrize("call", [
+        lambda: solve_even_mathieu(1.0, 1.5),
+        lambda: se_even_eigenvalue(1.0, 1.5),
+        lambda: solve_even_mathieu(1.0, 0, truncation=20.5),
+    ], ids=["even-order", "odd-order", "truncation"])
+    def test_fractional_order_or_window(self, call):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            call()
+
+    def test_whole_float_order_is_an_int(self):
+        sol = solve_even_mathieu(1.0, 2.0)
+        assert sol.order_index == 2 and type(sol.order_index) is int
+        assert sol.eigenvalue == solve_even_mathieu(1.0, 2).eigenvalue
+
     def test_one_row_window(self):
         # a 1 x 1 recurrence is diagonal: the even branch's lone A_0 is its
         # own tail, the odd branch's eigenvalue is exact

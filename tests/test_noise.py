@@ -1,6 +1,7 @@
 """Uncertainty reports, scaling fits, and noise propagation to rho."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,23 @@ class TestFamilyRegistry:
         for family in (coherent_family(cutoff=5), squeezed_family(0.5, cutoff=5)):
             with pytest.raises(TruncationError):
                 family.build_report(40.0)
+
+    @pytest.mark.parametrize("nbar", [-5.0, math.inf, math.nan])
+    def test_coherent_family_names_a_bad_nbar(self, nbar):
+        # not "alpha_p must be finite" after a numpy warning from sqrt(nbar)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="^nbar must be finite and >= 0"):
+                coherent_family().build_report(nbar)
+
+    @pytest.mark.parametrize("nbar", [math.inf, math.nan])
+    def test_phase_family_needs_an_even_whole_layer(self, nbar):
+        with pytest.raises(InvalidParameterError, match="even integer photon numbers"):
+            mathieu_family(1.0).build_report(nbar)
+
+    def test_huge_layer_refused_by_the_budget(self):
+        with pytest.raises(InvalidParameterError, match="budget"):
+            mathieu_family(1.0).build_report(1e200)
 
 
 class TestSaturation:

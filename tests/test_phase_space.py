@@ -249,6 +249,10 @@ class TestNonFiniteInputs:
         with pytest.raises(InvalidParameterError, match="finite"):
             rotate(from_von_mises(2.0), theta)
 
+    def test_fractional_component_index_refused(self):
+        with pytest.raises(InvalidParameterError, match="l must be an integer"):
+            from_von_mises(2.0).component(1.5)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, complex(1.0, math.nan)])
     def test_component(self, value):
         with pytest.raises(InvalidParameterError, match="Psi_0 must be finite"):
@@ -289,6 +293,10 @@ class TestDensity:
     def test_small_grid_rejected(self):
         with pytest.raises(InvalidParameterError):
             density_profile(from_von_mises(0.0), 1)
+
+    def test_fractional_grid_refused(self):
+        with pytest.raises(InvalidParameterError, match="grid_points must be an integer"):
+            density_profile(from_von_mises(2.0), 64.5)
 
     def test_small_q_von_mises_agreement(self):
         q = 1e-3
