@@ -242,17 +242,19 @@ def cmd_density(args) -> int:
     if q is not None:
         psi = phase_space.from_mathieu(solve_even_mathieu(q, 0))
         header = "phi,p_mathieu,p_vonmises_smallq,p_vonmises_largeq"
+        columns = list(phase_space.density_profile(psi, grid))
+        # past its window or density budget, the comparison column at
+        # kappa = q is the user's --q, not a --kappa they never gave
         try:
-            small_q = phase_space.from_von_mises(q)
+            columns.append(phase_space.density_profile(phase_space.from_von_mises(q), grid)[1])
         except InvalidParameterError as exc:
             raise QellipError(f"--q {q} is over the budget of the p_vonmises_smallq "
                               f"column, a von Mises state at kappa = q: {exc}") from None
-        shown = (psi, small_q, phase_space.from_von_mises(np.sqrt(q)))
+        columns.append(phase_space.density_profile(phase_space.from_von_mises(np.sqrt(q)), grid)[1])
     else:
         psi = phase_space.from_von_mises(kappa, _param(args, cfg, "phi0", float, 0.0))
-        header, shown = "phi,p_vonmises", (psi,)
-    profiles = [phase_space.density_profile(state, grid) for state in shown]
-    columns = [profiles[0][0], *(p for _, p in profiles)]
+        header = "phi,p_vonmises"
+        columns = list(phase_space.density_profile(psi, grid))
     _write_lines(args.output, itertools.chain(
         [header], (",".join(map(_fmt, row)) for row in zip(*columns))))
 

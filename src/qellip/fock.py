@@ -311,7 +311,10 @@ def squeezed_for_mean_photons(nbar: float, s: float, dphi: float = 0.0,
     s = float(s)
     if s < 0.0:
         raise InvalidParameterError(f"squeezing magnitude must be >= 0, got {s}")
-    alpha_sq = nbar / 2.0 - np.sinh(s) ** 2
+    # an s past asinh(sqrt(nbar/2)) is refused before sinh(s) can overflow
+    alpha_sq = -1.0
+    if nbar >= 0.0 and s <= math.asinh(math.sqrt(nbar / 2.0)):
+        alpha_sq = nbar / 2.0 - np.sinh(s) ** 2
     if alpha_sq < 0.0:
         raise InvalidParameterError(
             f"nbar={nbar} too small for squeezing s={s}: needs nbar >= 2 sinh^2 s"

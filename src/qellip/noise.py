@@ -40,11 +40,14 @@ _ROW_BLOCK = 64
 class MomentReport:
     """Moment summary of one state at one operating photon number.
 
-    bound is |<E>|^2 / 4; saturation_ratio = product / bound (>= 1 for
-    every physical state, -> 1 at saturation; +inf when the bound is
-    degenerate).  p_var is the modulus variance: exact for Fock states,
-    the high-photon approximation 4 Var(L) / nbar^2 for bare phase
-    states, where the photon number is an external parameter.
+    bound is |<E>|^2 / 4; saturation_ratio = product / bound (+inf when
+    the bound is degenerate).  The bound presumes a negligible layer-wrap
+    term of E: phase states and bright two-mode states keep the ratio
+    >= 1 (-> 1 at saturation), but dim ones fall under it (balanced
+    coherent states read 0.0043 at nbar 0.5 and 0.70 at nbar 5).  p_var
+    is the modulus variance: exact for Fock states, the high-photon
+    approximation 4 Var(L) / nbar^2 for bare phase states, where the
+    photon number is an external parameter.
     """
 
     n_mean: float
@@ -180,7 +183,8 @@ def analyze(state, nbar: float | None = None) -> MomentReport:
     amplitudes for <E>, with the vacuum wrap |0, N> -> |N, 0> included;
     the cost is a few passes over the box and one extra real box of
     memory.  Phase states need the external ``nbar`` (the layer a later
-    embedding would use), which must be finite and positive.
+    embedding would use), which must be finite and positive, and not so
+    small that p_var = 4 Var(L) / nbar^2 overflows.
     """
     if isinstance(state, fock.TwoModeFockState):
         return _make_report(*_grid_moments(state.block, state.offset))
@@ -194,7 +198,13 @@ def analyze(state, nbar: float | None = None) -> MomentReport:
         if not (math.isfinite(nbar) and nbar > 0.0):
             raise InvalidParameterError(f"nbar must be finite and positive, got {nbar}")
         mom = phase_space.circular_moments(state)
-        p_var = 4.0 * mom.l_var / nbar ** 2
+        try:
+            p_var = 4.0 * mom.l_var / nbar ** 2
+        except (OverflowError, ZeroDivisionError):  # nbar^2 is past the float range
+            p_var = 4.0 * mom.l_var / nbar / nbar
+        if not math.isfinite(p_var):
+            raise InvalidParameterError(
+                f"nbar={nbar} is too small: p_var = 4 Var(L) / nbar^2 overflows")
         return _make_report(nbar, mom.e_mean, mom.e_var, mom.l_mean,
                             mom.l_var, p_var)
 
@@ -297,14 +307,17 @@ def fit_power_law(points) -> ScalingFit:
     """Unweighted least squares on (log10 nbar, log10 var).
 
     Points with non-positive or non-finite variance cannot be placed on
-    log axes; they are dropped and reported in ``excluded``.
+    log axes; they are dropped and reported in ``excluded``.  The usable
+    points must hold at least two distinct photon numbers.
     """
     points = [(float(n), float(v)) for n, v in points]
     good = [(n, v) for n, v in points if v > 0.0 and math.isfinite(v)]
     excluded = tuple(n for n, v in points if not (v > 0.0 and math.isfinite(v)))
-    if len(good) < 2:
+    distinct = len({n for n, _ in good})
+    if distinct < 2:
         raise InvalidParameterError(
-            f"power-law fit needs >= 2 usable points, got {len(good)}"
+            f"power-law fit needs >= 2 usable points at distinct photon numbers, "
+            f"got {len(good)} at {distinct}"
         )
     x = np.log10([n for n, _ in good])
     y = np.log10([v for _, v in good])

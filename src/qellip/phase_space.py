@@ -37,10 +37,6 @@ MAX_PHASE_WINDOW = 2 ** 18
 #: Largest grid x support phase matrix a density may build, in bytes.
 MAX_DENSITY_BYTES = 2 ** 30
 
-#: Smallest kappa/2 the Bessel recurrence runs at: its steps 2 l / z stay
-#: far below overflow, and I_1 is already under 1e-100 of I_0 there.
-Z_FLOOR = 1e-100
-
 
 @dataclass(frozen=True)
 class PhaseWaveFunction:
@@ -127,61 +123,41 @@ def from_mathieu(sol: MathieuSolution) -> PhaseWaveFunction:
     return _trimmed(1 - len(A), amps)
 
 
-def _bessel_ive(z: float, l_max: int) -> np.ndarray:
-    """I_l(z) e^{-z} for l = 0..l_max by Miller's backward recurrence.
-
-    I_{l-1} = I_{l+1} + (2 l / z) I_l runs down from l = 2 l_max, started
-    from (0, 1); the backward direction is stable for I_l, the minimal
-    solution, and the start's error has died out long before l_max.  The
-    values are scaled down by 1e-200 whenever one passes 1e200, so
-    nothing overflows for z >= Z_FLOOR, and the unknown common scale is
-    fixed by the identity e^z = I_0(z) + 2 sum_{l>=1} I_l(z) (Gautschi,
-    SIAM Review 9, 24 (1967)).
-    """
-    big, small = 1e200, 1e-200
-    start = 2 * l_max
-    y = [0.0] * (start + 2)
-    y[start] = 1.0
-    two_over_z = 2.0 / z
-    for l in range(start, 0, -1):
-        v = y[l + 1] + (l * two_over_z) * y[l]
-        y[l - 1] = v
-        if v > big:
-            y[l - 1:] = [x * small for x in y[l - 1:]]
-    w = np.array(y[:start + 1])
-    return w[:l_max + 1] / (w[0] + 2.0 * np.sum(w[1:]))
-
-
 def from_von_mises(kappa: float, phi0: float = 0.0) -> PhaseWaveFunction:
     """Phase state with von Mises density ~ exp[-kappa cos(phi - phi0)].
 
     Fourier components are Psi_l ~ (-1)^l exp(i l phi0) I_l(kappa/2),
-    so |Psi_l|^2 = I_l(kappa/2)^2 / I_0(kappa).  The exponentially scaled
-    values I_l(z) e^{-z}, z = kappa/2, come from Miller's backward
-    recurrence (``_bessel_ive``) on |l| <= l_max = ceil(9 sqrt(z) + 20):
-    for large z, I_l(z) / I_0(z) ~ exp(-l^2 / 2z) (DLMF 10.41), so the
-    edge sits 9 standard deviations of that Gaussian out, and the +20
-    covers small z, where I_l(z) ~ (z/2)^l / l!.  A window of more than
+    so |Psi_l|^2 = I_l(kappa/2)^2 / I_0(kappa).  The scaled values
+    I_l(z) e^{-z}, z = kappa/2, are the Fourier coefficients of
+    exp(-2 z sin^2(s/2)), taken by one real FFT of G samples, G the power
+    of two >= 4 l_max: the exponent is never positive, so nothing
+    overflows, and the aliases come from |l| >= 3 l_max, far under
+    rounding (DLMF 10.35).  The window |l| <= l_max = ceil(9 sqrt(z) + 20)
+    puts the edge 9 standard deviations out for large z, where
+    I_l(z) / I_0(z) ~ exp(-l^2 / 2z) (DLMF 10.41); the +20 covers small
+    z, where I_l(z) ~ (z/2)^l / l!.  A window of more than
     MAX_PHASE_WINDOW components raises InvalidParameterError before
     anything is allocated (l_max = 63660 at kappa = 1e8 fits), and an
     edge weight that is not negligible raises InconsistentSolutionError.
     The components are normalized before the trimming, so the dropped
-    mass stays under WINDOW_TAIL_TOL at any kappa.
-    Below kappa = 2 Z_FLOOR, 0 included, the recurrence runs at z = Z_FLOOR,
-    which changes nothing: every component but Psi_0 = 1 is trimmed.
+    mass stays under WINDOW_TAIL_TOL at any kappa.  phi0 is taken modulo
+    2 pi, so l * phi0 stays finite.
     """
     kappa = float(kappa)
     if not np.isfinite(kappa) or kappa < 0.0:
         raise InvalidParameterError(f"kappa must be finite and >= 0, got {kappa}")
-    phi0 = finite("phi0", float(phi0))
-    z = max(0.5 * kappa, Z_FLOOR)
+    phi0 = math.remainder(finite("phi0", float(phi0)), 2.0 * math.pi)
+    z = 0.5 * kappa
     l_max = math.ceil(9.0 * math.sqrt(z) + 20.0)
     if 2 * l_max + 1 > MAX_PHASE_WINDOW:
         raise InvalidParameterError(
             f"kappa={kappa} needs a window of {2 * l_max + 1} components, over "
             f"the budget of {MAX_PHASE_WINDOW}"
         )
-    w = _bessel_ive(z, l_max)
+    G = 1 << (4 * l_max - 1).bit_length()
+    # s = 2 pi k / G, with the half-angles s/2 in [-pi/2, pi/2)
+    w = np.exp(-2.0 * z * np.sin(np.pi * np.fft.fftfreq(G)) ** 2)
+    w = np.fft.rfft(w)[:l_max + 1].real / G
     if (w[-1] / w[0]) ** 2 >= WINDOW_TAIL_TOL * 1e-4:
         raise InconsistentSolutionError(
             f"von Mises window l_max={l_max} leaves edge weight "

@@ -372,6 +372,52 @@ class TestInputChecks:
         assert out == ""
         assert err.startswith("error: nbar must be finite and >= 0, got -")
 
+    def test_bare_phase_report_at_extreme_nbar(self, capsys):
+        # the parent died in an OverflowError (nbar ** 2) and a
+        # ZeroDivisionError traceback, exit 1
+        code, out, _ = run(capsys, "state", "--family", "mathieu", "--q", "0",
+                           "--nbar", "1e308")
+        assert code == 0
+        assert json.loads(out)["p_var"] == 0.0
+        code, out, err = run(capsys, "state", "--family", "mathieu", "--q", "1e8",
+                             "--order", "64", "--nbar", "5e-324")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: nbar=5e-324 is too small")
+
+    def test_von_mises_at_a_huge_phi0(self, capsys):
+        # the parent's l * phi0 overflowed, and the NaN components were
+        # trimmed away: l_var 0.662 on a support of 3
+        _, out, _ = run(capsys, "state", "--family", "von_mises", "--kappa", "100",
+                        "--nbar", "100")
+        ref = json.loads(out)
+        code, out, _ = run(capsys, "state", "--family", "von_mises", "--kappa", "100",
+                           "--phi0", "1e308", "--nbar", "100")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["l_var"] == pytest.approx(ref["l_var"], rel=1e-14)
+        assert np.hypot(doc["e_mean_re"], doc["e_mean_im"]) == pytest.approx(
+            np.hypot(ref["e_mean_re"], ref["e_mean_im"]), rel=1e-14)
+
+    def test_sweep_at_one_photon_number_exits_2(self, capsys):
+        # both usable points sit at nbar 0.5; the parent fitted slope 1.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "sweep", "--family", "coherent", "--nbar-list",
+                                 "0.5,1e-300,0.5,1e-320", "--target", "l_var")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: power-law fit needs >= 2 usable points")
+
+    def test_squeezing_past_the_photon_number_exits_2(self, capsys):
+        # the parent overflowed in sinh first (an error under the suite's
+        # RuntimeWarning filter)
+        code, out, err = run(capsys, "state", "--family", "squeezed", "--s", "1e154",
+                             "--nbar", "10")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: nbar=10.0 too small for squeezing s=1e+154")
+
     @pytest.mark.parametrize("flag", ["--nbar", "--nb"])
     def test_sweep_has_no_nbar_flag(self, capsys, flag):
         # neither the flag nor an abbreviation of --nbar-list is taken
@@ -468,6 +514,16 @@ class TestDensity:
         assert out == ""
         assert err.startswith("error: --q 1000000000000.0 ")
         assert "p_vonmises_smallq" in err and "budget" in err
+
+    def test_small_q_column_density_over_budget_names_q(self, capsys):
+        # the von Mises state at kappa = q fits its window, but its
+        # 512 x 70855 phase matrix does not; the parent named neither
+        # --q nor the column
+        code, out, err = run(capsys, "density", "--q", "1e8", "--grid", "512")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --q 100000000.0 ")
+        assert "p_vonmises_smallq" in err and "512 x 70855 phase matrix" in err
 
     @pytest.mark.parametrize("argv", [("--q", "1", "--grid", "1000000000000000"),
                                       ("--kappa", "1e8", "--grid", "512")])

@@ -289,6 +289,14 @@ class TestSqueezed:
         expected = (100.0 - 2.0 * np.sinh(1.0) ** 2) * np.exp(-2.0) / 4.0
         assert dense_moments(st).l_var == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("nbar, s", [(10.0, 1e154), (-5.0, 1e154), (-5.0, 1.0),
+                                         (10.0, 1.55), (1e308, 400.0)])
+    def test_squeezing_past_the_photon_number_refused(self, nbar, s):
+        # refused before sinh(s) can overflow: the suite turns every
+        # RuntimeWarning into an error
+        with pytest.raises(InvalidParameterError, match="too small for squeezing"):
+            squeezed_for_mean_photons(nbar, s)
+
     def test_cutoff_too_small_caught_by_boundary_mass(self):
         # unitary displacement factors alias a clipped support instead of
         # losing norm, so this failure mode needs its own detector

@@ -64,6 +64,26 @@ class TestAnalyze:
         with pytest.raises(InvalidParameterError, match="finite"):
             analyze(from_von_mises(1.0), nbar=nbar)
 
+    @pytest.mark.parametrize("nbar", [1e308, 2e154, 1e-160, 5e-324])
+    def test_phase_state_p_var_past_the_range_of_nbar_squared(self, nbar):
+        # nbar^2 overflows or underflows to 0 here; Var L = 0 keeps p_var 0
+        report = analyze(from_mathieu(solve_even_mathieu(0.0, 0)), nbar=nbar)
+        assert report.l_var == 0.0
+        assert report.p_var == 0.0
+
+    def test_phase_state_p_var_divides_by_nbar_twice_past_overflow(self):
+        psi = from_von_mises(4.0)
+        l_var = analyze(psi, nbar=100.0).l_var
+        assert analyze(psi, nbar=1e200).p_var == 4.0 * l_var / 1e200 / 1e200
+        # inside the range the p_var of today stands, to the bit
+        for nbar in (0.7, 100.0, 3.3e17):
+            assert analyze(psi, nbar=nbar).p_var == 4.0 * l_var / nbar ** 2
+
+    @pytest.mark.parametrize("nbar", [5e-324, 1e-160, 1e-155])
+    def test_phase_state_p_var_overflow_is_refused(self, nbar):
+        with pytest.raises(InvalidParameterError, match="too small"):
+            analyze(from_von_mises(4.0), nbar=nbar)
+
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), cutoff=st.integers(1, 12),
            density=st.floats(0.02, 1.0))
@@ -158,6 +178,18 @@ class TestScalingSweeps:
     def test_all_degenerate_raises(self):
         with pytest.raises(InvalidParameterError):
             fit_power_law([(10.0, 0.0), (20.0, 0.0), (40.0, 1.0)])
+
+    @pytest.mark.parametrize("points", [
+        [(0.5, 0.125), (1e-300, 0.0), (0.5, 0.125), (1e-320, 0.0)],
+        [(2.0, 1.0), (2.0, 3.0)],
+    ])
+    def test_one_photon_number_raises(self, points):
+        # two usable points at one photon number leave the slope undefined
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError,
+                               match="power-law fit needs >= 2 usable points"):
+                fit_power_law(points)
 
     def test_reports_sorted_by_nbar(self):
         reports = family_reports(coherent_family(), [100, 25, 50])

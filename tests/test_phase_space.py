@@ -107,7 +107,7 @@ class TestFromVonMises:
 
     @pytest.mark.parametrize("phi0", [0.0, 1.3, -2.0])
     def test_kappa_zero_is_the_l0_component(self, phi0):
-        # kappa = 0 runs the recurrence at Z_FLOOR like any tiny kappa
+        # kappa = 0 samples a constant, whose transform is Psi_0 alone
         psi = from_von_mises(0.0, phi0)
         assert psi.l_min == 0
         assert psi.amplitudes.tolist() == [1 + 0j]
@@ -139,9 +139,19 @@ class TestFromVonMises:
         with pytest.raises(InvalidParameterError):
             from_von_mises(-0.5)
 
+    @pytest.mark.parametrize("phi0", [1e308, -1e308, 2.0 * np.pi * 1e15])
+    def test_huge_phi0_is_reduced_modulo_two_pi(self, phi0):
+        # l * phi0 would overflow; math.remainder(phi0, 2 pi) is exact
+        m = circular_moments(from_von_mises(100.0, phi0))
+        ref = circular_moments(from_von_mises(100.0, math.remainder(phi0, 2.0 * np.pi)))
+        m0 = circular_moments(from_von_mises(100.0, 0.0))
+        assert m == ref
+        assert m.l_var == pytest.approx(m0.l_var, rel=1e-14)
+        assert abs(m.e_mean) == pytest.approx(abs(m0.e_mean), rel=1e-14)
+
 
 class TestVonMisesRecurrence:
-    """Miller's recurrence against scipy's ``ive`` on the old window rule."""
+    """The real-FFT Bessel values against scipy's ``ive`` on the old window rule."""
 
     @pytest.mark.parametrize("kappa", [1e-12, 1e-3, 1.0, 3.7, 80.0, 1e4, 1e6])
     def test_matches_ive_oracle(self, kappa):
@@ -150,6 +160,20 @@ class TestVonMisesRecurrence:
         assert psi.l_min == l_min
         assert len(psi.amplitudes) == len(amps)
         assert np.max(np.abs(psi.amplitudes - amps)) < 1e-14
+
+    def test_matches_ive_oracle_over_a_kappa_sweep(self):
+        # 400 log-spaced kappa in [1e-12, 4.2e8] and three at or next to
+        # zero; the oracle's own window, 6 sqrt(kappa) + 30, holds the
+        # support (about 4.2 sqrt(kappa) either side).  Past orders of
+        # about 1.7e4 (kappa >= 2.9e8 here) scipy's ive is off by about
+        # 5e-12 relative, 1.1e-14 on these amplitudes, hence 2e-14.
+        for kappa in [0.0, 5e-324, 1e-300, *np.logspace(-12, math.log10(4.2e8), 400)]:
+            psi = from_von_mises(kappa, 0.3)
+            l_min, amps = von_mises_components(kappa, 0.3,
+                                               l_max=math.ceil(6.0 * math.sqrt(kappa)) + 30)
+            assert psi.l_min == l_min, kappa
+            assert len(psi.amplitudes) == len(amps), kappa
+            assert np.max(np.abs(psi.amplitudes - amps)) < 2e-14, kappa
 
     def test_kappa_1e8_moments_and_memory(self):
         kappa = 1e8
