@@ -243,7 +243,7 @@ def cmd_density(args) -> int:
         psi = phase_space.from_mathieu(solve_even_mathieu(q, 0))
         header = "phi,p_mathieu,p_vonmises_smallq,p_vonmises_largeq"
         columns = list(phase_space.density_profile(psi, grid))
-        # past its window or density budget, the comparison column at
+        # past its window budget, the comparison column at
         # kappa = q is the user's --q, not a --kappa they never gave
         try:
             columns.append(phase_space.density_profile(phase_space.from_von_mises(q), grid)[1])

@@ -104,11 +104,15 @@ def phase_operator_layer(N: int) -> np.ndarray:
     matrix in the basis |n, N-n> for n = 0..N.
 
     The matrix is the (N+1)-cycle permutation, hence unitary with
-    eigenphases exactly uniform on the circle.
+    eigenphases exactly uniform on the circle.  A matrix past
+    MAX_GRID_BYTES is refused before it is allocated.
     """
     N = integer("layer photon number", N)
     if N < 1:
         raise InvalidParameterError(f"layer photon number must be >= 1, got {N}")
+    if 16 * (N + 1) ** 2 > MAX_GRID_BYTES:
+        raise InvalidParameterError(f"the {N + 1} x {N + 1} operator of layer {N} is over "
+                                    f"the {MAX_GRID_BYTES / 2 ** 20:.0f} MiB budget")
     mat = np.zeros((N + 1, N + 1), dtype=complex)
     mat[np.arange(N), np.arange(1, N + 1)] = 1.0  # |n,N-n><n+1,N-n-1|
     mat[N, 0] = 1.0                               # |N,0><0,N|

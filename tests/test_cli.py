@@ -515,18 +515,22 @@ class TestDensity:
         assert err.startswith("error: --q 1000000000000.0 ")
         assert "p_vonmises_smallq" in err and "budget" in err
 
-    def test_small_q_column_density_over_budget_names_q(self, capsys):
-        # the von Mises state at kappa = q fits its window, but its
-        # 512 x 70855 phase matrix does not; the parent named neither
-        # --q nor the column
-        code, out, err = run(capsys, "density", "--q", "1e8", "--grid", "512")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: --q 100000000.0 ")
-        assert "p_vonmises_smallq" in err and "512 x 70855 phase matrix" in err
+    @pytest.mark.parametrize("argv, header", [
+        (("--q", "1e8", "--grid", "512"),
+         "phi,p_mathieu,p_vonmises_smallq,p_vonmises_largeq"),
+        (("--kappa", "1e8", "--grid", "512"), "phi,p_vonmises"),
+    ], ids=["q-1e8", "kappa-1e8"])
+    def test_support_wider_than_the_grid_runs(self, capsys, argv, header):
+        # the von Mises state at kappa 1e8 has 70855 components, far more
+        # than the 512 grid points; its density is folded, not refused
+        code, out, _ = run(capsys, "density", *argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == header and len(lines) == 513
+        values = np.array([[float(v) for v in row.split(",")] for row in lines[1:]])
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
 
-    @pytest.mark.parametrize("argv", [("--q", "1", "--grid", "1000000000000000"),
-                                      ("--kappa", "1e8", "--grid", "512")])
+    @pytest.mark.parametrize("argv", [("--q", "1", "--grid", "1000000000000000")])
     def test_phase_matrix_over_budget_exits_2(self, capsys, argv):
         code, out, err = run(capsys, "density", *argv)
         assert code == 2

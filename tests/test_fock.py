@@ -184,11 +184,20 @@ class TestHugeInputs:
         lambda: squeezed_for_mean_photons(1e300, 1.0),
         lambda: displaced_squeezed_state(1e200, 1e200, 0.5),
         lambda: embed_phase_state(from_von_mises(2.0), 10 ** 200),
+        lambda: phase_operator_layer(10 ** 6),
+        lambda: phase_operator_layer(10 ** 200),
     ], ids=["coherent-1e100", "coherent-1e200", "squeezed-nbar-1e300",
-            "displaced-squeezed-1e200", "embed-layer-1e200"])
+            "displaced-squeezed-1e200", "embed-layer-1e200",
+            "layer-operator-1e6", "layer-operator-1e200"])
     def test_refused_by_the_budget(self, call):
         with pytest.raises(InvalidParameterError, match="budget"):
             call()
+
+    def test_layer_operator_refusal_names_the_layer(self):
+        with pytest.raises(InvalidParameterError) as exc:
+            phase_operator_layer(10 ** 6)
+        assert str(exc.value) == ("the 1000001 x 1000001 operator of layer 1000000 "
+                                  "is over the 1024 MiB budget")
 
     def test_message_within_float_range_keeps_its_size(self):
         with pytest.raises(InvalidParameterError) as exc:

@@ -27,7 +27,7 @@ from qellip import (
     theta_series,
 )
 from qellip import phase_space
-from qellip.phase_space import _trimmed, wave_function_values
+from qellip.phase_space import _trimmed
 
 from oracles import index_variance, von_mises_circular_mean, von_mises_components
 
@@ -37,6 +37,17 @@ def random_state(seed: int, width: int = 9) -> PhaseWaveFunction:
     amps = rng.normal(size=width) + 1j * rng.normal(size=width)
     amps /= np.linalg.norm(amps)
     return PhaseWaveFunction(int(rng.integers(-5, 5)), amps)
+
+
+def direct_density(psi: PhaseWaveFunction, grid: int) -> np.ndarray:
+    """|(2 pi)^{-1/2} sum_l exp(-i l phi_j) Psi_l|^2 at phi_j = 2 pi j / grid,
+    one component at a time, with l j reduced mod grid in integers so the
+    angles stay exact."""
+    j = np.arange(grid)
+    total = np.zeros(grid, dtype=complex)
+    for l in range(psi.l_min, psi.l_min + len(psi.amplitudes)):
+        total += psi.component(l) * np.exp(-2j * np.pi * ((l * j) % grid) / grid)
+    return np.abs(total) ** 2 / (2.0 * np.pi)
 
 
 class TestFromMathieu:
@@ -299,12 +310,31 @@ class TestDensity:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
-    def test_budget_counts_32_bytes_an_entry(self, monkeypatch):
-        psi = from_von_mises(1.0)
-        monkeypatch.setattr(phase_space, "MAX_DENSITY_BYTES", 32 * 64 * len(psi.amplitudes))
-        assert len(density_profile(psi, 64)[1]) == 64
-        with pytest.raises(InvalidParameterError, match="budget"):
-            density_profile(psi, 65)
+    def test_budget_counts_160_bytes_a_point(self, monkeypatch):
+        # the rule is on the grid alone: a wide state does not move it
+        monkeypatch.setattr(phase_space, "MAX_DENSITY_BYTES", 160 * 64)
+        for psi in (from_von_mises(1.0), from_von_mises(1e6)):
+            assert len(density_profile(psi, 64)[1]) == 64
+            with pytest.raises(InvalidParameterError, match="65-point density grid"):
+                density_profile(psi, 65)
+
+    def test_fold_with_collisions_matches_direct_sum(self):
+        # 300 components on 64 points: every grid residue holds several
+        psi = shift(random_state(5, width=300), -150)
+        _, p = density_profile(psi, 64)
+        expect = direct_density(psi, 64)
+        assert np.max(np.abs(p - expect)) <= 1e-13 * np.max(expect)
+
+    def test_coarse_grid_at_kappa_1e8_stays_small(self):
+        psi = from_von_mises(1e8)
+        tracemalloc.start()
+        try:
+            _, p = density_profile(psi, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert np.all(np.isfinite(p))
 
     def test_quadrature_normalization(self):
         phi, p = density_profile(from_mathieu(solve_even_mathieu(0.1, 0)), 512)
@@ -377,9 +407,14 @@ class TestInvariantProperties:
 
     def test_wave_function_matches_direct_sum(self):
         psi = random_state(11)
-        phis = np.array([0.0, 0.9, 4.4])
-        direct = np.array([
-            sum(psi.component(l) * np.exp(-1j * l * phi)
-                for l in range(-20, 21))
-            for phi in phis]) / np.sqrt(2.0 * np.pi)
-        assert np.allclose(wave_function_values(psi, phis), direct, atol=1e-12)
+        _, p = density_profile(psi, 64)
+        assert np.allclose(p, direct_density(psi, 64), rtol=0.0, atol=1e-14)
+
+    def test_huge_rotation_angle_is_reduced_modulo_two_pi(self):
+        psi = from_von_mises(100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rot = rotate(psi, 1e308)
+            base = rotate(psi, math.remainder(1e308, 2.0 * math.pi))
+        assert rot.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert circular_moments(rot) == circular_moments(base)
