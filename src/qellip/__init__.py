@@ -17,12 +17,11 @@ from .errors import (
     TruncationError,
 )
 from .fock import (
+    LayerState,
     TwoModeFockState,
     coherent_state,
     displaced_squeezed_state,
     embed_phase_state,
-    extract_layer,
-    phase_operator_layer,
     squeezed_for_mean_photons,
 )
 from .mathieu import (

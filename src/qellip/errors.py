@@ -26,7 +26,7 @@ class InvalidStateError(QellipError, ValueError):
 
 
 class DimensionMismatchError(QellipError, ValueError):
-    """A state's box or a requested layer does not fit the Fock cutoff."""
+    """A two-mode state's box does not fit the Fock cutoff."""
 
 
 class TruncationError(QellipError):

@@ -15,19 +15,20 @@ is always included; layers with N <= M are complete and E restricted to
 them is exactly unitary, while clipped layers (N > M) only matter through
 the recorded tail mass.
 
-A state stores only the box of the grid that holds its support: the
-block of amplitudes of |m0 + i, n0 + j> and its offset (m0, n0).  A
-phase state embedded on one layer fills a w x w box for a support of
-width w, whatever the layer; a coherent state keeps the rows and columns
-where its mode vectors reach COHERENT_FLOOR of their peaks; squeezed
-states keep the whole grid.  ``noise.analyze`` takes every moment from
-the box; no dense grid or operator object is built.
+A two-mode state stores only the box of the grid that holds its
+support: the block of amplitudes of |m0 + i, n0 + j> and its offset
+(m0, n0).  A coherent state keeps the rows and columns where its mode
+vectors reach COHERENT_FLOOR of their peaks; squeezed states keep the
+whole grid.  A phase state embedded on one layer is a ``LayerState``:
+the window of components Psi_l on |N/2 + l, N/2 - l> itself, whatever
+the layer.  ``noise.analyze`` takes every moment from the stored
+amplitudes; no dense grid or operator object is built.
 
 Construction is tail-checked: every constructor records the probability
 lost to the truncation before renormalizing, and raises TruncationError
-when it exceeds the tolerance (default 1e-10).  Every constructor also
-checks ``MAX_GRID_BYTES`` before allocating anything, still on the
-nominal (M+1)^2 grid, which only squeezed states allocate.
+when it exceeds the tolerance (default 1e-10).  The two-mode
+constructors also check ``MAX_GRID_BYTES`` before allocating anything,
+still on the nominal (M+1)^2 grid, which only squeezed states allocate.
 
 Displaced squeezed states are built from the columns of the displacement
 factors that their pair part reaches.  The pair amplitudes
@@ -99,30 +100,21 @@ class TwoModeFockState:
             )
 
 
-def phase_operator_layer(N: int) -> np.ndarray:
-    """Cyclic-shift restriction of E to the N-photon layer, as a dense
-    matrix in the basis |n, N-n> for n = 0..N.
+@dataclass(frozen=True)
+class LayerState:
+    """A phase state on the Fock layer of N = ``cutoff`` photons: Psi_l of
+    ``psi`` multiplies |N/2 + l, N/2 - l>.  tail_mass is the norm deficit
+    the clip to |l| <= N/2 left before renormalization."""
 
-    The matrix is the (N+1)-cycle permutation, hence unitary with
-    eigenphases exactly uniform on the circle.  A matrix past
-    MAX_GRID_BYTES is refused before it is allocated.
-    """
-    N = integer("layer photon number", N)
-    if N < 1:
-        raise InvalidParameterError(f"layer photon number must be >= 1, got {N}")
-    if 16 * (N + 1) ** 2 > MAX_GRID_BYTES:
-        raise InvalidParameterError(f"the {N + 1} x {N + 1} operator of layer {N} is over "
-                                    f"the {MAX_GRID_BYTES / 2 ** 20:.0f} MiB budget")
-    mat = np.zeros((N + 1, N + 1), dtype=complex)
-    mat[np.arange(N), np.arange(1, N + 1)] = 1.0  # |n,N-n><n+1,N-n-1|
-    mat[N, 0] = 1.0                               # |N,0><0,N|
-    return mat
+    cutoff: int
+    psi: PhaseWaveFunction
+    tail_mass: float
 
 
 def _check_cutoff(cutoff: int) -> int:
     """Validated cutoff whose nominal (cutoff+1)^2 complex grid fits the
     budget.  The grid is checked whether or not the state allocates it:
-    squeezed states fill it, coherent and embedded states keep a box."""
+    squeezed states fill it, coherent states keep a box."""
     cutoff = integer("cutoff", cutoff)
     if cutoff < 1:
         raise InvalidParameterError(f"cutoff must be >= 1, got {cutoff}")
@@ -147,10 +139,10 @@ def _default_cutoff(mag: float, spread: float) -> int:
     return int(np.ceil(mu + spread * np.sqrt(mu + 1.0) + 25.0))
 
 
-def _finish_state(block: np.ndarray, offset: tuple[int, int], cutoff: int,
-                  tail_tol: float, context: str) -> TwoModeFockState:
-    """Tail-check and normalize ``block`` in place (callers pass a fresh box)."""
-    captured = float(np.vdot(block, block).real)
+def _normalize(amps: np.ndarray, cutoff: int, tail_tol: float, context: str) -> float:
+    """Tail-check and normalize ``amps`` in place (callers pass a fresh
+    array); the tail mass."""
+    captured = float(np.vdot(amps, amps).real)
     if not np.isfinite(captured):
         raise InconsistentSolutionError(
             f"{context}: non-finite amplitudes at cutoff {cutoff}"
@@ -161,9 +153,9 @@ def _finish_state(block: np.ndarray, offset: tuple[int, int], cutoff: int,
             f"{context}: truncation tail {tail:.3e} exceeds tolerance {tail_tol:.1e} "
             f"at cutoff {cutoff}"
         )
-    parts = block.view(np.float64)  # a real divisor: skip complex division
+    parts = amps.view(np.float64)  # a real divisor: skip complex division
     parts /= math.sqrt(captured)
-    return TwoModeFockState(cutoff, block, max(tail, 0.0), offset)
+    return max(tail, 0.0)
 
 
 def _coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
@@ -203,8 +195,9 @@ def coherent_state(alpha_p: complex, alpha_s: complex,
     cutoff = _check_cutoff(cutoff)
     v_p, m0 = _coherent_support(alpha_p, cutoff)
     v_s, n0 = _coherent_support(alpha_s, cutoff)
-    return _finish_state(np.outer(v_p, v_s), (m0, n0), cutoff, tail_tol,
-                         "coherent state")
+    block = np.outer(v_p, v_s)
+    return TwoModeFockState(cutoff, block,
+                            _normalize(block, cutoff, tail_tol, "coherent state"), (m0, n0))
 
 
 def _coherent_support(alpha: complex, cutoff: int) -> tuple[np.ndarray, int]:
@@ -296,7 +289,8 @@ def displaced_squeezed_state(alpha_p: complex, alpha_s: complex, zeta: complex,
             f"displaced squeezed state: boundary mass {band:.3e} exceeds "
             f"tolerance {tail_tol:.1e} at cutoff {cutoff}"
         )
-    return _finish_state(amps, (0, 0), cutoff, tail_tol, "displaced squeezed state")
+    return TwoModeFockState(cutoff, amps, _normalize(amps, cutoff, tail_tol,
+                                                      "displaced squeezed state"))
 
 
 def squeezed_for_mean_photons(nbar: float, s: float, dphi: float = 0.0,
@@ -329,43 +323,23 @@ def squeezed_for_mean_photons(nbar: float, s: float, dphi: float = 0.0,
 
 
 def embed_phase_state(psi: PhaseWaveFunction, N: int,
-                      tail_tol: float = DEFAULT_TAIL_TOL) -> TwoModeFockState:
+                      tail_tol: float = DEFAULT_TAIL_TOL) -> LayerState:
     """Place a phase state onto the single Fock layer of N photons.
 
-    The component Psi_l becomes the amplitude of |N/2 + l, N/2 - l>.
-    N must be even so the index window is integer-centred; support
-    clipped outside l in [-N/2, N/2] beyond ``tail_tol`` raises
-    TruncationError.  The in-window components l_lo..l_hi fill the
-    anti-diagonal of a w x w box at offset (N/2 + l_lo, N/2 - l_hi),
-    w = l_hi - l_lo + 1, so the cost does not depend on N.
+    The component Psi_l becomes the amplitude of |N/2 + l, N/2 - l>.  N
+    must be even, so the window is integer-centred, and below 2^1000, so
+    N/2 is a float.  The state keeps a copy of the components in
+    [-N/2, N/2], whatever N; clipping more than ``tail_tol`` outside it
+    raises TruncationError.
     """
     N = integer("layer photon number", N)
-    if N < 2 or N % 2 != 0:
-        raise InvalidParameterError(f"layer photon number must be even and >= 2, got {N}")
-    _check_cutoff(N)
+    if not 2 <= N < 2 ** 1000 or N % 2 != 0:
+        got = N if abs(N) < 2 ** 1000 else f"one of {N.bit_length()} bits"
+        raise InvalidParameterError(
+            f"layer photon number must be even, >= 2 and below 2^1000, got {got}")
     half = N // 2
     l_min = integer("l_min", psi.l_min)
-    l_lo = max(l_min, -half)
-    l_hi = min(l_min + len(psi.amplitudes) - 1, half)
-    width = max(l_hi - l_lo + 1, 0)
-    block = np.zeros((width, width), dtype=complex)
-    i = np.arange(width)
-    block[i, width - 1 - i] = psi.amplitudes[l_lo - l_min:l_lo - l_min + width]
-    return _finish_state(block, (half + l_lo, half - l_hi), N, tail_tol,
-                         f"phase state on layer N={N}")
-
-
-def extract_layer(state: TwoModeFockState, N: int) -> np.ndarray:
-    """Unnormalized layer-N amplitude vector, entries <n, N-n | psi>."""
-    N = integer("layer photon number", N)
-    if N < 0:
-        raise InvalidParameterError(f"layer photon number must be >= 0, got {N}")
-    if N > state.cutoff:
-        raise DimensionMismatchError(f"layer {N} exceeds cutoff {state.cutoff}")
-    m0, n0 = state.offset
-    rows, cols = state.block.shape
-    # the layer crosses the box for m0 <= n < m0 + rows and n0 <= N - n < n0 + cols
-    n = np.arange(max(m0, N - n0 - cols + 1), min(m0 + rows, N - n0 + 1))
-    out = np.zeros(N + 1, dtype=complex)
-    out[n] = state.block[n - m0, N - n - n0]
-    return out
+    start = max(-half - l_min, 0)
+    amps = np.array(psi.amplitudes[start:max(half - l_min + 1, 0)], dtype=complex)
+    tail = _normalize(amps, N, tail_tol, f"phase state on layer N={N}")
+    return LayerState(N, PhaseWaveFunction(l_min + start, amps), tail)

@@ -173,21 +173,44 @@ def _grid_moments(a: np.ndarray, offset: tuple[int, int]
             max(l_var, 0.0), p_var)
 
 
-def analyze(state, nbar: float | None = None) -> MomentReport:
-    """Moment report for a Fock-grid state or a bare phase state.
+def _layer_moments(state: fock.LayerState
+                   ) -> tuple[float, complex, float, float, float, float]:
+    """``_grid_moments`` of a phase state on the layer of N photons: L is
+    the index l, E steps l to l + 1 (the wrap |0, N> -> |N, 0> pairs
+    N/2 with -N/2), and P = sqrt((N/2 + l) / (N/2 - l + 1)) is centred on
+    its middle value first, so a layer where every P rounds to 1 gives 0."""
+    psi, N = state.psi, state.cutoff
+    mom = phase_space.circular_moments(psi)
+    prob = np.abs(psi.amplitudes) ** 2
+    e_mean, e_var = mom.e_mean, mom.e_var
+    if len(prob) == N + 1:  # the window spans the layer
+        e_mean, e_var = phase_space._phase_moments(psi.amplitudes, float(prob.sum()),
+                                                   closed=True)
+    l = psi.l_values.astype(float)
+    p = np.sqrt((N / 2 + l) / (N / 2 - l + 1.0))
+    p -= p[len(p) // 2]
+    p -= prob @ p
+    return float(N), e_mean, e_var, mom.l_mean, mom.l_var, float(prob @ (p * p))
 
-    Fock states carry their own photon number.  Their moments come from
-    the real probability box |a|^2 over the stored support (N and L from
-    its marginals and the centred N_p-N_s covariance, P from a centred
-    pass of sqrt(m / (n+1))) and one offset inner product over the
-    amplitudes for <E>, with the vacuum wrap |0, N> -> |N, 0> included;
-    the cost is a few passes over the box and one extra real box of
-    memory.  Phase states need the external ``nbar`` (the layer a later
-    embedding would use), which must be finite and positive, and not so
-    small that p_var = 4 Var(L) / nbar^2 overflows.
+
+def analyze(state, nbar: float | None = None) -> MomentReport:
+    """Moment report for a Fock-grid state, a phase state on a Fock layer
+    or a bare phase state.
+
+    Fock states carry their own photon number.  Two-mode moments come
+    from the real probability box |a|^2 over the stored support (N and L
+    from its marginals and the centred N_p-N_s covariance, P from a
+    centred pass of sqrt(m / (n+1))) and one offset inner product for
+    <E>, with the vacuum wrap |0, N> -> |N, 0> included.  A layer state's
+    moments take a few passes over its window.  Bare phase states need
+    the external ``nbar`` (the layer a later embedding would use), which
+    must be finite and positive, and not so small that p_var =
+    4 Var(L) / nbar^2 overflows.
     """
     if isinstance(state, fock.TwoModeFockState):
         return _make_report(*_grid_moments(state.block, state.offset))
+    if isinstance(state, fock.LayerState):
+        return _make_report(*_layer_moments(state))
 
     if isinstance(state, phase_space.PhaseWaveFunction):
         if nbar is None:

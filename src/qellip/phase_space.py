@@ -87,7 +87,7 @@ def _trimmed(l_min: int, amps: np.ndarray) -> PhaseWaveFunction:
         raise InvalidStateError("phase state has no support")
     lo, hi = keep[0], keep[-1] + 1
     amps = amps[lo:hi].astype(complex) / np.sqrt(np.sum(mag2[lo:hi]))
-    return PhaseWaveFunction(l_min + lo, amps)
+    return PhaseWaveFunction(l_min + int(lo), amps)
 
 
 def phase_state(components: dict[int, complex]) -> PhaseWaveFunction:
@@ -96,7 +96,7 @@ def phase_state(components: dict[int, complex]) -> PhaseWaveFunction:
     if not components:
         raise InvalidStateError("empty component map")
     ls = sorted(components)
-    l_min, l_max = ls[0], ls[-1]
+    l_min, l_max = integer("l", ls[0]), integer("l", ls[-1])
     amps = np.zeros(l_max - l_min + 1, dtype=complex)
     for l, c in components.items():
         amps[integer("l", l) - l_min] = finite(f"component Psi_{l}", c)
@@ -168,9 +168,14 @@ def from_von_mises(kappa: float, phi0: float = 0.0) -> PhaseWaveFunction:
 
 
 def shift(psi: PhaseWaveFunction, m: int) -> PhaseWaveFunction:
-    """Translate the index window by m: l_mean moves by exactly m."""
-    m = integer("m", m)
-    return PhaseWaveFunction(psi.l_min + m, psi.amplitudes.copy())
+    """Translate the index window by m: l_mean moves by exactly m.  A
+    window reaching |l| >= 2^53, where float l stops being exact, raises
+    InvalidParameterError."""
+    l_min = integer("l_min", psi.l_min) + integer("m", m)
+    if max(-l_min, l_min + len(psi.amplitudes) - 1) >= 2 ** 53:
+        raise InvalidParameterError("the shifted window reaches past |l| < 2^53, "
+                                    "where float l stops being exact")
+    return PhaseWaveFunction(l_min, psi.amplitudes.copy())
 
 
 def rotate(psi: PhaseWaveFunction, theta: float) -> PhaseWaveFunction:
@@ -185,25 +190,47 @@ def rotate(psi: PhaseWaveFunction, theta: float) -> PhaseWaveFunction:
     return PhaseWaveFunction(psi.l_min, amps)
 
 
+def _phase_moments(a: np.ndarray, n: float, closed: bool) -> tuple[complex, float]:
+    """<e^{i phi}> = sum conj(a_l) a_{l+1} and 1 - |<e^{i phi}>|^2 / n^2 of
+    amplitudes ``a`` of norm n = |a|^2; ``closed`` adds the pair (last,
+    first), a layer's wrap.  The variance is (d/n)(2 - d/n), with
+    d = n - |<e^{i phi}>| summed as sum |b_{l+1} - u b_l|^2 / 2 over the
+    window b padded with a zero at each end (or closed by its first
+    entry), u = <e^{i phi}> / |<e^{i phi}>|, so no digits cancel:
+    1 - |<e^{i phi}>|^2 keeps only about 8 at kappa = 1e8."""
+    e_mean = complex(np.vdot(a[:-1], a[1:]))
+    if closed:
+        e_mean += complex(np.conj(a[-1]) * a[0])
+    u = e_mean / abs(e_mean) if e_mean else 1.0
+    b = np.zeros(len(a) + 2, dtype=complex)
+    b[1:-1] = a
+    if closed:
+        b = b[1:]
+        b[-1] = a[0]
+    b = b[1:] - u * b[:-1]
+    x = 0.5 * float(np.vdot(b, b).real) / n
+    return e_mean, x * (2.0 - x)
+
+
 def circular_moments(psi: PhaseWaveFunction) -> CircularMoments:
     """Moments <e^{i phi}>, circular variance, <L>, Var L.
 
-    <e^{i phi}> = sum_l conj(Psi_l) Psi_{l+1}; the circular variance is
-    1 - |<e^{i phi}>|^2; Var L = sum |Psi_l|^2 (l - <L>)^2 is centred, so
-    it keeps its digits far from l = 0.  Raises InvalidStateError if the
-    norm is off by more than 1e-9 or is NaN.
+    <e^{i phi}> = sum_l conj(Psi_l) Psi_{l+1}, with the circular variance
+    taken without cancellation (``_phase_moments``); Var L =
+    sum |Psi_l|^2 (l - <L>)^2 is centred on integer offsets within the
+    window, so it keeps its digits at any l.  Raises InvalidStateError if
+    the norm is off by more than 1e-9 or is NaN.
     """
-    nrm2 = psi.norm_sq()
+    a = psi.amplitudes
+    p = np.abs(a) ** 2
+    nrm2 = float(p.sum())
     if not abs(nrm2 - 1.0) <= 1e-9:
         raise InvalidStateError(f"state not normalized: |Psi|^2 = {nrm2:.12e}")
-    a = psi.amplitudes
-    ls = psi.l_values.astype(float)
-    p = np.abs(a) ** 2
-    e_mean = complex(np.vdot(a[:-1], a[1:])) if len(a) > 1 else 0.0j
-    l_mean = float(ls @ p)
-    l_var = float(((ls - l_mean) ** 2) @ p)
-    e_var = min(max(1.0 - abs(e_mean) ** 2, 0.0), 1.0)
-    return CircularMoments(e_mean, e_var, l_mean, l_var)
+    k = np.arange(len(a), dtype=float)
+    l_mean = float((k + psi.l_min) @ p)
+    k -= float(k @ p)
+    e_mean, e_var = _phase_moments(a, nrm2, closed=False)
+    return CircularMoments(e_mean, e_var, l_mean, float((k * k) @ p))
 
 
 def density_profile(psi: PhaseWaveFunction, grid_points: int) -> tuple[np.ndarray, np.ndarray]:

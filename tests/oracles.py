@@ -8,14 +8,17 @@ identities, scipy's exponentially scaled Bessel function replaces the
 backward recurrence of von Mises states, the Laguerre closed form
 replaces the displacement eigensolve, sums over fixed-photon-number
 layers replace the grid moments of coherent states, exactly rounded
-sums over one layer replace the box moments of embedded phase states
-and over the index window the Var L of bare ones, and the dense (cutoff+1)^2 grid, scattered from a state's stored box,
-with N, L, P and E applied to it entry by entry, replaces the box
-moments of every two-mode state.
+sums over one layer replace the window moments of embedded phase states
+and over the index window the Var L of bare ones, exact integer sums
+replace the circular variance, and the dense (cutoff+1)^2 grid,
+scattered from a state's stored box or window, with N, L, P and E
+applied to it entry by entry, replaces the moments of every two-mode
+and layer state.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -137,8 +140,15 @@ def displacement_entry(m, n, alpha: complex):
 
 def dense_amplitudes(state) -> np.ndarray:
     """The (cutoff+1)^2 grid of a two-mode state, [m, n] the amplitude of
-    |m>_p |n>_s, scattered from its stored block at its offset."""
+    |m>_p |n>_s, scattered from its stored block at its offset; for a
+    phase state on the layer N = cutoff, from its window, Psi_l on
+    |N/2 + l, N/2 - l>."""
     grid = np.zeros((state.cutoff + 1, state.cutoff + 1), dtype=complex)
+    if hasattr(state, "psi"):
+        half = state.cutoff // 2
+        l = state.psi.l_min + np.arange(len(state.psi.amplitudes))
+        grid[half + l, half - l] = state.psi.amplitudes
+        return grid
     m0, n0 = state.offset
     rows, cols = state.block.shape
     grid[m0:m0 + rows, n0:n0 + cols] = state.block
@@ -247,6 +257,26 @@ def index_variance(l_values, amps) -> float:
     total = math.fsum(w for _, w in weights)
     mean = math.fsum(l * w for l, w in weights) / total
     return math.fsum(w * (l - mean) ** 2 for l, w in weights) / total
+
+
+def circular_variance(amps, closed: bool = False) -> float:
+    """1 - |<E>|^2 / n^2 of the amplitudes a_l, <E> = sum conj(a_l) a_{l+1}
+    (with the pair (last, first) when ``closed``) and n = sum |a_l|^2.
+
+    Every double is a whole multiple of 2^-1074, so with the parts scaled
+    by 2^1074 both sums are exact integers, and n^2 - |<E>|^2 is exact;
+    only the final quotient rounds.
+    """
+    scale = Fraction(2) ** 1074
+    re = [int(Fraction(complex(a).real) * scale) for a in amps]
+    im = [int(Fraction(complex(a).imag) * scale) for a in amps]
+    pairs = list(zip(range(len(re) - 1), range(1, len(re))))
+    if closed:
+        pairs.append((len(re) - 1, 0))
+    norm = sum(x * x for x in re) + sum(y * y for y in im)
+    e_re = sum(re[i] * re[j] + im[i] * im[j] for i, j in pairs)
+    e_im = sum(re[i] * im[j] - im[i] * re[j] for i, j in pairs)
+    return float(Fraction(norm * norm - e_re * e_re - e_im * e_im, norm * norm))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ one PASS/FAIL line (visible under ``pytest -s`` or in failure output):
 
  1. coherent baseline moments at cutoff 200
  2. displaced-squeezed closed form and its noise-balance cosine
- 3. layer phase operator unitarity and uniform eigenphases
+ 3. discrete phase states as eigenstates of the layer phase operator
  4. Mathieu eigensolve vs continued fraction, residuals, k=0 optimality
  5. closed-form variances vs direct Fourier moments
  6. von Mises limits of the fundamental phase density (+ CSV emission)
@@ -22,6 +22,8 @@ import numpy as np
 import pytest
 
 from qellip import (
+    PhaseWaveFunction,
+    TwoModeFockState,
     analyze,
     circular_moments,
     coherent_state,
@@ -30,7 +32,6 @@ from qellip import (
     from_mathieu,
     from_von_mises,
     mathieu_variances,
-    phase_operator_layer,
     phase_state,
     solve_even_mathieu,
     squeezed_for_mean_photons,
@@ -99,13 +100,23 @@ def test_02_squeezed_closed_form():
 
 @criterion(3, "layer operator spectrum")
 def test_03_layer_operator():
+    # e^{i m theta_k} / sqrt(N+1) on |m, N-m>, theta_k = 2 pi k / (N+1),
+    # is an eigenvector of E with eigenvalue e^{i theta_k}: N + 1
+    # orthonormal eigenvectors with uniform unimodular eigenvalues
     for N in (1, 4, 10, 40):
-        mat = phase_operator_layer(N)
-        dim = N + 1
-        assert np.abs(mat.conj().T @ mat - np.eye(dim)).max() < 1e-12
-        phases = np.sort(np.angle(np.linalg.eigvals(mat)) % (2.0 * np.pi))
-        expected = phases[0] + 2.0 * np.pi * np.arange(dim) / dim
-        assert np.abs(phases - expected).max() < 1e-10, f"N={N}"
+        m = np.arange(N + 1)
+        for k in range(N + 1):
+            vec = np.exp(2j * np.pi * k * m / (N + 1)) / np.sqrt(N + 1)
+            block = np.zeros((N + 1, N + 1), dtype=complex)
+            block[m, N - m] = vec
+            states = [TwoModeFockState(N, block, 0.0)]
+            if N % 2 == 0:
+                states.append(embed_phase_state(PhaseWaveFunction(-N // 2, vec), N))
+            for state in states:
+                report = analyze(state)
+                assert abs(report.e_mean - np.exp(2j * np.pi * k / (N + 1))) < 1e-12, \
+                    f"N={N}, k={k}"
+                assert report.e_var < 1e-12, f"N={N}, k={k}"
 
 
 @criterion(4, "Mathieu eigensolve")

@@ -14,14 +14,14 @@ from qellip import (
     coherent_state,
     displaced_squeezed_state,
     embed_phase_state,
-    extract_layer,
     from_mathieu,
     from_von_mises,
     circular_moments,
-    phase_operator_layer,
     solve_even_mathieu,
     squeezed_for_mean_photons,
 )
+from qellip.noise import mathieu_family
+from qellip.phase_space import PhaseWaveFunction
 
 from qellip import fock
 from oracles import (
@@ -34,39 +34,67 @@ from oracles import (
 )
 
 
+def discrete_phase_state(N: int, k: int) -> np.ndarray:
+    """e^{i m theta_k} / sqrt(N+1) on |m, N-m>, theta_k = 2 pi k / (N+1):
+    the eigenvector of the layer's cyclic shift E with eigenvalue e^{i theta_k}."""
+    return np.exp(2j * np.pi * k * np.arange(N + 1) / (N + 1)) / np.sqrt(N + 1)
+
+
+def layer_states(vec: np.ndarray) -> list:
+    """``vec`` (the amplitudes of |m, N-m>, m = 0..N) on layer N as an
+    origin two-mode state and, for even N, through embed_phase_state."""
+    N = len(vec) - 1
+    block = np.zeros((N + 1, N + 1), dtype=complex)
+    block[np.arange(N + 1), N - np.arange(N + 1)] = vec
+    states = [TwoModeFockState(N, block, 0.0)]
+    if N % 2 == 0:
+        states.append(embed_phase_state(PhaseWaveFunction(-N // 2, vec), N))
+    return states
+
+
 class TestLayerOperator:
+    """The E of ``analyze`` on one photon-number layer: the cyclic shift
+    |m, n> -> |m-1, n+1>, closed by the wrap |0, N> -> |N, 0>."""
+
     def test_smallest_layer_is_exchange(self):
-        mat = phase_operator_layer(1)
-        assert np.array_equal(mat, np.array([[0, 1], [1, 0]], dtype=complex))
-        assert sorted(np.linalg.eigvals(mat).real) == pytest.approx([-1.0, 1.0])
+        for sign in (1.0, -1.0):
+            block = np.array([[0.0, 1.0], [sign, 0.0]], dtype=complex) / np.sqrt(2.0)
+            report = analyze(TwoModeFockState(1, block, 0.0))
+            assert report.e_mean == pytest.approx(sign, abs=1e-15)
+            assert report.e_var == pytest.approx(0.0, abs=1e-15)
 
     def test_eigenvalues_are_roots_of_unity(self):
-        ev = np.linalg.eigvals(phase_operator_layer(4))
-        expected = np.exp(2j * np.pi * np.arange(5) / 5.0)
-        assert np.allclose(np.sort_complex(ev), np.sort_complex(expected),
-                           atol=1e-12)
+        for k in range(5):
+            for st in layer_states(discrete_phase_state(4, k)):
+                e_mean = analyze(st).e_mean
+                assert abs(e_mean - np.exp(2j * np.pi * k / 5.0)) < 1e-12
 
     @pytest.mark.parametrize("N", [1, 4, 10, 40])
     def test_unitarity(self, N):
-        mat = phase_operator_layer(N)
-        assert np.abs(mat.conj().T @ mat - np.eye(N + 1)).max() < 1e-14
+        # N + 1 orthonormal eigenvectors, each with |<E>| = 1 and no spread
+        for k in range(N + 1):
+            for st in layer_states(discrete_phase_state(N, k)):
+                report = analyze(st)
+                assert abs(report.e_mean - np.exp(2j * np.pi * k / (N + 1))) < 1e-12
+                assert report.e_var < 1e-12
 
     def test_invalid_layer(self):
         with pytest.raises(InvalidParameterError):
-            phase_operator_layer(0)
+            embed_phase_state(from_von_mises(0.0), 0)
 
     def test_full_operator_consistent_with_layer_blocks(self):
-        # E restricted to a complete layer of the square grid acts as the cycle
-        M = 6
+        # a layer inside a larger grid, as a box and as a layer state,
+        # against the oracle's E applied to the dense grid
         rng = np.random.default_rng(0)
         vec = rng.normal(size=5) + 1j * rng.normal(size=5)
         vec /= np.linalg.norm(vec)
-        amps = np.zeros((M + 1, M + 1), dtype=complex)
+        amps = np.zeros((7, 7), dtype=complex)
         n = np.arange(5)
         amps[n, 4 - n] = vec
-        applied = apply_phase(amps)
-        assert np.allclose(applied[n, 4 - n],
-                           phase_operator_layer(4) @ vec, atol=1e-15)
+        expected = np.vdot(amps, apply_phase(amps))
+        assert abs(analyze(TwoModeFockState(6, amps, 0.0)).e_mean - expected) < 1e-15
+        for st in layer_states(vec):
+            assert abs(analyze(st).e_mean - expected) < 1e-15
 
 
 class TestDiagonalOperators:
@@ -160,8 +188,12 @@ class TestGridBudget:
             coherent_state(np.sqrt(5e4), np.sqrt(5e4))
         with pytest.raises(InvalidParameterError, match="budget"):
             squeezed_for_mean_photons(20000.0, 5.0)
-        with pytest.raises(InvalidParameterError, match="budget"):
-            embed_phase_state(from_von_mises(1.0), 100000)
+
+    def test_embeds_past_the_nominal_grid_run(self):
+        # an embed allocates its window, not the (N+1)^2 grid of its layer
+        report = analyze(embed_phase_state(from_von_mises(1.0), 100000))
+        assert report.n_mean == 100000.0
+        assert 0.0 < report.p_var < 1e-9
 
     def test_budget_boundary(self, monkeypatch):
         monkeypatch.setattr(fock, "MAX_GRID_BYTES", 11 * 11 * 16)
@@ -170,34 +202,48 @@ class TestGridBudget:
             coherent_state(0.5, 0.5, 11)
         with pytest.raises(InvalidParameterError, match="budget"):
             displaced_squeezed_state(0.5, 0.5, 0.1, cutoff=11)
-        with pytest.raises(InvalidParameterError, match="budget"):
-            embed_phase_state(from_von_mises(0.0), 12)
+
+    def test_embed_ignores_the_grid_budget(self, monkeypatch):
+        monkeypatch.setattr(fock, "MAX_GRID_BYTES", 11 * 11 * 16)
+        report = analyze(embed_phase_state(from_von_mises(0.0), 12))
+        assert (report.n_mean, report.l_var, report.p_var) == (12.0, 0.0, 0.0)
 
 
 class TestHugeInputs:
     """Inputs far past the grid budget are refused by it, not by an
-    OverflowError from the sizes computed on the way."""
+    OverflowError from the sizes computed on the way.  A layer state
+    stores no grid: its layer runs at any size N/2 has a float for."""
 
     @pytest.mark.parametrize("call", [
         lambda: coherent_state(1e100, 1e100),
         lambda: coherent_state(1e200, 1e200),
         lambda: squeezed_for_mean_photons(1e300, 1.0),
         lambda: displaced_squeezed_state(1e200, 1e200, 0.5),
-        lambda: embed_phase_state(from_von_mises(2.0), 10 ** 200),
-        lambda: phase_operator_layer(10 ** 6),
-        lambda: phase_operator_layer(10 ** 200),
     ], ids=["coherent-1e100", "coherent-1e200", "squeezed-nbar-1e300",
-            "displaced-squeezed-1e200", "embed-layer-1e200",
-            "layer-operator-1e6", "layer-operator-1e200"])
+            "displaced-squeezed-1e200"])
     def test_refused_by_the_budget(self, call):
         with pytest.raises(InvalidParameterError, match="budget"):
             call()
 
-    def test_layer_operator_refusal_names_the_layer(self):
-        with pytest.raises(InvalidParameterError) as exc:
-            phase_operator_layer(10 ** 6)
-        assert str(exc.value) == ("the 1000001 x 1000001 operator of layer 1000000 "
-                                  "is over the 1024 MiB budget")
+    def test_embed_on_a_huge_layer_runs(self):
+        # P = sqrt((N/2 + l) / (N/2 - l + 1)) rounds to 1 on every
+        # component, and the true Var P, about 4 Var L / N^2 = 1e-400,
+        # rounds to 0
+        report = analyze(embed_phase_state(from_von_mises(2.0), 10 ** 200))
+        assert report.n_mean == 1e200
+        assert report.p_var == 0.0
+        assert all(np.isfinite([report.e_var, report.l_var, report.saturation_ratio]))
+
+    @pytest.mark.parametrize("call", [
+        lambda: embed_phase_state(from_von_mises(2.0), 10 ** 400),
+        lambda: mathieu_family(1.0).build_report(10 ** 400),
+        # past Python's limit on the digits of an int printed in a message
+        lambda: embed_phase_state(from_von_mises(2.0), -10 ** 5000),
+    ], ids=["embed", "family", "negative-5000-digits"])
+    def test_layer_past_the_float_range_refused(self, call):
+        # N/2 has no float; the refusal is typed, not an OverflowError
+        with pytest.raises(InvalidParameterError, match="2\\^1000"):
+            call()
 
     def test_message_within_float_range_keeps_its_size(self):
         with pytest.raises(InvalidParameterError) as exc:
@@ -211,16 +257,13 @@ class TestIntegerArguments:
 
     @pytest.mark.parametrize("call", [
         lambda: embed_phase_state(from_von_mises(2.0), 100.7),
-        lambda: extract_layer(coherent_state(1.0, 1.0), 10.5),
-        lambda: phase_operator_layer(4.5),
         lambda: coherent_state(1.0, 1.0, cutoff=10.5),
-    ], ids=["embed", "extract", "layer-operator", "cutoff"])
+    ], ids=["embed", "cutoff"])
     def test_fraction_refused(self, call):
         with pytest.raises(InvalidParameterError, match="must be an integer"):
             call()
 
     def test_whole_floats_accepted(self):
-        assert phase_operator_layer(4.0).shape == (5, 5)
         assert coherent_state(1.0, 1.0, cutoff=30.0).cutoff == 30
         assert embed_phase_state(from_von_mises(2.0), 100.0).cutoff == 100
 
@@ -413,11 +456,11 @@ class TestEmbedding:
             embed_phase_state(from_von_mises(80.0), 10)
 
     def test_box_is_the_support(self):
+        # the layer state keeps the window itself, whatever the layer
         psi = from_mathieu(solve_even_mathieu(1.0, 0))
-        l_max = psi.l_min + len(psi.amplitudes) - 1
         st = embed_phase_state(psi, 40)
-        assert st.block.shape == (len(psi.amplitudes),) * 2
-        assert st.offset == (20 + psi.l_min, 20 - l_max)
+        assert st.psi.l_min == psi.l_min
+        assert len(st.psi.amplitudes) == len(psi.amplitudes)
         ref = np.zeros((41, 41), dtype=complex)
         ref[20 + psi.l_values, 20 - psi.l_values] = psi.amplitudes
         ref /= np.linalg.norm(ref)
@@ -425,10 +468,16 @@ class TestEmbedding:
 
     def test_clipped_support_keeps_the_window(self):
         # kappa = 80 reaches past l = +-5; on N = 10 only l in [-5, 5] stays
-        st = embed_phase_state(from_von_mises(80.0), 10, tail_tol=1.0 - 1e-3)
-        assert st.block.shape == (11, 11)
-        assert st.offset == (0, 0)
+        psi = from_von_mises(80.0)
+        st = embed_phase_state(psi, 10, tail_tol=1.0 - 1e-3)
+        assert st.psi.l_min == -5
+        assert len(st.psi.amplitudes) == 11
         assert st.tail_mass > 1e-3
+        ref = np.zeros((11, 11), dtype=complex)
+        l = np.arange(-5, 6)
+        ref[5 + l, 5 - l] = psi.amplitudes[l - psi.l_min]
+        ref /= np.linalg.norm(ref)
+        assert np.abs(dense_amplitudes(st) - ref).max() < 1e-15
 
     def test_cost_follows_the_support(self):
         # 11 components on the N = 6000 layer, whose dense grid is 576 MB
@@ -487,28 +536,13 @@ class TestMomentForms:
         assert ratios[-1] == pytest.approx(1.0, abs=0.01)
 
     def test_layer_extraction(self):
+        # the embedded state lies on its layer alone, with unit norm there
         psi = from_mathieu(solve_even_mathieu(0.5, 0))
-        st = embed_phase_state(psi, 20)
-        vec = extract_layer(st, 20)
-        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(extract_layer(st, 4)) == 0.0
-
-    def test_layer_extraction_reads_the_box(self):
-        rng = np.random.default_rng(3)
-        for offset in ((0, 0), (0, 3), (4, 0), (2, 5)):
-            block = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-            st = fock.TwoModeFockState(9, block, 0.0, offset)
-            dense = dense_amplitudes(st)
-            for N in range(10):
-                n = np.arange(N + 1)
-                assert np.array_equal(extract_layer(st, N), dense[n, N - n])
-
-    def test_layer_extraction_rejects_negative_layer(self):
-        st = coherent_state(0.5, 0.5, 10)
-        with pytest.raises(InvalidParameterError):
-            extract_layer(st, -1)
-        with pytest.raises(DimensionMismatchError):
-            extract_layer(st, 11)
+        dense = dense_amplitudes(embed_phase_state(psi, 20))
+        n = np.arange(21)
+        assert np.linalg.norm(dense[n, 20 - n]) == pytest.approx(1.0, abs=1e-12)
+        dense[n, 20 - n] = 0.0
+        assert np.linalg.norm(dense) == 0.0
 
     def test_box_must_fit_the_grid(self):
         with pytest.raises(DimensionMismatchError):

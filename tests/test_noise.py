@@ -1,6 +1,7 @@
 """Uncertainty reports, scaling fits, and noise propagation to rho."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,7 +36,8 @@ from qellip.noise import (
     report_to_dict,
     target_value,
 )
-from oracles import dense_moments, layer_modulus_variance
+from qellip.phase_space import PhaseWaveFunction
+from oracles import circular_variance, dense_moments, layer_modulus_variance
 
 
 class TestAnalyze:
@@ -106,6 +108,15 @@ class TestAnalyze:
             block = rng.normal(size=box) + 1j * rng.normal(size=box)
             states.append(TwoModeFockState(cutoff, block / np.linalg.norm(block), 0.0,
                                            (m0, n0)))
+        # random windows on an even layer N <= 12; a window that spans the
+        # layer puts the wrap |0, N> -> |N, 0> into <E>
+        for spans in (True, False):
+            N = 2 * int(rng.integers(1, 7))
+            l_lo = -N // 2 if spans else int(rng.integers(-N // 2, N // 2 + 1))
+            width = N + 1 if spans else int(rng.integers(1, N // 2 - l_lo + 2))
+            window = rng.normal(size=width) + 1j * rng.normal(size=width)
+            states.append(embed_phase_state(
+                PhaseWaveFunction(l_lo, window / np.linalg.norm(window)), N))
         for state in states:
             report = analyze(state)
             ref = dense_moments(state)
@@ -121,7 +132,38 @@ class TestAnalyze:
         # where <P^2> - <P>^2 keeps only the first few digits
         psi = from_mathieu(solve_even_mathieu(1e-3, 0))
         ref = layer_modulus_variance(psi.l_values, psi.amplitudes, N)
-        assert analyze(embed_phase_state(psi, N)).p_var == pytest.approx(ref, rel=1e-9)
+        assert analyze(embed_phase_state(psi, N)).p_var == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("N", [10 ** 3, 10 ** 5, 10 ** 7])
+    def test_mathieu_layer_modulus_variance_at_scale(self, N):
+        psi = from_mathieu(solve_even_mathieu(1.0, 0))
+        ref = layer_modulus_variance(psi.l_values, psi.amplitudes, N)
+        assert analyze(embed_phase_state(psi, N)).p_var == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    def test_von_mises_layer_cost_follows_the_window(self):
+        # about 7400 components on the layer of 2e6 photons, whose dense
+        # grid would take 64 TB
+        psi = from_von_mises(1e6)
+        tracemalloc.start()
+        try:
+            report = analyze(embed_phase_state(psi, 2 * 10 ** 6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        ref = layer_modulus_variance(psi.l_values, psi.amplitudes, 2 * 10 ** 6)
+        assert report.p_var == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    def test_wrapped_layer_circular_variance_is_exact(self):
+        # windows spanning the layer, so E's wrap pairs the last component
+        # with the first
+        rng = np.random.default_rng(11)
+        for N in (2, 6, 12):
+            window = rng.normal(size=N + 1) + 1j * rng.normal(size=N + 1)
+            psi = PhaseWaveFunction(-N // 2, window / np.linalg.norm(window))
+            state = embed_phase_state(psi, N)
+            ref = circular_variance(state.psi.amplitudes, closed=True)
+            assert analyze(state).e_var == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_rejects_unknown_objects(self):
         with pytest.raises(InvalidParameterError):
@@ -235,9 +277,14 @@ class TestFamilyRegistry:
         with pytest.raises(InvalidParameterError, match="even integer photon numbers"):
             mathieu_family(1.0).build_report(nbar)
 
-    def test_huge_layer_refused_by_the_budget(self):
-        with pytest.raises(InvalidParameterError, match="budget"):
-            mathieu_family(1.0).build_report(1e200)
+    def test_huge_layer_runs(self):
+        # P rounds to 1 on every component, and the true Var P, about
+        # 4 Var L / N^2 = 1e-400, rounds to 0
+        report = mathieu_family(1.0).build_report(1e200)
+        assert report.n_mean == 1e200
+        assert report.p_var == 0.0
+        assert all(math.isfinite(getattr(report, f)) for f in
+                   ("e_var", "l_mean", "l_var", "product", "bound", "saturation_ratio"))
 
 
 class TestSaturation:

@@ -29,7 +29,8 @@ from qellip import (
 from qellip import phase_space
 from qellip.phase_space import _trimmed
 
-from oracles import index_variance, von_mises_circular_mean, von_mises_components
+from oracles import (circular_variance, index_variance, von_mises_circular_mean,
+                     von_mises_components)
 
 
 def random_state(seed: int, width: int = 9) -> PhaseWaveFunction:
@@ -274,8 +275,55 @@ class TestCircularMoments:
         else:
             psi = shift(from_von_mises(4.0), 10 ** 7)
         ref = index_variance(psi.l_values, psi.amplitudes)
-        assert circular_moments(psi).l_var == pytest.approx(ref, rel=1e-9)
+        assert circular_moments(psi).l_var == pytest.approx(ref, rel=1e-9, abs=0.0)
         assert analyze(psi, nbar=100.0).saturation_ratio >= 1.0
+
+
+class TestShiftedWindows:
+    """shift keeps l_min a Python int and refuses windows past |l| < 2^53,
+    where float l stops being exact."""
+
+    @pytest.mark.parametrize("m", [10 ** 15, -10 ** 15, "edge", "-edge"])
+    def test_var_l_far_out_matches_the_oracle(self, m):
+        psi = from_von_mises(4.0)
+        l_max = psi.l_min + len(psi.amplitudes) - 1
+        m = {"edge": 2 ** 53 - 1 - l_max, "-edge": 1 - 2 ** 53 - psi.l_min}.get(m, m)
+        shifted = shift(psi, m)
+        assert type(shifted.l_min) is int
+        ref = index_variance(shifted.l_values, shifted.amplitudes)
+        assert circular_moments(shifted).l_var == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert circular_moments(shifted).l_var == pytest.approx(
+            circular_moments(psi).l_var, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m", [10 ** 18, 10 ** 19, -10 ** 19, "edge", "-edge"])
+    def test_window_past_exact_floats_refused(self, m):
+        psi = from_von_mises(4.0)
+        l_max = psi.l_min + len(psi.amplitudes) - 1
+        m = {"edge": 2 ** 53 - l_max, "-edge": -2 ** 53 - psi.l_min}.get(m, m)
+        with pytest.raises(InvalidParameterError, match="2\\^53"):
+            shift(psi, m)
+
+    def test_constructors_keep_l_min_an_int(self):
+        for psi in (from_von_mises(4.0), from_mathieu(solve_even_mathieu(1.0, 0)),
+                    phase_state({np.int64(3): 1.0, np.int64(5): 1.0})):
+            assert type(psi.l_min) is int
+
+
+class TestCircularVariance:
+    """e_var from d = n - |<E>| summed without cancellation, against an
+    exact integer sum over the same stored amplitudes."""
+
+    @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8])
+    def test_von_mises_against_exact_sums(self, kappa):
+        psi = from_von_mises(kappa)
+        ref = circular_variance(psi.amplitudes)
+        assert circular_moments(psi).e_var == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_complex_components_against_exact_sums(self):
+        # rotated, so <E> and the step u = <E> / |<E>| are not real
+        psi = rotate(from_von_mises(1e6), 0.7)
+        ref = circular_variance(psi.amplitudes)
+        assert circular_moments(psi).e_var == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestNonFiniteInputs:
