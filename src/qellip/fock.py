@@ -46,6 +46,7 @@ loads numpy only and a build loads no ``scipy.linalg`` package.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,16 +328,16 @@ def embed_phase_state(psi: PhaseWaveFunction, N: int,
     """Place a phase state onto the single Fock layer of N photons.
 
     The component Psi_l becomes the amplitude of |N/2 + l, N/2 - l>.  N
-    must be even, so the window is integer-centred, and below 2^1000, so
-    N/2 is a float.  The state keeps a copy of the components in
-    [-N/2, N/2], whatever N; clipping more than ``tail_tol`` outside it
-    raises TruncationError.
+    must be even, so the window is integer-centred, and at most the
+    largest float, which the moments take N + 1 as.  The state keeps a
+    copy of the components in [-N/2, N/2], whatever N; clipping more
+    than ``tail_tol`` outside it raises TruncationError.
     """
     N = integer("layer photon number", N)
-    if not 2 <= N < 2 ** 1000 or N % 2 != 0:
-        got = N if abs(N) < 2 ** 1000 else f"one of {N.bit_length()} bits"
-        raise InvalidParameterError(
-            f"layer photon number must be even, >= 2 and below 2^1000, got {got}")
+    if not 2 <= N <= sys.float_info.max or N % 2 != 0:
+        got = N if abs(N) <= sys.float_info.max else f"one of {N.bit_length()} bits"
+        raise InvalidParameterError("layer photon number must be even, >= 2 and at "
+                                    f"most the largest float, got {got}")
     half = N // 2
     l_min = integer("l_min", psi.l_min)
     start = max(-half - l_min, 0)

@@ -77,11 +77,23 @@ def auto_truncation(q: float, k: int = 0) -> int:
 
 @dataclass(frozen=True)
 class MathieuSolution:
-    """One even pi-periodic eigenpair ce_{2k}(eta, q), k = order_index >= 0,
-    q >= 0: the characteristic value a_{2k}(q) and the coefficients
-    A_{2j}^{(2k)}(q), j = 0..J-1 (J = truncation_dim), McLachlan-normalized
-    with A_0 > 0 (the largest coefficient positive on the decoupled q = 0
-    branch, where A_0 vanishes)."""
+    """One even pi-periodic eigenpair ce_{2k}(eta, q).
+
+    Attributes
+    ----------
+    order_index : int
+        k >= 0; the solution is ce_{2k}.
+    q : float
+        Mathieu parameter, dimensionless, >= 0.
+    eigenvalue : float
+        Characteristic value a_{2k}(q).
+    coefficients : np.ndarray
+        A_{2j}^{(2k)}(q) for j = 0..J-1, McLachlan-normalized, A_0-sign
+        positive (largest-coefficient positive on the decoupled q = 0
+        branch where A_0 vanishes).
+    truncation_dim : int
+        Window length J.
+    """
 
     order_index: int
     q: float
@@ -205,15 +217,31 @@ def _eigenpair(q: float, k: int, truncation: int | None,
 
 
 def solve_even_mathieu(q: float, k: int = 0, truncation: int | None = None) -> MathieuSolution:
-    """The k-th even pi-periodic Mathieu eigenpair ce_{2k}(eta, q), q >= 0,
-    eigenvalues a_{2k}(q) sorted ascending in k.
+    """Compute the k-th even pi-periodic Mathieu eigenpair ce_{2k}(eta, q).
 
-    ``truncation`` is the Fourier window J; by default
-    ``auto_truncation(q, k)``, doubled until the coefficient tail decays
-    below TAIL_TOL.  Raises InvalidParameterError for q non-finite or
-    negative, k or J not a whole number, k negative, J < 1, or J over
-    MAX_TRUNCATION (q above about 1.6e17 by default); TruncationError for
-    k >= J, or a tail not below TAIL_TOL within an explicit window.
+    Parameters
+    ----------
+    q : float
+        Mathieu parameter, >= 0.
+    k : int
+        Order index; the eigenvalue is a_{2k}(q), eigenvalues sorted
+        ascending.
+    truncation : int, optional
+        Fourier window length J.  Defaults to ``auto_truncation(q, k)``,
+        doubled until the coefficient tail decays below TAIL_TOL.
+
+    Returns
+    -------
+    MathieuSolution
+
+    Raises
+    ------
+    InvalidParameterError
+        q non-finite or negative, k or J not a whole number, k negative,
+        J < 1, or J over MAX_TRUNCATION (q above about 1.6e17 by default).
+    TruncationError
+        k >= J, or the coefficient tail does not decay below TAIL_TOL
+        within an explicit window.
     """
     q, J, a, vec, k = _eigenpair(q, k, truncation, odd=False)
     coeffs = vec.copy()
@@ -266,11 +294,19 @@ def theta_series(sol: MathieuSolution) -> float:
 
 
 def mathieu_variances(sol: MathieuSolution) -> tuple[float, float]:
-    """Closed-form moments of the phase state built on ce_{2k}: the
-    photon-difference variance (eigenvalue - 2 q Theta)/4 and the circular
-    variance 1 - Theta^2.  A photon-difference variance negative beyond
-    rounding signals a truncation failure upstream and raises
-    InconsistentSolutionError.
+    """Closed-form moments of the phase state built on ce_{2k}.
+
+    Returns
+    -------
+    (delta_l2, delta_e2) : tuple of float
+        Photon-difference variance (eigenvalue - 2 q Theta)/4 and
+        circular variance 1 - Theta^2.
+
+    Raises
+    ------
+    InconsistentSolutionError
+        If the variance formula goes negative beyond rounding, which
+        signals a truncation failure upstream.
     """
     theta = theta_series(sol)
     delta_l2 = 0.25 * (sol.eigenvalue - 2.0 * sol.q * theta)

@@ -177,8 +177,11 @@ def _layer_moments(state: fock.LayerState
                    ) -> tuple[float, complex, float, float, float, float]:
     """``_grid_moments`` of a phase state on the layer of N photons: L is
     the index l, E steps l to l + 1 (the wrap |0, N> -> |N, 0> pairs
-    N/2 with -N/2), and P = sqrt((N/2 + l) / (N/2 - l + 1)) is centred on
-    its middle value first, so a layer where every P rounds to 1 gives 0."""
+    N/2 with -N/2), and P = sqrt(A / B), A = N/2 + l, B = N + 1 - A.
+
+    P is centred on the middle component's P_c first, through
+    P - P_c = j (N + 1) / (B B_c (P + P_c)) with the integer offset
+    j = l - c, so no digits cancel at any N; then on the mean."""
     psi, N = state.psi, state.cutoff
     mom = phase_space.circular_moments(psi)
     prob = np.abs(psi.amplitudes) ** 2
@@ -186,11 +189,16 @@ def _layer_moments(state: fock.LayerState
     if len(prob) == N + 1:  # the window spans the layer
         e_mean, e_var = phase_space._phase_moments(psi.amplitudes, float(prob.sum()),
                                                    closed=True)
-    l = psi.l_values.astype(float)
-    p = np.sqrt((N / 2 + l) / (N / 2 - l + 1.0))
-    p -= p[len(p) // 2]
-    p -= prob @ p
-    return float(N), e_mean, e_var, mom.l_mean, mom.l_var, float(prob @ (p * p))
+    c = len(prob) // 2
+    j = np.arange(len(prob)) - float(c)
+    a_c = N // 2 + psi.l_min + c
+    b = float(N + 1 - a_c) - j
+    p = np.sqrt((a_c + j) / b)
+    s = p + p[c]
+    s[c] = 1.0  # j = 0 there; P_c is 0 on a one-component window at l = -N/2
+    dp = j / b * (float(N + 1) / b[c]) / s
+    dp -= prob @ dp
+    return float(N), e_mean, e_var, mom.l_mean, mom.l_var, float(prob @ (dp * dp))
 
 
 def analyze(state, nbar: float | None = None) -> MomentReport:

@@ -202,11 +202,7 @@ def _phase_moments(a: np.ndarray, n: float, closed: bool) -> tuple[complex, floa
     if closed:
         e_mean += complex(np.conj(a[-1]) * a[0])
     u = e_mean / abs(e_mean) if e_mean else 1.0
-    b = np.zeros(len(a) + 2, dtype=complex)
-    b[1:-1] = a
-    if closed:
-        b = b[1:]
-        b[-1] = a[0]
+    b = np.concatenate((a, a[:1]) if closed else ([0.0], a, [0.0]))
     b = b[1:] - u * b[:-1]
     x = 0.5 * float(np.vdot(b, b).real) / n
     return e_mean, x * (2.0 - x)

@@ -8,16 +8,18 @@ identities, scipy's exponentially scaled Bessel function replaces the
 backward recurrence of von Mises states, the Laguerre closed form
 replaces the displacement eigensolve, sums over fixed-photon-number
 layers replace the grid moments of coherent states, exactly rounded
-sums over one layer replace the window moments of embedded phase states
-and over the index window the Var L of bare ones, exact integer sums
-replace the circular variance, and the dense (cutoff+1)^2 grid,
-scattered from a state's stored box or window, with N, L, P and E
-applied to it entry by entry, replaces the moments of every two-mode
-and layer state.
+sums over the index window replace the Var L of bare phase states,
+decimal sums carried past the digits of N the Var P of embedded ones,
+exact integer sums replace the circular variance, and the dense
+(cutoff+1)^2 grid, scattered from a state's stored box or window, with
+N, L, P and E applied to it entry by entry, replaces the moments of
+every two-mode and layer state.
 """
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -232,17 +234,21 @@ def layer_modulus_variance(l_values, amps, N: int) -> float:
     """Var P of Psi_l placed on |N/2 + l, N/2 - l>, components outside
     the layer dropped and the rest renormalized.
 
-    P = sqrt((N/2 + l) / (N/2 - l + 1)) on each component; the mean and
-    the centred second moment are both taken with ``math.fsum``, so the
-    variance keeps its digits when it is many orders below <P>^2.
+    P = sqrt((N/2 + l) / (N/2 - l + 1)) on each component, in decimal
+    arithmetic carried 40 digits past those of N: neighbouring P differ
+    by about 2/N, so the centred sum keeps its digits at any N.  The
+    weights are the exact squares of the float amplitudes.
     """
     half = N // 2
-    weights = [(int(l), abs(complex(a)) ** 2)
-               for l, a in zip(l_values, amps) if abs(int(l)) <= half]
-    total = math.fsum(w for _, w in weights)
-    terms = [(math.sqrt((half + l) / (half - l + 1)), w / total) for l, w in weights]
-    mean = math.fsum(w * p for p, w in terms)
-    return math.fsum(w * (p - mean) ** 2 for p, w in terms)
+    with decimal.localcontext() as ctx:
+        ctx.prec = len(str(N)) + 40
+        weights = [(int(l), Decimal(float(a.real)) ** 2 + Decimal(float(a.imag)) ** 2)
+                   for l, a in zip(l_values, map(complex, amps)) if abs(int(l)) <= half]
+        total = sum(w for _, w in weights)
+        terms = [((Decimal(half + l) / Decimal(half - l + 1)).sqrt(), w / total)
+                 for l, w in weights]
+        mean = sum(w * p for p, w in terms)
+        return float(sum(w * (p - mean) ** 2 for p, w in terms))
 
 
 def index_variance(l_values, amps) -> float:

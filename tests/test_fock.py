@@ -1,5 +1,6 @@
 """Truncated two-mode simulator: operators, constructors, exact moments."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -226,23 +227,30 @@ class TestHugeInputs:
             call()
 
     def test_embed_on_a_huge_layer_runs(self):
-        # P = sqrt((N/2 + l) / (N/2 - l + 1)) rounds to 1 on every
-        # component, and the true Var P, about 4 Var L / N^2 = 1e-400,
-        # rounds to 0
+        # the true Var P, about 4 Var L / N^2 = 1e-400, is under the
+        # smallest float and rounds to 0
         report = analyze(embed_phase_state(from_von_mises(2.0), 10 ** 200))
         assert report.n_mean == 1e200
         assert report.p_var == 0.0
         assert all(np.isfinite([report.e_var, report.l_var, report.saturation_ratio]))
 
+    def test_layer_at_the_largest_float_runs(self):
+        N = int(sys.float_info.max)
+        report = analyze(embed_phase_state(from_von_mises(2.0), N))
+        assert report.n_mean == sys.float_info.max
+        assert report.p_var == 0.0
+        assert all(np.isfinite([report.e_var, report.l_var, report.saturation_ratio]))
+
     @pytest.mark.parametrize("call", [
         lambda: embed_phase_state(from_von_mises(2.0), 10 ** 400),
+        lambda: embed_phase_state(from_von_mises(2.0), int(sys.float_info.max) + 2),
         lambda: mathieu_family(1.0).build_report(10 ** 400),
         # past Python's limit on the digits of an int printed in a message
         lambda: embed_phase_state(from_von_mises(2.0), -10 ** 5000),
-    ], ids=["embed", "family", "negative-5000-digits"])
+    ], ids=["embed", "past-the-largest-float", "family", "negative-5000-digits"])
     def test_layer_past_the_float_range_refused(self, call):
-        # N/2 has no float; the refusal is typed, not an OverflowError
-        with pytest.raises(InvalidParameterError, match="2\\^1000"):
+        # N + 1 has no float; the refusal is typed, not an OverflowError
+        with pytest.raises(InvalidParameterError, match="largest float"):
             call()
 
     def test_message_within_float_range_keeps_its_size(self):

@@ -23,6 +23,7 @@ from qellip import (
     phase_state,
     rho_uncertainty,
     scaling_sweep,
+    shift,
     solve_even_mathieu,
     squeezed_family,
     squeezed_for_mean_photons,
@@ -134,11 +135,28 @@ class TestAnalyze:
         ref = layer_modulus_variance(psi.l_values, psi.amplitudes, N)
         assert analyze(embed_phase_state(psi, N)).p_var == pytest.approx(ref, rel=1e-9, abs=0.0)
 
-    @pytest.mark.parametrize("N", [10 ** 3, 10 ** 5, 10 ** 7])
+    @pytest.mark.parametrize("N", [10 ** 3, 10 ** 5, 10 ** 7, 10 ** 12, 10 ** 20, 10 ** 100])
     def test_mathieu_layer_modulus_variance_at_scale(self, N):
+        # neighbouring P differ by about 2/N: a pass over float P loses
+        # log10(N) digits and reads 0 past N of about 2^54, where the true
+        # Var P, about 4 Var L / N^2, is still a float (4e-201 at 1e100)
         psi = from_mathieu(solve_even_mathieu(1.0, 0))
         ref = layer_modulus_variance(psi.l_values, psi.amplitudes, N)
-        assert analyze(embed_phase_state(psi, N)).p_var == pytest.approx(ref, rel=1e-9, abs=0.0)
+        assert ref > 0.0
+        assert analyze(embed_phase_state(psi, N)).p_var == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("edge", ["low", "high", "one-at-low"])
+    def test_window_at_the_layer_edge(self, edge):
+        # P runs from 0 at l = -N/2 to sqrt(N + 1) at l = N/2; a lone
+        # component at l = -N/2 has P = 0 and Var P = 0
+        N = 10 ** 12
+        psi = from_von_mises(4.0)
+        last = psi.l_min + len(psi.amplitudes) - 1
+        psi = {"low": shift(psi, -N // 2 - psi.l_min), "high": shift(psi, N // 2 - last),
+               "one-at-low": PhaseWaveFunction(-N // 2, np.array([1.0 + 0j]))}[edge]
+        state = embed_phase_state(psi, N)
+        ref = layer_modulus_variance(state.psi.l_values, state.psi.amplitudes, N)
+        assert analyze(state).p_var == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_von_mises_layer_cost_follows_the_window(self):
         # about 7400 components on the layer of 2e6 photons, whose dense
@@ -278,8 +296,8 @@ class TestFamilyRegistry:
             mathieu_family(1.0).build_report(nbar)
 
     def test_huge_layer_runs(self):
-        # P rounds to 1 on every component, and the true Var P, about
-        # 4 Var L / N^2 = 1e-400, rounds to 0
+        # the true Var P, about 4 Var L / N^2 = 4e-401, is under the
+        # smallest float and rounds to 0
         report = mathieu_family(1.0).build_report(1e200)
         assert report.n_mean == 1e200
         assert report.p_var == 0.0
