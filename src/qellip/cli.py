@@ -3,8 +3,7 @@
 Subcommands: state, sweep, density, ellipsometry, mathieu-table.
 Exit codes: 0 success, 2 user error, 3 internal tolerance failure.
 Outputs are deterministic (no timestamps, 12-significant-digit CSV
-floats) and written atomically.  The QELLIP_TOL environment variable
-overrides the default truncation tail tolerance.
+floats) and written atomically.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from . import fock, mathieu, noise, optics, phase_space
+from . import mathieu, noise, optics, phase_space
 from .errors import (
     InconsistentSolutionError,
     InvalidParameterError,
@@ -58,19 +57,6 @@ def _write_lines(path: str | None, lines) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _tail_tol() -> float:
-    raw = os.environ.get("QELLIP_TOL")
-    if raw is None:
-        return fock.DEFAULT_TAIL_TOL
-    try:
-        tol = float(raw)
-    except ValueError:
-        raise QellipError(f"QELLIP_TOL must be a float, got {raw!r}") from None
-    if not tol > 0.0:
-        raise QellipError(f"QELLIP_TOL must be positive, got {tol}")
-    return tol
 
 
 def _load_config(path: str | None) -> dict:
@@ -139,7 +125,7 @@ def _add_family_flags(parser: argparse.ArgumentParser, nbar: bool = True) -> Non
         parser.add_argument(f"--{p.name}", type=p.type, help=p.help)
 
 
-def _family(args, cfg: dict, tol: float) -> noise.StateFamily:
+def _family(args, cfg: dict) -> noise.StateFamily:
     """The registry family named by --family, built from the flags and
     config keys of its parameters.  A flag the family does not take is an
     error; config keys are not checked, since one config may serve
@@ -156,14 +142,14 @@ def _family(args, cfg: dict, tol: float) -> noise.StateFamily:
     kwargs = {p.name: _param(args, cfg, p.name, p.type, required=p.required)
               for p in params}
     # a missing optional parameter takes the constructor's default
-    return build(tail_tol=tol, **{k: v for k, v in kwargs.items() if v is not None})
+    return build(**{k: v for k, v in kwargs.items() if v is not None})
 
 
-def _single_report(args, cfg: dict, tol: float) -> noise.MomentReport:
+def _single_report(args, cfg: dict) -> noise.MomentReport:
     """The report of one state at --nbar: exact Fock moments for the Fock
     families; for a phase family, the bare phase state's circular moments
     with nbar as an external parameter, p_var = 4 Var(L) / nbar^2."""
-    family = _family(args, cfg, tol)
+    family = _family(args, cfg)
     nbar = finite("nbar", _param(args, cfg, "nbar", float, 100.0))
     if family.phase is not None:
         return noise.analyze(family.phase, nbar=nbar)
@@ -174,9 +160,8 @@ def _single_report(args, cfg: dict, tol: float) -> noise.MomentReport:
 # subcommands
 
 def cmd_state(args) -> int:
-    tol = _tail_tol()
     cfg = _load_config(args.config)
-    report = _single_report(args, cfg, tol)
+    report = _single_report(args, cfg)
     _write_lines(args.output, [json.dumps(noise.report_to_dict(report), indent=2,
                                           sort_keys=True)])
     return 0
@@ -187,9 +172,8 @@ SWEEP_COLUMNS = ("nbar", "e_var", "l_var", "p_var", "product", "bound",
 
 
 def cmd_sweep(args) -> int:
-    tol = _tail_tol()
     cfg = _load_config(args.config)
-    family = _family(args, cfg, tol)
+    family = _family(args, cfg)
     nbar_list = [finite("nbar", _number(float, v, "nbar"))
                  for v in _items(_param(args, cfg, "nbar_list", required=True), "nbar list")]
     if not nbar_list:
@@ -270,7 +254,6 @@ def cmd_density(args) -> int:
 
 
 def cmd_ellipsometry(args) -> int:
-    tol = _tail_tol()
     cfg = _load_config(args.config)
     stack = optics.load_stack(args.stack)
     result = optics.stack_reflection(stack)
@@ -282,7 +265,7 @@ def cmd_ellipsometry(args) -> int:
         "delta_deg": float(np.rad2deg(result.delta)),
     }
     if _param(args, cfg, "family") is not None:
-        bars = noise.rho_uncertainty(_single_report(args, cfg, tol))
+        bars = noise.rho_uncertainty(_single_report(args, cfg))
         doc["noise"] = dataclasses.asdict(bars)
     else:
         for flag in ("nbar", *_FAMILY_PARAMS):

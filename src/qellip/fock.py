@@ -26,9 +26,10 @@ amplitudes; no dense grid or operator object is built.
 
 Construction is tail-checked: every constructor records the probability
 lost to the truncation before renormalizing, and raises TruncationError
-when it exceeds the tolerance (default 1e-10).  The two-mode
-constructors also check ``MAX_GRID_BYTES`` before allocating anything,
-still on the nominal (M+1)^2 grid, which only squeezed states allocate.
+when it exceeds TAIL_TOL = 1e-10: one fixed rule, which no argument or
+environment variable changes.  The two-mode constructors also check
+``MAX_GRID_BYTES`` before allocating anything, still on the nominal
+(M+1)^2 grid, which only squeezed states allocate.
 
 Displaced squeezed states are built from the columns of the displacement
 factors that their pair part reaches.  The pair amplitudes
@@ -62,7 +63,8 @@ from .errors import (
 from .mathieu import _lapack
 from .phase_space import PhaseWaveFunction
 
-DEFAULT_TAIL_TOL = 1e-10
+#: Largest norm a constructor may lose to its truncation.
+TAIL_TOL = 1e-10
 
 #: Largest amplitude grid a constructor may allocate, in bytes.
 MAX_GRID_BYTES = 2 ** 30
@@ -140,7 +142,7 @@ def _default_cutoff(mag: float, spread: float) -> int:
     return int(np.ceil(mu + spread * np.sqrt(mu + 1.0) + 25.0))
 
 
-def _normalize(amps: np.ndarray, cutoff: int, tail_tol: float, context: str) -> float:
+def _normalize(amps: np.ndarray, cutoff: int, context: str) -> float:
     """Tail-check and normalize ``amps`` in place (callers pass a fresh
     array); the tail mass."""
     captured = float(np.vdot(amps, amps).real)
@@ -149,9 +151,9 @@ def _normalize(amps: np.ndarray, cutoff: int, tail_tol: float, context: str) -> 
             f"{context}: non-finite amplitudes at cutoff {cutoff}"
         )
     tail = 1.0 - captured
-    if tail > tail_tol or captured <= 0.0:
+    if tail > TAIL_TOL or captured <= 0.0:
         raise TruncationError(
-            f"{context}: truncation tail {tail:.3e} exceeds tolerance {tail_tol:.1e} "
+            f"{context}: truncation tail {tail:.3e} exceeds tolerance {TAIL_TOL:.1e} "
             f"at cutoff {cutoff}"
         )
     parts = amps.view(np.float64)  # a real divisor: skip complex division
@@ -180,14 +182,13 @@ def _coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
 
 
 def coherent_state(alpha_p: complex, alpha_s: complex,
-                   cutoff: int | None = None,
-                   tail_tol: float = DEFAULT_TAIL_TOL) -> TwoModeFockState:
+                   cutoff: int | None = None) -> TwoModeFockState:
     """Two-mode coherent state |alpha_p> (x) |alpha_s>, truncated.
 
     The state keeps the box of rows and columns where each mode vector
     reaches COHERENT_FLOOR of its peak, so the norm dropped around it is
     far below one rounding unit.  Raises TruncationError when the
-    Poisson tail beyond the cutoff exceeds ``tail_tol``.
+    Poisson tail beyond the cutoff exceeds TAIL_TOL.
     """
     finite("alpha_p", complex(alpha_p))
     finite("alpha_s", complex(alpha_s))
@@ -198,7 +199,7 @@ def coherent_state(alpha_p: complex, alpha_s: complex,
     v_s, n0 = _coherent_support(alpha_s, cutoff)
     block = np.outer(v_p, v_s)
     return TwoModeFockState(cutoff, block,
-                            _normalize(block, cutoff, tail_tol, "coherent state"), (m0, n0))
+                            _normalize(block, cutoff, "coherent state"), (m0, n0))
 
 
 def _coherent_support(alpha: complex, cutoff: int) -> tuple[np.ndarray, int]:
@@ -240,8 +241,7 @@ def _displacement_columns(alpha: complex, cutoff: int, ncols: int) -> np.ndarray
 
 
 def displaced_squeezed_state(alpha_p: complex, alpha_s: complex, zeta: complex,
-                             cutoff: int | None = None,
-                             tail_tol: float = DEFAULT_TAIL_TOL) -> TwoModeFockState:
+                             cutoff: int | None = None) -> TwoModeFockState:
     """Two-mode squeezed vacuum displaced in each mode.
 
     The pair part is sum_n (e^{i theta} tanh s)^n |n, n> / cosh s with
@@ -250,15 +250,14 @@ def displaced_squeezed_state(alpha_p: complex, alpha_s: complex, zeta: complex,
     (tanh s)^K < PAIR_AMPLITUDE_FLOOR, so the amplitudes are
     D_p[:, :K] diag(c) D_s[:, :K]^T at O(M^2 K) cost.  zeta = 0 reduces
     exactly to ``coherent_state``.  Raises TruncationError when the pair
-    tail or the mass pressed against the grid boundary exceeds
-    ``tail_tol``.
+    tail or the mass pressed against the grid boundary exceeds TAIL_TOL.
     """
     finite("alpha_p", complex(alpha_p))
     finite("alpha_s", complex(alpha_s))
     zeta = finite("zeta", complex(zeta))
     s = abs(zeta)
     if s == 0.0:
-        return coherent_state(alpha_p, alpha_s, cutoff, tail_tol)
+        return coherent_state(alpha_p, alpha_s, cutoff)
     r = np.tanh(s)
     if cutoff is None:
         # keep every pair column whose clipped mass could reach ~1e-12,
@@ -285,18 +284,16 @@ def displaced_squeezed_state(alpha_p: complex, alpha_s: complex, zeta: complex,
     # sitting against the grid boundary
     band = (np.sum(np.abs(amps[-5:, :]) ** 2)
             + np.sum(np.abs(amps[:-5, -5:]) ** 2))
-    if band > tail_tol:
+    if band > TAIL_TOL:
         raise TruncationError(
             f"displaced squeezed state: boundary mass {band:.3e} exceeds "
-            f"tolerance {tail_tol:.1e} at cutoff {cutoff}"
+            f"tolerance {TAIL_TOL:.1e} at cutoff {cutoff}"
         )
-    return TwoModeFockState(cutoff, amps, _normalize(amps, cutoff, tail_tol,
-                                                      "displaced squeezed state"))
+    return TwoModeFockState(cutoff, amps, _normalize(amps, cutoff, "displaced squeezed state"))
 
 
 def squeezed_for_mean_photons(nbar: float, s: float, dphi: float = 0.0,
-                              cutoff: int | None = None,
-                              tail_tol: float = DEFAULT_TAIL_TOL) -> TwoModeFockState:
+                              cutoff: int | None = None) -> TwoModeFockState:
     """Displaced squeezed state at the balanced operating point.
 
     Splits nbar as |alpha_p| = |alpha_s| = sqrt(nbar/2 - sinh^2 s) with
@@ -320,18 +317,17 @@ def squeezed_for_mean_photons(nbar: float, s: float, dphi: float = 0.0,
         )
     alpha = np.sqrt(alpha_sq)
     zeta = s * np.exp(-1j * dphi)  # phi_p = phi_s = 0, so theta = -dphi
-    return displaced_squeezed_state(alpha, alpha, zeta, cutoff, tail_tol)
+    return displaced_squeezed_state(alpha, alpha, zeta, cutoff)
 
 
-def embed_phase_state(psi: PhaseWaveFunction, N: int,
-                      tail_tol: float = DEFAULT_TAIL_TOL) -> LayerState:
+def embed_phase_state(psi: PhaseWaveFunction, N: int) -> LayerState:
     """Place a phase state onto the single Fock layer of N photons.
 
     The component Psi_l becomes the amplitude of |N/2 + l, N/2 - l>.  N
     must be even, so the window is integer-centred, and at most the
     largest float, which the moments take N + 1 as.  The state keeps a
     copy of the components in [-N/2, N/2], whatever N; clipping more
-    than ``tail_tol`` outside it raises TruncationError.
+    than TAIL_TOL outside it raises TruncationError.
     """
     N = integer("layer photon number", N)
     if not 2 <= N <= sys.float_info.max or N % 2 != 0:
@@ -339,8 +335,7 @@ def embed_phase_state(psi: PhaseWaveFunction, N: int,
         raise InvalidParameterError("layer photon number must be even, >= 2 and at "
                                     f"most the largest float, got {got}")
     half = N // 2
-    l_min = integer("l_min", psi.l_min)
-    start = max(-half - l_min, 0)
-    amps = np.array(psi.amplitudes[start:max(half - l_min + 1, 0)], dtype=complex)
-    tail = _normalize(amps, N, tail_tol, f"phase state on layer N={N}")
-    return LayerState(N, PhaseWaveFunction(l_min + start, amps), tail)
+    start = max(-half - psi.l_min, 0)
+    amps = np.array(psi.amplitudes[start:max(half - psi.l_min + 1, 0)], dtype=complex)
+    tail = _normalize(amps, N, f"phase state on layer N={N}")
+    return LayerState(N, PhaseWaveFunction(psi.l_min + start, amps), tail)

@@ -245,24 +245,21 @@ def analyze(state, nbar: float | None = None) -> MomentReport:
 # ---------------------------------------------------------------------------
 # state families
 
-def coherent_family(tail_tol: float = fock.DEFAULT_TAIL_TOL, *,
-                    cutoff: int | None = None) -> StateFamily:
+def coherent_family(*, cutoff: int | None = None) -> StateFamily:
     """Balanced two-mode coherent states, |alpha_p| = |alpha_s| = sqrt(nbar/2)."""
     def build(nbar: float) -> MomentReport:
         if not (math.isfinite(nbar) and nbar >= 0.0):
             raise InvalidParameterError(f"nbar must be finite and >= 0, got {nbar}")
         a = np.sqrt(nbar / 2.0)
-        return analyze(fock.coherent_state(a, a, cutoff, tail_tol=tail_tol))
+        return analyze(fock.coherent_state(a, a, cutoff))
     return StateFamily(build)
 
 
-def squeezed_family(s: float, dphi: float = 0.0,
-                    tail_tol: float = fock.DEFAULT_TAIL_TOL, *,
+def squeezed_family(s: float, dphi: float = 0.0, *,
                     cutoff: int | None = None) -> StateFamily:
     """Displaced squeezed states at the balanced operating point."""
     def build(nbar: float) -> MomentReport:
-        return analyze(fock.squeezed_for_mean_photons(nbar, s, dphi, cutoff,
-                                                      tail_tol=tail_tol))
+        return analyze(fock.squeezed_for_mean_photons(nbar, s, dphi, cutoff))
     return StateFamily(build)
 
 
@@ -274,29 +271,27 @@ def _layer_number(nbar: float) -> int:
     return int(nbar)
 
 
-def _phase_family(psi: phase_space.PhaseWaveFunction, tail_tol: float) -> StateFamily:
+def _phase_family(psi: phase_space.PhaseWaveFunction) -> StateFamily:
     def build(nbar: float) -> MomentReport:
-        return analyze(fock.embed_phase_state(psi, _layer_number(nbar), tail_tol))
+        return analyze(fock.embed_phase_state(psi, _layer_number(nbar)))
     return StateFamily(build, psi)
 
 
-def mathieu_family(q: float, tail_tol: float = fock.DEFAULT_TAIL_TOL, *,
-                   order: int = 0) -> StateFamily:
+def mathieu_family(q: float, *, order: int = 0) -> StateFamily:
     """Even Mathieu beam of fixed q and order embedded on the nbar layer."""
-    return _phase_family(phase_space.from_mathieu(solve_even_mathieu(q, order)), tail_tol)
+    return _phase_family(phase_space.from_mathieu(solve_even_mathieu(q, order)))
 
 
-def von_mises_family(kappa: float, phi0: float = 0.0,
-                     tail_tol: float = fock.DEFAULT_TAIL_TOL) -> StateFamily:
+def von_mises_family(kappa: float, phi0: float = 0.0) -> StateFamily:
     """Von Mises phase state of fixed kappa embedded on the nbar layer."""
-    return _phase_family(phase_space.from_von_mises(kappa, phi0), tail_tol)
+    return _phase_family(phase_space.from_von_mises(kappa, phi0))
 
 
 _CUTOFF = Param("cutoff", int, "per-mode Fock cutoff (default: auto)")
 
 #: The state families by name: each family's constructor and the
-#: parameters it takes besides the tail tolerance.  The CLI reads its
-#: --family choices and family flags from here.
+#: parameters it takes.  The CLI reads its --family choices and family
+#: flags from here.
 FAMILIES: dict[str, tuple[Callable[..., StateFamily], tuple[Param, ...]]] = {
     "coherent": (coherent_family, (_CUTOFF,)),
     "squeezed": (squeezed_family, (
@@ -402,17 +397,18 @@ def rho_uncertainty(report: MomentReport) -> RhoUncertainty:
     sigma_delta = sqrt(-2 ln |<E>|) (circular standard deviation),
     sigma_tanpsi_rel = sqrt(Var P), combined in quadrature.  The relative
     bars do not depend on the classical operating point (psi, Delta).
+    Below the large-noise boundary e_var = 0.5, -2 ln |<E>| is taken as
+    -log1p(-e_var), which keeps the digits of e_var that a |<E>| near 1
+    loses; above it, from |<E>|, where 1 - e_var would lose them instead.
     """
     mag = abs(report.e_mean)
     if mag <= 0.0:
         raise InvalidParameterError(
             "rho uncertainty undefined for states with <E> = 0"
         )
-    sigma_delta = math.sqrt(max(-2.0 * math.log(mag), 0.0))
+    large_noise = report.e_var >= 0.5
+    var_delta = -2.0 * math.log(mag) if large_noise else -math.log1p(-report.e_var)
+    sigma_delta = math.sqrt(max(var_delta, 0.0))
     sigma_tanpsi = math.sqrt(max(report.p_var, 0.0))
-    return RhoUncertainty(
-        sigma_delta,
-        sigma_tanpsi,
-        math.hypot(sigma_delta, sigma_tanpsi),
-        large_noise=report.e_var >= 0.5,
-    )
+    return RhoUncertainty(sigma_delta, sigma_tanpsi,
+                          math.hypot(sigma_delta, sigma_tanpsi), large_noise)

@@ -43,11 +43,20 @@ class PhaseWaveFunction:
     """Fourier components of a relative-phase state.
 
     ``amplitudes[i]`` is Psi_l for l = ``l_min + i``; outside the window
-    the components are zero (tail mass below WINDOW_TAIL_TOL).
+    the components are zero (tail mass below WINDOW_TAIL_TOL).  l_min is
+    kept a Python int, and a window reaching |l| >= 2^53, where float l
+    stops being exact, raises InvalidParameterError.
     """
 
     l_min: int
     amplitudes: np.ndarray
+
+    def __post_init__(self):
+        l_min = integer("l_min", self.l_min)
+        if max(-l_min, l_min + len(self.amplitudes) - 1) >= 2 ** 53:
+            raise InvalidParameterError("the window reaches past |l| < 2^53, "
+                                        "where float l stops being exact")
+        object.__setattr__(self, "l_min", l_min)
 
     @property
     def l_values(self) -> np.ndarray:
@@ -80,8 +89,11 @@ class CircularMoments:
 
 def _trimmed(l_min: int, amps: np.ndarray) -> PhaseWaveFunction:
     """Drop edge components under WINDOW_TAIL_TOL * 1e-3 of a unit-norm
-    state's mass, renormalize the rest, freeze the window."""
+    state's mass, renormalize the rest, freeze the window.  A non-finite
+    component raises InvalidStateError."""
     mag2 = np.abs(amps) ** 2
+    if not math.isfinite(float(mag2.sum())):
+        raise InvalidStateError("phase state has non-finite components")
     keep = np.flatnonzero(mag2 > WINDOW_TAIL_TOL * 1e-3)
     if len(keep) == 0:
         raise InvalidStateError("phase state has no support")
@@ -171,11 +183,7 @@ def shift(psi: PhaseWaveFunction, m: int) -> PhaseWaveFunction:
     """Translate the index window by m: l_mean moves by exactly m.  A
     window reaching |l| >= 2^53, where float l stops being exact, raises
     InvalidParameterError."""
-    l_min = integer("l_min", psi.l_min) + integer("m", m)
-    if max(-l_min, l_min + len(psi.amplitudes) - 1) >= 2 ** 53:
-        raise InvalidParameterError("the shifted window reaches past |l| < 2^53, "
-                                    "where float l stops being exact")
-    return PhaseWaveFunction(l_min, psi.amplitudes.copy())
+    return PhaseWaveFunction(psi.l_min + integer("m", m), psi.amplitudes.copy())
 
 
 def rotate(psi: PhaseWaveFunction, theta: float) -> PhaseWaveFunction:

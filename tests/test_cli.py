@@ -682,16 +682,13 @@ class TestMathieuTable:
         assert "Fourier window J=" in err
 
 
-class TestEnvironmentTolerance:
-    def test_impossible_tolerance_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setenv("QELLIP_TOL", "1e-30")
-        code, _, err = run(capsys, "state", "--family", "coherent",
-                           "--nbar", "100")
+class TestFixedTolerance:
+    def test_environment_does_not_loosen_the_tail_check(self, capsys, monkeypatch):
+        # the tail tolerance is fixed: no variable reads an infinite one,
+        # which once let --cutoff 5 report n_mean 9.79 for nbar 100
+        monkeypatch.setenv("QELLIP_TOL", "inf")
+        code, out, err = run(capsys, "state", "--family", "coherent",
+                             "--nbar", "100", "--cutoff", "5")
         assert code == 3
-        assert "tail" in err
-
-    def test_invalid_tolerance_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("QELLIP_TOL", "not-a-float")
-        code, _, _ = run(capsys, "state", "--family", "coherent",
-                         "--nbar", "100")
-        assert code == 2
+        assert out == ""
+        assert "truncation tail" in err and "exceeds tolerance 1.0e-10" in err

@@ -475,17 +475,24 @@ class TestEmbedding:
         assert np.abs(dense_amplitudes(st) - ref).max() < 1e-15
 
     def test_clipped_support_keeps_the_window(self):
-        # kappa = 80 reaches past l = +-5; on N = 10 only l in [-5, 5] stays
+        # kappa = 80 reaches l = +-36; on N = 60 only l in [-30, 30] stays,
+        # and the 1.89e-11 clipped is within the tail tolerance
         psi = from_von_mises(80.0)
-        st = embed_phase_state(psi, 10, tail_tol=1.0 - 1e-3)
-        assert st.psi.l_min == -5
-        assert len(st.psi.amplitudes) == 11
-        assert st.tail_mass > 1e-3
-        ref = np.zeros((11, 11), dtype=complex)
-        l = np.arange(-5, 6)
-        ref[5 + l, 5 - l] = psi.amplitudes[l - psi.l_min]
+        assert (psi.l_min, len(psi.amplitudes)) == (-36, 73)
+        st = embed_phase_state(psi, 60)
+        assert st.psi.l_min == -30
+        assert len(st.psi.amplitudes) == 61
+        assert 1e-11 < st.tail_mass < fock.TAIL_TOL
+        ref = np.zeros((61, 61), dtype=complex)
+        l = np.arange(-30, 31)
+        ref[30 + l, 30 - l] = psi.amplitudes[l - psi.l_min]
         ref /= np.linalg.norm(ref)
         assert np.abs(dense_amplitudes(st) - ref).max() < 1e-15
+
+    def test_clip_past_the_tolerance_refused(self):
+        # on N = 56 the clip to l in [-28, 28] loses 3.17e-10 of the norm
+        with pytest.raises(TruncationError, match="tail 3.17.e-10 exceeds tolerance 1.0e-10"):
+            embed_phase_state(from_von_mises(80.0), 56)
 
     def test_cost_follows_the_support(self):
         # 11 components on the N = 6000 layer, whose dense grid is 576 MB

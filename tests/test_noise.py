@@ -372,7 +372,20 @@ class TestRhoUncertainty:
     def test_large_noise_flagged(self):
         report = analyze(squeezed_for_mean_photons(10.0, 1.0, 0.0))
         assert report.e_var > 0.5
-        assert rho_uncertainty(report).large_noise
+        bars = rho_uncertainty(report)
+        assert bars.large_noise
+        # past the boundary 1 - e_var loses digits, so |<E>| sets the bar
+        assert bars.sigma_delta ** 2 == pytest.approx(-2.0 * math.log(abs(report.e_mean)),
+                                                      rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("kappa", [1e6, 1e8])
+    def test_phase_bar_keeps_the_digits_of_e_var(self, kappa):
+        # -2 ln |<E>| from a |<E>| near 1 was 2.6e-10 relative off at kappa 1e6
+        report = analyze(from_von_mises(kappa), nbar=1e6)
+        bars = rho_uncertainty(report)
+        assert not bars.large_noise
+        assert bars.sigma_delta ** 2 == pytest.approx(-math.log1p(-report.e_var),
+                                                      rel=1e-14, abs=0.0)
 
     def test_degenerate_phase_channel_rejected(self):
         report = analyze(phase_state({0: 1.0}), nbar=10.0)

@@ -13,6 +13,7 @@ from scipy.special import iv, ive
 from qellip import (
     InvalidParameterError,
     InvalidStateError,
+    MathieuSolution,
     PhaseWaveFunction,
     analyze,
     circular_moments,
@@ -305,8 +306,25 @@ class TestShiftedWindows:
 
     def test_constructors_keep_l_min_an_int(self):
         for psi in (from_von_mises(4.0), from_mathieu(solve_even_mathieu(1.0, 0)),
-                    phase_state({np.int64(3): 1.0, np.int64(5): 1.0})):
+                    phase_state({np.int64(3): 1.0, np.int64(5): 1.0}),
+                    PhaseWaveFunction(np.int64(3), np.array([1 + 0j])),
+                    PhaseWaveFunction(3.0, np.array([1 + 0j]))):
             assert type(psi.l_min) is int
+
+    @pytest.mark.parametrize("l_min", [10 ** 30, -10 ** 30, 2 ** 53, -2 ** 53, 2 ** 53 - 1])
+    def test_direct_window_past_exact_floats_refused(self, l_min):
+        # the dataclass checks its own window: built directly at 10^30 it
+        # once gave a bare TypeError in rotate and IndexError in the density
+        with pytest.raises(InvalidParameterError, match="2\\^53"):
+            PhaseWaveFunction(l_min, np.array([1 + 0j, 0j]))
+
+    def test_direct_window_at_the_edge_kept(self):
+        psi = PhaseWaveFunction(2 ** 53 - 2, np.array([1 + 0j, 0j]))
+        assert circular_moments(psi).l_mean == 2.0 ** 53 - 2
+
+    def test_fractional_l_min_refused(self):
+        with pytest.raises(InvalidParameterError, match="l_min must be an integer"):
+            PhaseWaveFunction(1.5, np.array([1 + 0j]))
 
 
 class TestCircularVariance:
@@ -340,6 +358,13 @@ class TestNonFiniteInputs:
     def test_component(self, value):
         with pytest.raises(InvalidParameterError, match="Psi_0 must be finite"):
             phase_state({0: value, 1: 1.0})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_mathieu_coefficient_refused_not_dropped(self, value):
+        # the NaN component was trimmed away, leaving a unit-norm state at l = 0
+        sol = MathieuSolution(0, 1.0, -0.45, np.array([0.7, value]), 2)
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            from_mathieu(sol)
 
 
 class TestDensity:
