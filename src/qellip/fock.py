@@ -15,33 +15,38 @@ is always included; layers with N <= M are complete and E restricted to
 them is exactly unitary, while clipped layers (N > M) only matter through
 the recorded tail mass.
 
-A two-mode state stores only the box of the grid that holds its
-support: the block of amplitudes of |m0 + i, n0 + j> and its offset
-(m0, n0).  A coherent state keeps the rows and columns where its mode
-vectors reach COHERENT_FLOOR of their peaks; squeezed states keep the
-whole grid.  A phase state embedded on one layer is a ``LayerState``:
+A Gaussian state is stored as its mode factors: the amplitude of
+|m, n> is A[m, n] = sum_k d_p[m, k] c_k d_s[n, k], with d_p and d_s
+holding the M+1 rows of K columns of the displacement operators and c
+the pair amplitudes.  A coherent state is the case K = 1; A itself is
+never formed.  A phase state embedded on one layer is a ``LayerState``:
 the window of components Psi_l on |N/2 + l, N/2 - l> itself, whatever
 the layer.  ``noise.analyze`` takes every moment from the stored
-amplitudes; no dense grid or operator object is built.
+factors or window; no dense grid or operator object is built.
 
 Construction is tail-checked: every constructor records the probability
 lost to the truncation before renormalizing, and raises TruncationError
 when it exceeds TAIL_TOL = 1e-10: one fixed rule, which no argument or
-environment variable changes.  The two-mode constructors also check
-``MAX_GRID_BYTES`` before allocating anything, still on the nominal
-(M+1)^2 grid, which only squeezed states allocate.
+environment variable changes.  The two-mode constructors check the bytes
+of their factors against ``MAX_FACTOR_BYTES`` before allocating anything.
 
-Displaced squeezed states are built from the columns of the displacement
-factors that their pair part reaches.  The pair amplitudes
-(e^{i theta} tanh s)^n / cosh s leave (tanh s)^(2K) of the norm beyond
-column K, so K is set by s alone (51 at s=0.5, 144 at s=1) while the
-cutoff grows with the displacement; restricting both factors to K
-columns turns the O(M^3) dense products into O(M^2 K) ones.  The columns
-still come from the exactly unitary tridiagonal eigensolve rather than
-from Laguerre recurrences, which lose precision past |alpha| of a few.
-LAPACK's dstevd solves it, taken from scipy's extension module by
-``mathieu._lapack`` at the first such build, so importing this module
-loads numpy only and a build loads no ``scipy.linalg`` package.
+The displacement columns G[m, n] = <m|D(alpha)|n> come from the
+recurrence in the degree n (the Charlier recurrence, DLMF 18.22),
+
+    alpha sqrt(n+1) G[m,n+1] = (m - n - |alpha|^2) G[m,n] - conj(alpha) sqrt(n) G[m,n-1],
+
+run across all rows at once from the coherent column G[:, 0], each row
+carrying its own power-of-two scale so that rows whose start underflows
+keep their digits.  It is stable except where G[m, n] is its recessive
+solution, m < (sqrt(n) - |alpha|)^2 (Gautschi, SIAM Rev. 9, 24 (1967)),
+which lies in the top K x K block; those entries come from
+<m|D(a)|n> = (-1)^(n-m) <n|D(a)|m> at real a.  The recurrence in m,
+sqrt(m+1) G[m+1,n] = ..., loses everything past |alpha| of a few (error
+1e38 at |alpha| = 7); do not use it.  The recurrence runs about
+4 sqrt(M+1) + 25 rows past the cutoff, and the tail is the mass in
+those rows over the total, so rounding in the kept rows never reads as
+tail.  The recurrence costs O(M K), the Grams of the tail check and of
+``analyze`` O(M K^2).
 """
 
 from __future__ import annotations
@@ -60,46 +65,61 @@ from .errors import (
     finite,
     integer,
 )
-from .mathieu import _lapack
 from .phase_space import PhaseWaveFunction
 
 #: Largest norm a constructor may lose to its truncation.
 TAIL_TOL = 1e-10
 
-#: Largest amplitude grid a constructor may allocate, in bytes.
-MAX_GRID_BYTES = 2 ** 30
+#: Largest memory a two-mode constructor may plan for, in bytes: the
+#: factors of each distinct mode over the rows of the tail check, two
+#: factor-sized scratch arrays, sixteen row vectors and the K x K Grams
+#: held at once (two per distinct mode and one product), at 16 bytes an
+#: entry where a displacement or the pair ratio is complex.
+MAX_FACTOR_BYTES = 2 ** 30
 
 #: Pair amplitude (tanh s)^K below which a displaced squeezed state's pair
 #: terms are dropped; the norm they hold, (tanh s)^(2K), is far under one
-#: rounding unit of a unit-norm state.
+#: rounding unit of a unit-norm state, and no amplitude or moment moves
+#: by more than rounding.
 PAIR_AMPLITUDE_FLOOR = 1e-17
 
-#: Smallest coherent mode amplitude kept, relative to the mode's peak.
-COHERENT_FLOOR = 1e-16
+#: Displacements below this magnitude build the identity columns: every
+#: moment moves by |alpha|^2 or less, which is under the float range.
+_IDENTITY_BELOW = 1e-162
+
+#: Factor entries below this magnitude are stored as zeros: together they
+#: move no moment by more than about 1e-130, while products that reach
+#: the subnormal range run many times slower (six times for a Gram at
+#: s = 2, K = 535).
+_NEGLIGIBLE = 1e-150
+
+#: Factor columns handled per step where a pass over all of them at once
+#: would need scratch arrays the size of the factor.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
 class TwoModeFockState:
-    """Normalized amplitudes over the truncated two-mode basis, stored
-    as the box that holds their support.
+    """Normalized amplitudes A = d_p diag(c) d_s^T over the truncated
+    two-mode basis, stored as the factors.
 
-    block[i, j] multiplies |m0 + i>_p |n0 + j>_s with (m0, n0) = offset;
-    every amplitude outside the box is zero.  tail_mass is the norm
-    deficit recorded before renormalization.
+    d_p and d_s are (cutoff+1, K) arrays (the same object when the two
+    modes share a displacement) and c has K entries.  tail_mass is the
+    norm lost to the truncation, recorded before renormalization.
     """
 
     cutoff: int
-    block: np.ndarray
+    d_p: np.ndarray
+    c: np.ndarray
+    d_s: np.ndarray
     tail_mass: float
-    offset: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        m0, n0 = self.offset
-        rows, cols = self.block.shape
-        if min(m0, n0) < 0 or max(m0 + rows, n0 + cols) > self.cutoff + 1:
+        shape = (self.cutoff + 1, len(self.c))
+        if self.c.ndim != 1 or self.d_p.shape != shape or self.d_s.shape != shape:
             raise DimensionMismatchError(
-                f"{rows}x{cols} block at offset {self.offset} leaves the "
-                f"grid of cutoff {self.cutoff}"
+                f"factors {self.d_p.shape} and {self.d_s.shape} with {self.c.shape} "
+                f"pair amplitudes do not give a grid of cutoff {self.cutoff}"
             )
 
 
@@ -115,21 +135,26 @@ class LayerState:
 
 
 def _check_cutoff(cutoff: int) -> int:
-    """Validated cutoff whose nominal (cutoff+1)^2 complex grid fits the
-    budget.  The grid is checked whether or not the state allocates it:
-    squeezed states fill it, coherent states keep a box."""
+    """The cutoff as an int, refused unless a whole number >= 1."""
     cutoff = integer("cutoff", cutoff)
     if cutoff < 1:
         raise InvalidParameterError(f"cutoff must be >= 1, got {cutoff}")
-    grid_bytes = (cutoff + 1) ** 2 * np.dtype(complex).itemsize
-    if grid_bytes > MAX_GRID_BYTES:
-        # no float holds the size of a grid past 2^1000 bytes
-        size = f"a {grid_bytes / 2 ** 20:.0f} MiB" if grid_bytes < 2 ** 1000 else "an"
-        raise InvalidParameterError(
-            f"cutoff {cutoff} needs {size} amplitude grid, "
-            f"over the {MAX_GRID_BYTES / 2 ** 20:.0f} MiB budget"
-        )
     return cutoff
+
+
+def _budget_rows(cutoff: int, pairs: int, modes: int, itemsize: int) -> int:
+    """The rows the recurrence runs over, past the cutoff, once the
+    memory a build and its analysis plan for fits MAX_FACTOR_BYTES."""
+    rows = cutoff + 1 + 4 * math.isqrt(cutoff + 1) + 25
+    need = (((modes + 2) * pairs + 16) * rows + (2 * modes + 1) * pairs * pairs) * itemsize
+    if need > MAX_FACTOR_BYTES:
+        # no float holds a size past 2^1000 bytes
+        size = f"{need / 2 ** 20:.0f} MiB of" if need < 2 ** 1000 else "more than 2^1000 bytes of"
+        raise InvalidParameterError(
+            f"cutoff {cutoff} with K = {pairs} needs {size} mode factors, "
+            f"over the {MAX_FACTOR_BYTES / 2 ** 20:.0f} MiB budget"
+        )
+    return rows
 
 
 def _default_cutoff(mag: float, spread: float) -> int:
@@ -137,107 +162,201 @@ def _default_cutoff(mag: float, spread: float) -> int:
     a mag whose mu passes 1e308 is refused before its square overflows."""
     if not mag < 1e154:
         raise InvalidParameterError(f"a mode amplitude of {mag} needs a cutoff past 1e308, "
-                                    f"over the {MAX_GRID_BYTES / 2 ** 20:.0f} MiB budget")
+                                    f"over the {MAX_FACTOR_BYTES / 2 ** 20:.0f} MiB budget")
     mu = mag ** 2
     return int(np.ceil(mu + spread * np.sqrt(mu + 1.0) + 25.0))
+
+
+def _check_tail(tail: float, cutoff: int, context: str) -> None:
+    if not math.isfinite(tail):
+        raise InconsistentSolutionError(f"{context}: non-finite amplitudes at cutoff {cutoff}")
+    if tail > TAIL_TOL:
+        raise TruncationError(
+            f"{context}: truncation tail {tail:.3e} exceeds tolerance {TAIL_TOL:.1e} "
+            f"at cutoff {cutoff}"
+        )
 
 
 def _normalize(amps: np.ndarray, cutoff: int, context: str) -> float:
     """Tail-check and normalize ``amps`` in place (callers pass a fresh
     array); the tail mass."""
     captured = float(np.vdot(amps, amps).real)
-    if not np.isfinite(captured):
-        raise InconsistentSolutionError(
-            f"{context}: non-finite amplitudes at cutoff {cutoff}"
-        )
     tail = 1.0 - captured
-    if tail > TAIL_TOL or captured <= 0.0:
-        raise TruncationError(
-            f"{context}: truncation tail {tail:.3e} exceeds tolerance {TAIL_TOL:.1e} "
-            f"at cutoff {cutoff}"
-        )
+    _check_tail(tail, cutoff, context)
     parts = amps.view(np.float64)  # a real divisor: skip complex division
     parts /= math.sqrt(captured)
     return max(tail, 0.0)
 
 
-def _coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
-    """Poissonian amplitudes e^{-|a|^2/2} a^n / sqrt(n!) by recurrence.
+def _scaled_cumprod(mant: float, expo: int, ratios: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """mant 2^expo times the running products of ``ratios`` (each in
+    (0, 1]), as mantissas and integer powers of two: renormalized every
+    stretch short enough that its product cannot underflow."""
+    out_m = np.empty(len(ratios))
+    out_e = np.empty(len(ratios), dtype=np.int64)
+    if len(ratios) == 0:
+        return out_m, out_e
+    smallest = float(ratios.min())
+    step = len(ratios) if smallest >= 1.0 else max(1, int(600.0 / -math.log(smallest)))
+    for lo in range(0, len(ratios), step):
+        out_m[lo:lo + step], e = np.frexp(mant * np.cumprod(ratios[lo:lo + step]))
+        out_e[lo:lo + step] = e + expo
+        mant, expo = out_m[lo + len(e) - 1], int(out_e[lo + len(e) - 1])
+    return out_m, out_e
 
-    The recurrence runs up and down from the mode n0 = floor(|a|^2),
-    started at its log-scale value: e^{-|a|^2/2} itself underflows once
-    |a|^2 passes ~1490, which would zero the whole vector.
+
+def _coherent_start(a: float, rows: int, ncols: int) -> tuple[np.ndarray, np.ndarray]:
+    """e^{-a^2/2} a^m / sqrt(m!) for m < rows at a > 0, as mantissas and
+    integer powers of two, so that no row the first ``ncols`` columns
+    reach underflows.
+
+    The products run up and down from the mode n0 = floor(a^2), started
+    at its log-scale value; every ratio on the way is at most 1.  They
+    stop 30 past the rows (a -+ sqrt(ncols))^2 that the columns' supports
+    span, where every entry is under e^-900 and would be flushed to zero
+    anyway: at a^2 = 1e6 the full rows take 74 ms, the window 2 ms.  (A
+    cumulative sum of log2 ratios instead would lose |log2| ulps on
+    every row: 4e-12 of the entries at |alpha| = 1e-3, K = 535, whose
+    rows start near 2^-8000.)
     """
-    v = np.zeros(cutoff + 1, dtype=complex)
-    mag = abs(alpha)
-    if mag == 0.0:
-        v[0] = 1.0
-        return v
-    n0 = min(int(mag * mag), cutoff)
-    log_peak = -0.5 * mag * mag + n0 * math.log(mag) - 0.5 * math.lgamma(n0 + 1)
-    v[n0] = math.exp(log_peak) * (alpha / mag) ** n0
-    v[n0 + 1:] = v[n0] * np.cumprod(alpha / np.sqrt(np.arange(n0 + 1.0, cutoff + 1)))
-    v[:n0] = (v[n0] * np.cumprod(np.sqrt(np.arange(n0, 0.0, -1.0)) / alpha))[::-1]
-    return v
+    n0 = min(int(a * a), rows - 1)
+    # split the log-scale peak into powers of two; its rounding is one
+    # factor common to every row, which normalization removes
+    log2_peak = (-0.5 * a * a + n0 * math.log(a) - 0.5 * math.lgamma(n0 + 1)) / math.log(2.0)
+    e0 = math.floor(log2_peak) + 1
+    peak = 2.0 ** (log2_peak - e0)
+    reach = math.sqrt(ncols) + 30.0
+    lo = int(max(a - reach, 0.0) ** 2)
+    hi = min(rows, int((a + reach) ** 2) + 1)
+    mant = np.zeros(rows)
+    expo = np.zeros(rows, dtype=np.int64)
+    mant[n0], expo[n0] = peak, e0
+    if n0 + 1 < hi:
+        mant[n0 + 1:hi], expo[n0 + 1:hi] = _scaled_cumprod(
+            peak, e0, a / np.sqrt(np.arange(n0 + 1.0, hi)))
+    if lo < n0:
+        down_m, down_e = _scaled_cumprod(peak, e0, np.sqrt(np.arange(n0, lo, -1.0)) / a)
+        mant[lo:n0], expo[lo:n0] = down_m[::-1], down_e[::-1]
+    return mant, expo
+
+
+def _displacement_factor(alpha: complex, rows: int, ncols: int) -> np.ndarray:
+    """G[m, n] = <m|D(alpha)|n> for m < rows and n < ncols <= rows, as the
+    (ncols, rows) array whose row n is column n of D(alpha).
+
+    The recurrence in n runs at a = |alpha|, with every row scaled by its
+    own power of two (renormalized often enough that no step can
+    overflow) and the recessive entries zeroed as they come; those are
+    then taken from the transposed entries of the top block.  The phase
+    e^{i (m - n) arg alpha} is applied last, so the factor is real for
+    real alpha.
+    """
+    alpha = complex(alpha)
+    a = abs(alpha)
+    if a < _IDENTITY_BELOW:
+        return np.eye(ncols, rows)
+    mant, expo = _coherent_start(a, rows, ncols)
+    out = np.empty((ncols, rows))
+    np.ldexp(mant, expo, out=out[0])
+    if ncols > 1:
+        shifted = np.arange(rows, dtype=float) - a * a
+        # a step multiplies a row by at most `growth`; renormalize
+        # before `every` steps can take it past 2^865
+        growth = (rows + ncols + a * a) / a + 1.0
+        every = max(1, int(600.0 / math.log(growth)))
+        prev, cur = np.zeros(rows), mant
+        nxt, tmp = np.empty(rows), np.empty(rows)
+        for n in range(ncols - 1):
+            np.subtract(shifted, n, out=nxt)
+            nxt *= cur
+            np.multiply(prev, a * math.sqrt(n), out=tmp)
+            nxt -= tmp
+            nxt *= 1.0 / (a * math.sqrt(n + 1))
+            edge = math.sqrt(n + 1) - a
+            if edge > 0.0:  # rows m < edge^2 are recessive in column n+1
+                nxt[:min(rows, math.ceil(edge * edge))] = 0.0
+            np.ldexp(nxt, expo, out=out[n + 1])
+            prev, cur, nxt = cur, nxt, prev
+            if (n + 1) % every == 0:
+                _, e = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))
+                prev, cur = np.ldexp(prev, -e), np.ldexp(cur, -e)
+                expo += e
+        # out[n, m] = G[m, n]; the recessive ones from (-1)^(n-m) G[n, m],
+        # which lie in the lower triangle (m < n) and read only its upper
+        # one; by blocks of rows, so no scratch array reaches ncols^2
+        for lo in range(0, ncols, _BLOCK):
+            n = np.arange(lo, min(lo + _BLOCK, ncols))
+            m = np.arange(n[-1] + 1)
+            edge = np.maximum(np.sqrt(n) - a, 0.0)
+            recessive = m[np.newaxis, :] < (edge * edge)[:, np.newaxis]
+            block = out[lo:lo + len(n), :len(m)]
+            flipped = out[:len(m), lo:lo + len(n)].T * (1.0 - 2.0 * ((n[:, np.newaxis] - m) % 2))
+            np.copyto(block, flipped, where=recessive)
+    for lo in range(0, ncols, _BLOCK):
+        block = out[lo:lo + _BLOCK]
+        block[np.abs(block) < _NEGLIGIBLE] = 0.0
+    if alpha.imag == 0.0 and alpha.real > 0.0:
+        return out
+    unit = alpha / a
+    unit = unit.real if unit.imag == 0.0 else unit
+    phase = np.empty(rows, dtype=type(unit))
+    phase[0] = 1.0
+    phase[1:] = np.cumprod(np.full(rows - 1, unit))
+    out = out * phase[np.newaxis, :]
+    out *= np.conj(phase[:ncols])[:, np.newaxis]
+    return out
+
+
+def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x^H y."""
+    return (x.T if x.dtype.kind == "f" else x.conj().T) @ y
+
+
+def _pair_form(c: np.ndarray, f_p: np.ndarray, f_s: np.ndarray) -> complex:
+    """c^H (f_p o f_s) c: the expectation of an operator whose factor
+    Grams on the two modes are f_p and f_s."""
+    return complex(np.vdot(c, (f_p * f_s) @ c))
+
+
+def _gaussian_state(alpha_p: complex, alpha_s: complex, cutoff: int, pairs: int,
+                    ratio: complex, dropped: float, context: str) -> TwoModeFockState:
+    """The state sum_k ratio^k D(alpha_p)|k> D(alpha_s)|k> over k < pairs,
+    truncated at the cutoff, tail-checked and normalized.  ``dropped`` is
+    the share of the norm held by the pair terms from ``pairs`` on."""
+    same = alpha_s == alpha_p
+    real = all(complex(z).imag == 0.0 for z in (alpha_p, alpha_s, ratio))
+    rows = _budget_rows(cutoff, pairs, 1 if same else 2, 8 if real else 16)
+    c = ratio ** np.arange(pairs)
+    d_p = _displacement_factor(alpha_p, rows, pairs).T
+    d_s = d_p if same else _displacement_factor(alpha_s, rows, pairs).T
+    kept = cutoff + 1
+    in_p, out_p = _gram(d_p[:kept], d_p[:kept]), _gram(d_p[kept:], d_p[kept:])
+    in_s, out_s = ((in_p, out_p) if same else
+                   (_gram(d_s[:kept], d_s[:kept]), _gram(d_s[kept:], d_s[kept:])))
+    inside = _pair_form(c, in_p, in_s).real
+    outside = (_pair_form(c, in_p, out_s) + _pair_form(c, out_p, out_s)
+               + _pair_form(c, out_p, in_s)).real
+    total = inside + outside
+    tail = dropped + (1.0 - dropped) * outside / total if inside > 0.0 else 1.0
+    _check_tail(tail if math.isfinite(total) else total, cutoff, context)
+    d_p = d_p[:kept]
+    return TwoModeFockState(cutoff, d_p, c / math.sqrt(inside),
+                            d_p if same else d_s[:kept], tail)
 
 
 def coherent_state(alpha_p: complex, alpha_s: complex,
                    cutoff: int | None = None) -> TwoModeFockState:
-    """Two-mode coherent state |alpha_p> (x) |alpha_s>, truncated.
-
-    The state keeps the box of rows and columns where each mode vector
-    reaches COHERENT_FLOOR of its peak, so the norm dropped around it is
-    far below one rounding unit.  Raises TruncationError when the
-    Poisson tail beyond the cutoff exceeds TAIL_TOL.
+    """Two-mode coherent state |alpha_p> (x) |alpha_s>, truncated: one
+    factor column per mode.  Raises TruncationError when the Poisson
+    tail beyond the cutoff exceeds TAIL_TOL.
     """
     finite("alpha_p", complex(alpha_p))
     finite("alpha_s", complex(alpha_s))
     if cutoff is None:  # the Poisson tail of both modes far below 1e-10
         cutoff = _default_cutoff(max(abs(alpha_p), abs(alpha_s)), 12.0)
     cutoff = _check_cutoff(cutoff)
-    v_p, m0 = _coherent_support(alpha_p, cutoff)
-    v_s, n0 = _coherent_support(alpha_s, cutoff)
-    block = np.outer(v_p, v_s)
-    return TwoModeFockState(cutoff, block,
-                            _normalize(block, cutoff, "coherent state"), (m0, n0))
-
-
-def _coherent_support(alpha: complex, cutoff: int) -> tuple[np.ndarray, int]:
-    """The stretch of the mode vector at or above COHERENT_FLOOR of its
-    peak (one stretch: the Poisson amplitudes are unimodal) and its start."""
-    v = _coherent_vector(alpha, cutoff)
-    mag = np.abs(v)
-    kept = np.flatnonzero(mag >= COHERENT_FLOOR * mag.max())
-    return v[kept[0]:kept[-1] + 1], int(kept[0])
-
-
-def _displacement_columns(alpha: complex, cutoff: int, ncols: int) -> np.ndarray:
-    """The first ``ncols`` columns of exp(alpha a^dag - conj(alpha) a),
-    truncated, in the number basis.
-
-    The generator is gauge-equivalent (by a diagonal phase) to i times a
-    real symmetric tridiagonal matrix, whose eigensolve (LAPACK dstevd)
-    gives the exponential, exactly unitary on the truncated space.  Local
-    Laguerre recurrences amplify roundoff like e^{n/2} and lose all
-    precision past |alpha| of a few; do not revert to them.
-    """
-    dim = cutoff + 1
-    mag = abs(alpha)
-    if mag == 0.0:
-        return np.eye(dim, ncols, dtype=complex)
-    w, v, info = _lapack().dstevd(np.zeros(dim), mag * np.sqrt(np.arange(1.0, dim)),
-                                  compute_v=1)
-    if info != 0:
-        raise InconsistentSolutionError(
-            f"displacement eigensolve failed (LAPACK info {info}) at |alpha|={mag}")
-    # core = v e^{iw} v[:ncols]^T, taken as one real product so that the
-    # (dim x dim) eigenvector matrix is never copied to complex
-    head = v[:ncols].T
-    parts = v @ np.hstack([np.cos(w)[:, np.newaxis] * head,
-                           np.sin(w)[:, np.newaxis] * head])
-    core = parts[:, :ncols] + 1j * parts[:, ncols:]
-    gauge = (-1j * np.exp(1j * np.angle(alpha))) ** np.arange(dim)
-    return (gauge[:, np.newaxis] * core) * np.conj(gauge[:ncols])[np.newaxis, :]
+    return _gaussian_state(alpha_p, alpha_s, cutoff, 1, 0.0, 0.0, "coherent state")
 
 
 def displaced_squeezed_state(alpha_p: complex, alpha_s: complex, zeta: complex,
@@ -245,12 +364,11 @@ def displaced_squeezed_state(alpha_p: complex, alpha_s: complex, zeta: complex,
     """Two-mode squeezed vacuum displaced in each mode.
 
     The pair part is sum_n (e^{i theta} tanh s)^n |n, n> / cosh s with
-    zeta = s e^{i theta}; the displacements act as truncated matrices.
-    Only the first K pair terms are kept, K the smallest with
-    (tanh s)^K < PAIR_AMPLITUDE_FLOOR, so the amplitudes are
-    D_p[:, :K] diag(c) D_s[:, :K]^T at O(M^2 K) cost.  zeta = 0 reduces
-    exactly to ``coherent_state``.  Raises TruncationError when the pair
-    tail or the mass pressed against the grid boundary exceeds TAIL_TOL.
+    zeta = s e^{i theta}.  Only the first K pair terms are kept, K the
+    smallest with (tanh s)^K < PAIR_AMPLITUDE_FLOOR (at most cutoff + 1),
+    so the state is D_p[:, :K] diag(c) D_s[:, :K]^T.  zeta = 0 reduces
+    exactly to ``coherent_state``.  Raises TruncationError when the mass
+    past the cutoff and the dropped pair terms exceed TAIL_TOL.
     """
     finite("alpha_p", complex(alpha_p))
     finite("alpha_s", complex(alpha_s))
@@ -275,21 +393,11 @@ def displaced_squeezed_state(alpha_p: complex, alpha_s: complex, zeta: complex,
     pairs = cutoff + 1
     if r < 1.0:
         pairs = min(pairs, int(math.log(PAIR_AMPLITUDE_FLOOR) / math.log(r)) + 1)
-    pair_amps = (1.0 / np.cosh(s)) * (r * np.exp(1j * np.angle(zeta))) ** np.arange(pairs)
-    d_p = _displacement_columns(alpha_p, cutoff, pairs)
-    d_s = d_p if alpha_s == alpha_p else _displacement_columns(alpha_s, cutoff, pairs)
-    amps = (d_p * pair_amps[np.newaxis, :]) @ d_s.T
-    # the displacement factors are exactly unitary, so a clipped support
-    # aliases off the cutoff instead of losing norm; catch it by the mass
-    # sitting against the grid boundary
-    band = (np.sum(np.abs(amps[-5:, :]) ** 2)
-            + np.sum(np.abs(amps[:-5, -5:]) ** 2))
-    if band > TAIL_TOL:
-        raise TruncationError(
-            f"displaced squeezed state: boundary mass {band:.3e} exceeds "
-            f"tolerance {TAIL_TOL:.1e} at cutoff {cutoff}"
-        )
-    return TwoModeFockState(cutoff, amps, _normalize(amps, cutoff, "displaced squeezed state"))
+    # the common factor 1 / cosh s goes with the normalization
+    unit = zeta / s
+    return _gaussian_state(alpha_p, alpha_s, cutoff, pairs,
+                           r * (unit.real if unit.imag == 0.0 else unit),
+                           float(r) ** (2 * pairs), "displaced squeezed state")
 
 
 def squeezed_for_mean_photons(nbar: float, s: float, dphi: float = 0.0,

@@ -10,7 +10,9 @@ MomentReport (product, bound, saturation ratio, polarization-squeezing
 flag); ``scaling_sweep`` fits how a chosen variance scales with the mean
 photon number, which separates shot-noise-limited families (slope -1 in
 the circular variance) from Heisenberg-limited ones (slope -2 in the
-modulus variance).
+modulus variance).  The moments of a Gaussian state come from K x K
+Grams of its mode factors, those of a phase state on a layer from its
+window; no dense grid is formed.
 
 ``FAMILIES`` is the one registry of input-state families: each name maps
 to its ``StateFamily`` constructor and the parameters it takes.
@@ -30,11 +32,6 @@ from .errors import InvalidParameterError
 from .mathieu import solve_even_mathieu
 
 SWEEP_TARGETS = ("e_var", "l_var", "p_var", "rho_var")
-
-#: Rows per block of the centred Var P pass, which keeps its scratch
-#: space small next to the probability box.
-_ROW_BLOCK = 64
-
 
 @dataclass(frozen=True)
 class MomentReport:
@@ -120,62 +117,84 @@ def _make_report(n_mean: float, e_mean: complex, e_var: float,
                         product, bound, ratio, pol_squeezed)
 
 
-def _grid_moments(a: np.ndarray, offset: tuple[int, int]
-                  ) -> tuple[float, complex, float, float, float, float]:
-    """(n_mean, e_mean, e_var, l_mean, l_var, p_var) of a normalized box
-    ``a`` of amplitudes of |m0 + i, n0 + j>, (m0, n0) = ``offset``.
+def _marginal(d: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_kl conj(d[m, k] c_k) g[k, l] c_l d[m, l] for each row m: the
+    photon-number distribution of one mode, g the other mode's Gram."""
+    h = g * c
+    h *= np.conj(c)[:, np.newaxis]
+    return np.einsum("mk,mk->m", np.conj(d) if d.dtype.kind == "c" else d, d @ h.T).real
 
-    Every diagonal operator (N, L, P) is read off the real probability
-    box |a|^2 through its marginals and weighted row sums; no operator
-    grid is built.
+
+def _factor_moments(state: fock.TwoModeFockState
+                    ) -> tuple[float, complex, float, float, float, float]:
+    """(n_mean, e_mean, e_var, l_mean, l_var, p_var) of a normalized state
+    A = d_p diag(c) d_s^T.
+
+    An operator f(N_p) g(N_s) has <f g> = c^H (F_p o G_s) c with the K x K
+    Grams F_p = d_p^H diag(f) d_p and G_s = d_s^H diag(g) d_s.  The mode
+    marginals (rows of d_p against the s-mode Gram, and back) give every
+    one-mode moment; the Grams of centred weights give the N_p-N_s
+    covariance and the cross terms of P = X Y, X = sqrt(N_p),
+    Y = 1/sqrt(N_s + 1):
+
+        Var P = E[(X-x)^2 Y^2] + 2x E[(X-x) Y (Y-y)] + x^2 Var Y - E[(X-x) Y]^2.
+
+    These separable sums cancel digits on strongly pair-correlated
+    states: about 1e-12 relative of Var L and 2e-12 of Var P at s = 2,
+    nbar 400, where N_p and N_s each vary some 3000 times more than
+    their difference.
+
+    E pairs |m, n> with |m+1, n-1>, the Grams of the factors shifted by
+    one row, plus the vacuum wrap |0, N> -> |N, 0> from the first row and
+    column of A.  Each Gram is dropped once used, which keeps the K x K
+    arrays held at once within the plan ``fock.MAX_FACTOR_BYTES`` is
+    checked against.
     """
-    m0, n0 = offset
-    rows, cols = a.shape
-    prob = np.abs(a)
-    prob *= prob
-    km = np.arange(m0, m0 + rows, dtype=float)
-    kn = np.arange(n0, n0 + cols, dtype=float)
-    p_s = prob.sum(axis=0)
-    mean_s = float(kn @ p_s)
-    dn = kn - mean_s
-    isq = 1.0 / np.sqrt(kn + 1.0)
-    # one pass over the box: row sums and the rows weighted by n - <N_s>
-    # and 1/sqrt(n+1)
-    p_m, row_dn, row_isq = (prob @ np.stack([np.ones(cols), dn, isq], axis=1)).T
-    mean_p = float(km @ p_m)
-    dm = km - mean_p
-    # Var L = (Var N_p + Var N_s - 2 Cov) / 4 and Var P from centred sums,
-    # which keep the precision of pair-correlated and single-layer states
-    l_var = 0.25 * float((dm * dm) @ p_m + (dn * dn) @ p_s - 2.0 * (dm @ row_dn))
-    rt_m = np.sqrt(km)
-    p_mean = float(rt_m @ row_isq)
-    # |a|^2 (P - <P>)^2 summed a block of rows at a time
-    p_var = 0.0
-    for lo in range(0, rows, _ROW_BLOCK):
-        dp = np.multiply.outer(rt_m[lo:lo + _ROW_BLOCK], isq)
-        dp -= p_mean
-        dp *= dp
-        p_var += float(np.vdot(prob[lo:lo + _ROW_BLOCK], dp))
+    d_p, c, d_s = state.d_p, state.c, state.d_s
+    same = d_s is d_p
+    gram, form = fock._gram, fock._pair_form
 
-    # E pairs |m, n> with |m+1, n-1>, which lies cols-1 entries further
-    # on in the row-major box.  The offset product also pairs each row's
-    # first entry with its last, which E does not; E instead wraps
-    # |0, N> onto |N, 0>, which only a box at the origin holds.
-    flat = a.ravel()
-    step = cols - 1
-    e_mean = complex(np.vdot(flat[:flat.size - step], flat[step:])
-                     - np.vdot(a[:, 0], a[:, step]))
-    if m0 == 0 and n0 == 0:
-        k = min(rows, cols)
-        e_mean += complex(np.vdot(a[:k, 0], a[0, :k]))
+    def weighted(d, w):
+        if d.dtype.kind == "f" and w.min() >= 0.0:  # a symmetric product
+            d = np.sqrt(w)[:, np.newaxis] * d
+            return d.T @ d
+        return gram(d, w[:, np.newaxis] * d)
+
+    def expect(w_p, w_s):
+        """<w_p(N_p) w_s(N_s)>"""
+        f_p = weighted(d_p, w_p)
+        return form(c, f_p, f_p if same and w_s is w_p else weighted(d_s, w_s)).real
+
+    prob_p = _marginal(d_p, c, gram(d_s, d_s))
+    prob_s = prob_p if same else _marginal(d_s, c, gram(d_p, d_p))
+    k = np.arange(state.cutoff + 1.0)
+    mean_p, mean_s = float(k @ prob_p), float(k @ prob_s)
+    dm = k - mean_p
+    dn = dm if same and mean_s == mean_p else k - mean_s
+    # Var L = (Var N_p + Var N_s - 2 Cov) / 4 from centred weights
+    l_var = 0.25 * float((dm * dm) @ prob_p + (dn * dn) @ prob_s - 2.0 * expect(dm, dn))
+    root_m, inv_root_n = np.sqrt(k), 1.0 / np.sqrt(k + 1.0)
+    x, y = float(root_m @ prob_p), float(inv_root_n @ prob_s)
+    dx, dy = root_m - x, inv_root_n - y
+    g_dx = weighted(d_p, dx)
+    cross = form(c, g_dx, weighted(d_s, inv_root_n)).real
+    mixed = form(c, g_dx, weighted(d_s, inv_root_n * dy)).real
+    del g_dx
+    p_var = (expect(dx * dx, inv_root_n * inv_root_n) + 2.0 * x * mixed
+             + x * x * float((dy * dy) @ prob_s) - cross * cross)
+
+    shift_p = gram(d_p[:-1], d_p[1:])
+    shift_s = shift_p if same else gram(d_s[:-1], d_s[1:])
+    e_mean = (form(c, shift_p, np.conj(shift_s).T)
+              + complex(np.vdot(d_p @ (c * d_s[0]), d_s @ (c * d_p[0]))))
     e_var = min(max(1.0 - abs(e_mean) ** 2, 0.0), 1.0)
     return (mean_p + mean_s, e_mean, e_var, 0.5 * (mean_p - mean_s),
-            max(l_var, 0.0), p_var)
+            max(l_var, 0.0), max(p_var, 0.0))
 
 
 def _layer_moments(state: fock.LayerState
                    ) -> tuple[float, complex, float, float, float, float]:
-    """``_grid_moments`` of a phase state on the layer of N photons: L is
+    """The moments of a phase state on the layer of N photons: L is
     the index l, E steps l to l + 1 (the wrap |0, N> -> |N, 0> pairs
     N/2 with -N/2), and P = sqrt(A / B), A = N/2 + l, B = N + 1 - A.
 
@@ -206,17 +225,18 @@ def analyze(state, nbar: float | None = None) -> MomentReport:
     or a bare phase state.
 
     Fock states carry their own photon number.  Two-mode moments come
-    from the real probability box |a|^2 over the stored support (N and L
-    from its marginals and the centred N_p-N_s covariance, P from a
-    centred pass of sqrt(m / (n+1))) and one offset inner product for
-    <E>, with the vacuum wrap |0, N> -> |N, 0> included.  A layer state's
+    from K x K Grams of the stored mode factors (N and L from the mode
+    marginals and the centred N_p-N_s covariance, P from centred cross
+    terms of sqrt(m) and 1/sqrt(n+1), <E> from the Grams of the factors
+    shifted by one row), with the vacuum wrap |0, N> -> |N, 0> included,
+    at O(M K^2) for K factor columns on M+1 rows.  A layer state's
     moments take a few passes over its window.  Bare phase states need
     the external ``nbar`` (the layer a later embedding would use), which
     must be finite and positive, and not so small that p_var =
     4 Var(L) / nbar^2 overflows.
     """
     if isinstance(state, fock.TwoModeFockState):
-        return _make_report(*_grid_moments(state.block, state.offset))
+        return _make_report(*_factor_moments(state))
     if isinstance(state, fock.LayerState):
         return _make_report(*_layer_moments(state))
 

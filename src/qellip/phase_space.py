@@ -112,10 +112,14 @@ def phase_state(components: dict[int, complex]) -> PhaseWaveFunction:
     amps = np.zeros(l_max - l_min + 1, dtype=complex)
     for l, c in components.items():
         amps[integer("l", l) - l_min] = finite(f"component Psi_{l}", c)
-    nrm = np.sqrt(np.sum(np.abs(amps) ** 2))
-    if nrm == 0.0:
+    # scaled by the largest magnitude first, so that no square leaves the
+    # float range
+    largest = np.abs(amps).max()
+    if largest == 0.0:
         raise InvalidStateError("zero-norm component map")
-    return _trimmed(l_min, amps / nrm)
+    parts = amps.view(np.float64)  # a real divisor: no complex division
+    parts /= largest
+    return _trimmed(l_min, amps / np.sqrt(np.sum(np.abs(amps) ** 2)))
 
 
 def from_mathieu(sol: MathieuSolution) -> PhaseWaveFunction:

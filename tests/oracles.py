@@ -6,14 +6,14 @@ replaces the Fourier evaluation, explicit multiple-bounce (Airy)
 summation replaces characteristic matrices, quadrature replaces Bessel
 identities, scipy's exponentially scaled Bessel function replaces the
 backward recurrence of von Mises states, the Laguerre closed form
-replaces the displacement eigensolve, sums over fixed-photon-number
+replaces the degree recurrence of the displacement columns, sums over fixed-photon-number
 layers replace the grid moments of coherent states, exactly rounded
 sums over the index window replace the Var L of bare phase states,
 decimal sums carried past the digits of N the Var P of embedded ones,
 exact integer sums replace the circular variance, and the dense
-(cutoff+1)^2 grid, scattered from a state's stored box or window, with
-N, L, P and E applied to it entry by entry, replaces the moments of
-every two-mode and layer state.
+(cutoff+1)^2 grid, multiplied out from a state's stored factors or
+scattered from its window, with N, L, P and E applied to it entry by
+entry, replaces the Gram moments of every two-mode and layer state.
 """
 
 import decimal
@@ -142,18 +142,16 @@ def displacement_entry(m, n, alpha: complex):
 
 def dense_amplitudes(state) -> np.ndarray:
     """The (cutoff+1)^2 grid of a two-mode state, [m, n] the amplitude of
-    |m>_p |n>_s, scattered from its stored block at its offset; for a
-    phase state on the layer N = cutoff, from its window, Psi_l on
-    |N/2 + l, N/2 - l>."""
+    |m>_p |n>_s: the product d_p diag(c) d_s^T of its stored factors, or,
+    for a phase state on the layer N = cutoff, its window scattered to
+    Psi_l on |N/2 + l, N/2 - l>."""
     grid = np.zeros((state.cutoff + 1, state.cutoff + 1), dtype=complex)
     if hasattr(state, "psi"):
         half = state.cutoff // 2
         l = state.psi.l_min + np.arange(len(state.psi.amplitudes))
         grid[half + l, half - l] = state.psi.amplitudes
         return grid
-    m0, n0 = state.offset
-    rows, cols = state.block.shape
-    grid[m0:m0 + rows, n0:n0 + cols] = state.block
+    grid += (state.d_p * state.c) @ state.d_s.T
     return grid
 
 

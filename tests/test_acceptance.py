@@ -13,6 +13,7 @@ one PASS/FAIL line (visible under ``pytest -s`` or in failure output):
  8. polarization-squeezing boundary
  9. uncertainty relation never violated (randomized states)
 10. transfer matrix vs multiple-bounce summation
+11. shot-noise limits of coherent and squeezed states at large photon numbers
 """
 
 import functools
@@ -39,7 +40,7 @@ from qellip import (
     theta_series,
 )
 from qellip.cli import main as cli_main
-from qellip.noise import coherent_family, mathieu_family, scaling_sweep
+from qellip.noise import coherent_family, mathieu_family, scaling_sweep, squeezed_family
 
 from oracles import airy_reflection, dense_moments, mathieu_eigenvalue_cf, random_stack
 
@@ -109,7 +110,7 @@ def test_03_layer_operator():
             vec = np.exp(2j * np.pi * k * m / (N + 1)) / np.sqrt(N + 1)
             block = np.zeros((N + 1, N + 1), dtype=complex)
             block[m, N - m] = vec
-            states = [TwoModeFockState(N, block, 0.0)]
+            states = [TwoModeFockState(N, block, np.ones(N + 1), np.eye(N + 1), 0.0)]
             if N % 2 == 0:
                 states.append(embed_phase_state(PhaseWaveFunction(-N // 2, vec), N))
             for state in states:
@@ -254,3 +255,24 @@ def test_10_optics():
     film = LayerStack(1.0, (Layer(1.46 + 0j, 0.0),), 3.85 + 0.02j, 632.8, 1.2)
     a, b = stack_reflection(bare), stack_reflection(film)
     assert (a.r_p, a.r_s) == (b.r_p, b.r_s)  # zero-thickness identity, exact
+
+
+@criterion(11, "Gaussian states at scale")
+def test_11_coherent_shot_noise_slope_at_scale():
+    # e_var -> 1/nbar: the relative-phase variance of two Poisson modes
+    nbars = [1e2, 1e3, 1e4, 1e5, 1e6]
+    fit = scaling_sweep(coherent_family(), nbars, "e_var")
+    assert fit.slope == pytest.approx(-1.0, abs=1e-3)
+    e_var = dict(fit.points)[1e6]
+    assert abs(e_var * 1e6 - 1.0) < 1e-5
+
+
+@criterion(11, "Gaussian states at scale")
+@pytest.mark.parametrize("s", [0.5, 1.0])
+def test_11_squeezed_closed_forms_at_scale(s):
+    nbar = 1e4
+    report = squeezed_family(s).build_report(nbar)
+    assert report.n_mean == pytest.approx(nbar, rel=1e-12)
+    l_var = (nbar / 2.0 - np.sinh(s) ** 2) * np.exp(-2.0 * s) / 2.0
+    assert report.l_var == pytest.approx(l_var, rel=1e-12)
+    assert report.saturation_ratio >= 1.0 - 1e-9

@@ -112,10 +112,17 @@ class TestState:
         assert "finite" in err
 
     def test_oversized_grid_exits_2(self, capsys):
-        # regression: the (M+1)^2 grid was allocated and died in MemoryError
-        code, _, err = run(capsys, "state", "--family", "coherent", "--nbar", "1e5")
+        # regression: the (M+1)^2 grid was allocated and died in MemoryError;
+        # nbar 2e12 needs a factor column of 1e12 rows, past the budget
+        code, _, err = run(capsys, "state", "--family", "coherent", "--nbar", "2e12")
         assert code == 2
         assert "budget" in err
+
+    def test_bright_coherent_state_runs(self, capsys):
+        # one factor column per mode, where the (M+1)^2 grid would take 41 GiB
+        code, out, _ = run(capsys, "state", "--family", "coherent", "--nbar", "1e5")
+        assert code == 0
+        assert json.loads(out)["n_mean"] == pytest.approx(1e5, rel=1e-9)
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -450,12 +457,13 @@ class TestInputChecks:
 
 class TestStartup:
     def test_no_scipy_on_the_import_path(self):
-        # coherent and von Mises states need numpy only; scipy loads at
-        # the first squeezed or Mathieu eigensolve
+        # coherent, squeezed and von Mises states need numpy only; scipy
+        # loads at the first Mathieu eigensolve
         code = (
             "import contextlib, io, sys\n"
             "import qellip, qellip.cli\n"
             "for argv in (['state', '--family', 'coherent', '--nbar', '100'],\n"
+            "             ['state', '--family', 'squeezed', '--s', '1', '--nbar', '10'],\n"
             "             ['state', '--family', 'von_mises', '--kappa', '4', '--nbar', '100']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert qellip.cli.main(argv) == 0\n"

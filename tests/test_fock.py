@@ -1,5 +1,6 @@
 """Truncated two-mode simulator: operators, constructors, exact moments."""
 
+import math
 import sys
 import tracemalloc
 
@@ -47,7 +48,7 @@ def layer_states(vec: np.ndarray) -> list:
     N = len(vec) - 1
     block = np.zeros((N + 1, N + 1), dtype=complex)
     block[np.arange(N + 1), N - np.arange(N + 1)] = vec
-    states = [TwoModeFockState(N, block, 0.0)]
+    states = [TwoModeFockState(N, block, np.ones(N + 1), np.eye(N + 1), 0.0)]
     if N % 2 == 0:
         states.append(embed_phase_state(PhaseWaveFunction(-N // 2, vec), N))
     return states
@@ -60,7 +61,7 @@ class TestLayerOperator:
     def test_smallest_layer_is_exchange(self):
         for sign in (1.0, -1.0):
             block = np.array([[0.0, 1.0], [sign, 0.0]], dtype=complex) / np.sqrt(2.0)
-            report = analyze(TwoModeFockState(1, block, 0.0))
+            report = analyze(TwoModeFockState(1, block, np.ones(2), np.eye(2), 0.0))
             assert report.e_mean == pytest.approx(sign, abs=1e-15)
             assert report.e_var == pytest.approx(0.0, abs=1e-15)
 
@@ -84,7 +85,7 @@ class TestLayerOperator:
             embed_phase_state(from_von_mises(0.0), 0)
 
     def test_full_operator_consistent_with_layer_blocks(self):
-        # a layer inside a larger grid, as a box and as a layer state,
+        # a layer inside a larger grid, as a dense state and as a layer state,
         # against the oracle's E applied to the dense grid
         rng = np.random.default_rng(0)
         vec = rng.normal(size=5) + 1j * rng.normal(size=5)
@@ -93,7 +94,8 @@ class TestLayerOperator:
         n = np.arange(5)
         amps[n, 4 - n] = vec
         expected = np.vdot(amps, apply_phase(amps))
-        assert abs(analyze(TwoModeFockState(6, amps, 0.0)).e_mean - expected) < 1e-15
+        dense = TwoModeFockState(6, amps, np.ones(7), np.eye(7), 0.0)
+        assert abs(analyze(dense).e_mean - expected) < 1e-15
         for st in layer_states(vec):
             assert abs(analyze(st).e_mean - expected) < 1e-15
 
@@ -171,24 +173,37 @@ class TestCoherent:
         ref /= np.linalg.norm(ref)
         assert np.abs(dense_amplitudes(st) - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_box_holds_only_the_support(self):
-        # the grid runs from 0 to 12 sigma above the mode mean, while the
-        # rows and columns above 1e-16 of the peak lie within about
-        # 12 sigma on either side: at nbar = 2800 under a quarter of it
+    def test_one_real_factor_column_per_mode(self):
+        # a coherent state is the rank-one case: one column of M + 1 rows,
+        # shared by two equal modes, real for a real amplitude
         a = np.sqrt(1400.0)
         st = coherent_state(a, a)
-        assert st.block.size < 0.25 * (st.cutoff + 1) ** 2
-        assert st.offset[0] == st.offset[1] > 0
-        edges = np.abs(np.concatenate([st.block[0], st.block[-1]]))
-        assert edges.max() < 1e-15 * np.abs(st.block).max()
+        assert st.d_p.shape == (st.cutoff + 1, 1)
+        assert st.d_s is st.d_p
+        assert st.d_p.dtype == np.float64 and st.c.dtype == np.float64
+        st = coherent_state(a, 1j * a)
+        assert st.d_p.shape == st.d_s.shape == (st.cutoff + 1, 1)
+        assert st.d_s.dtype == np.complex128
 
 
 class TestGridBudget:
     def test_oversized_grids_rejected(self):
+        # |alpha|^2 = 1e12 needs 1e12 rows; s = 5 needs all 268114 pair
+        # columns on as many rows
         with pytest.raises(InvalidParameterError, match="budget"):
-            coherent_state(np.sqrt(5e4), np.sqrt(5e4))
+            coherent_state(1e6, 1e6)
         with pytest.raises(InvalidParameterError, match="budget"):
             squeezed_for_mean_photons(20000.0, 5.0)
+
+    def test_factors_past_the_old_grid_budget_run(self):
+        # one factor column of 52710 rows, where the (M+1)^2 grid would
+        # take 41 GiB
+        a = np.sqrt(5e4)
+        st = coherent_state(a, a)
+        assert st.cutoff == 52709 and st.tail_mass < 1e-30
+        report = analyze(st)
+        assert report.n_mean == pytest.approx(1e5, rel=1e-12)
+        assert report.l_var == pytest.approx(2.5e4, rel=1e-12)
 
     def test_embeds_past_the_nominal_grid_run(self):
         # an embed allocates its window, not the (N+1)^2 grid of its layer
@@ -196,8 +211,17 @@ class TestGridBudget:
         assert report.n_mean == 100000.0
         assert 0.0 < report.p_var < 1e-9
 
+    @staticmethod
+    def planned_bytes(cutoff, pairs, modes, itemsize):
+        # the factors of each mode over the rows of the tail check, two
+        # factor-sized scratch arrays, sixteen row vectors and two K x K
+        # Grams per mode plus one
+        rows = cutoff + 1 + 4 * math.isqrt(cutoff + 1) + 25
+        return (((modes + 2) * pairs + 16) * rows + (2 * modes + 1) * pairs * pairs) * itemsize
+
     def test_budget_boundary(self, monkeypatch):
-        monkeypatch.setattr(fock, "MAX_GRID_BYTES", 11 * 11 * 16)
+        # one shared real column: 7320 bytes at cutoff 10, 7472 at 11
+        monkeypatch.setattr(fock, "MAX_FACTOR_BYTES", self.planned_bytes(10, 1, 1, 8))
         assert coherent_state(0.5, 0.5, 10).cutoff == 10
         with pytest.raises(InvalidParameterError, match="budget"):
             coherent_state(0.5, 0.5, 11)
@@ -205,13 +229,13 @@ class TestGridBudget:
             displaced_squeezed_state(0.5, 0.5, 0.1, cutoff=11)
 
     def test_embed_ignores_the_grid_budget(self, monkeypatch):
-        monkeypatch.setattr(fock, "MAX_GRID_BYTES", 11 * 11 * 16)
+        monkeypatch.setattr(fock, "MAX_FACTOR_BYTES", self.planned_bytes(10, 1, 1, 8))
         report = analyze(embed_phase_state(from_von_mises(0.0), 12))
         assert (report.n_mean, report.l_var, report.p_var) == (12.0, 0.0, 0.0)
 
 
 class TestHugeInputs:
-    """Inputs far past the grid budget are refused by it, not by an
+    """Inputs far past the factor budget are refused by it, not by an
     OverflowError from the sizes computed on the way.  A layer state
     stores no grid: its layer runs at any size N/2 has a float for."""
 
@@ -255,9 +279,9 @@ class TestHugeInputs:
 
     def test_message_within_float_range_keeps_its_size(self):
         with pytest.raises(InvalidParameterError) as exc:
-            coherent_state(1.0, 1.0, cutoff=100000)
-        assert str(exc.value) == ("cutoff 100000 needs a 152591 MiB amplitude grid, "
-                                  "over the 1024 MiB budget")
+            coherent_state(1.0, 1.0, cutoff=10 ** 11)
+        assert str(exc.value) == ("cutoff 100000000000 with K = 1 needs 14496033 MiB "
+                                  "of mode factors, over the 1024 MiB budget")
 
 
 class TestIntegerArguments:
@@ -294,33 +318,63 @@ class TestNonFiniteInputs:
             displaced_squeezed_state(1.0, 1.0, complex(0.2, np.nan))
 
 
+def displacement_columns(alpha, rows: int, ncols: int) -> np.ndarray:
+    """<m|D(alpha)|n> for m < rows, n < ncols, as the build computes them."""
+    return fock._displacement_factor(alpha, rows, ncols).T
+
+
 class TestDisplacement:
+    """The columns of D(alpha) from the degree recurrence, against the
+    Laguerre closed form (``displacement_entry``)."""
+
     def test_matches_laguerre_closed_form(self):
-        alpha = 0.7 + 0.3j
-        D = fock._displacement_columns(alpha, 60, 61)
-        for m in (0, 5, 17, 33):
-            for n in (0, 7, 22, 40):
-                assert D[m, n] == pytest.approx(
-                    displacement_entry(m, n, alpha), abs=1e-12)
+        # |alpha| = 7 on M = 300; |alpha|^2 = 2000 on the rows and K of a
+        # squeezed build at s = 1; a complex and a negative amplitude
+        for alpha, rows, ncols, tol in ((7.0, 301, 301, 1e-13),
+                                        (np.sqrt(2000.0), 3697, 144, 1e-12),
+                                        (0.7 + 0.3j, 61, 61, 3e-14),
+                                        (-2.0 * np.exp(0.3j), 120, 50, 3e-14),
+                                        (-3.0, 120, 50, 3e-14)):
+            d = displacement_columns(alpha, rows, ncols)
+            m, n = np.ogrid[:rows, :ncols]
+            ref = displacement_entry(m, n, alpha)
+            assert np.abs(d - ref).max() < tol, alpha
+
+    @pytest.mark.parametrize("alpha, ncols", [(0.3, 60), (1.9, 144), (1e-3, 535)])
+    def test_recessive_entries_from_the_transpose(self, alpha, ncols):
+        # for n > (sqrt(m) + |alpha|)^2 the entry G[m, n] decays in n, where
+        # the forward recurrence would grow the dominant solution instead;
+        # |alpha| = 1e-3 also starts rows at 1e-700, under the float range
+        rows = ncols + 60
+        d = displacement_columns(alpha, rows, ncols)
+        m, n = np.ogrid[:rows, :ncols]
+        ref = displacement_entry(m, n, alpha)
+        recessive = m < np.maximum(np.sqrt(n) - alpha, 0.0) ** 2
+        assert recessive.sum() > 0.25 * ncols ** 2
+        assert np.abs(d - ref).max() < 1e-13
+        assert np.all(np.isfinite(d))
 
     def test_matches_matrix_exponential(self):
+        # the exponential of the truncated generator leaves the true
+        # entries near its cutoff; compare them on the inner block
         import scipy.linalg
         alpha, M = 1.1 - 0.4j, 50
         a = np.diag(np.sqrt(np.arange(1, M + 1)), k=1)
         exact = scipy.linalg.expm(alpha * a.conj().T - np.conj(alpha) * a)
-        assert np.abs(fock._displacement_columns(alpha, M, M + 1) - exact).max() < 1e-12
+        assert np.abs(displacement_columns(alpha, M + 1, 30) - exact[:, :30])[:30].max() < 1e-14
 
     def test_unitary_even_at_large_amplitude(self):
-        # regression: local Laguerre recurrences lose ~e^{n/2} of precision
-        # here; the spectral construction must stay exactly unitary
-        for alpha, M in ((0.9j, 60), (7.0, 300)):
-            D = fock._displacement_columns(alpha, M, M + 1)
-            gram = D.conj().T @ D
-            assert np.abs(gram - np.eye(M + 1)).max() < 1e-12
+        # rows past every column's support: orthonormal columns, where the
+        # recurrence in m (sqrt(m+1) G[m+1,n] = ...) is off by 1e38 at |alpha| = 7
+        for alpha, rows, ncols in ((0.9j, 300, 61), (7.0, 900, 301),
+                                   (np.sqrt(2000.0), 3697, 144)):
+            d = displacement_columns(alpha, rows, ncols)
+            gram = d.conj().T @ d
+            assert np.abs(gram - np.eye(ncols)).max() < 1e-12, alpha
 
     def test_zero_displacement_is_identity(self):
-        assert np.array_equal(fock._displacement_columns(0.0, 10, 11),
-                              np.eye(11, dtype=complex))
+        assert np.array_equal(displacement_columns(0.0, 11, 11), np.eye(11))
+        assert np.array_equal(displacement_columns(1e-200, 20, 5), np.eye(20, 5))
 
 
 class TestSqueezed:
@@ -357,11 +411,11 @@ class TestSqueezed:
         with pytest.raises(InvalidParameterError, match="too small for squeezing"):
             squeezed_for_mean_photons(nbar, s)
 
-    def test_cutoff_too_small_caught_by_boundary_mass(self):
-        # unitary displacement factors alias a clipped support instead of
-        # losing norm, so this failure mode needs its own detector
-        with pytest.raises(TruncationError):
+    def test_cutoff_too_small_caught_by_the_measured_tail(self):
+        # the mass in the rows past the cutoff, over the total
+        with pytest.raises(TruncationError, match="tail 2.6..e-05"):
             squeezed_for_mean_photons(100.0, 1.0, 0.0, cutoff=120)
+        assert squeezed_for_mean_photons(100.0, 1.0, 0.0, cutoff=200).tail_mass < 1e-13
 
     def test_mean_phase_closed_forms(self):
         # coherent: <E> ~ prod_sigma (1 - 1/(8 |alpha_sigma|^2))
@@ -399,15 +453,41 @@ def _pair_amplitudes(zeta: complex, count: int) -> np.ndarray:
     return (np.tanh(s) * np.exp(1j * np.angle(zeta))) ** np.arange(count) / np.cosh(s)
 
 
+def laguerre_amplitudes(alpha_p, alpha_s, zeta, cutoff: int, ncols: int) -> np.ndarray:
+    """The normalized grid of sum_{n < ncols} c_n D(alpha_p)|n> D(alpha_s)|n>
+    with the displacement entries from the Laguerre closed form."""
+    k, n = np.ogrid[:cutoff + 1, :ncols]
+    d_p = displacement_entry(k, n, alpha_p)
+    d_s = displacement_entry(k, n, alpha_s)
+    amps = (d_p * _pair_amplitudes(zeta, ncols)) @ d_s.T
+    return amps / np.linalg.norm(amps)
+
+
 class TestSqueezedPairColumns:
-    """The build keeps the K pair columns above 1e-17 of the norm; every
-    amplitude must still match sums over all M+1 pair columns."""
+    """The build keeps the K pair columns whose amplitude (tanh s)^K is
+    at least 1e-17; every amplitude must still match the Laguerre sum
+    over all M+1 pair columns, and every moment those of that sum."""
+
+    @staticmethod
+    def check(st, alpha_p, alpha_s, zeta, ncols):
+        r = np.tanh(abs(zeta))
+        pairs = len(st.c)
+        assert pairs == st.cutoff + 1 or r ** pairs < fock.PAIR_AMPLITUDE_FLOOR <= r ** (pairs - 1)
+        full = laguerre_amplitudes(alpha_p, alpha_s, zeta, st.cutoff, ncols)
+        assert np.abs(dense_amplitudes(st) - full).max() < 1e-13
+        report = analyze(st)
+        ref = dense_moments(TwoModeFockState(st.cutoff, full, np.ones(st.cutoff + 1),
+                                             np.eye(st.cutoff + 1), 0.0))
+        assert report.n_mean == pytest.approx(ref.n_mean, rel=1e-12)
+        assert report.l_var == pytest.approx(ref.l_var, rel=1e-12)
+        assert report.p_var == pytest.approx(ref.p_var, rel=1e-12)
+        assert abs(report.e_mean - ref.e_mean) < 1e-13
 
     @pytest.mark.parametrize("alpha_p, alpha_s, zeta, cutoff", [
         (3.0 + 1.0j, -2.0 + 0.5j, 0.3 * np.exp(0.7j), None),
         (2.0 - 1.0j, 1.5j, np.exp(2.0j), None),
         (6.0, 2.0j, 1.0, None),
-        # balanced nbar = 100 at dphi = 0.5, one shared eigensolve
+        # balanced nbar = 100 at dphi = 0.5, one shared factor
         (np.sqrt(50.0 - np.sinh(1.0) ** 2), np.sqrt(50.0 - np.sinh(1.0) ** 2),
          np.exp(-0.5j), None),
         # at s = 2 the pair columns reach the auto cutoff with ~1e-11 of
@@ -416,27 +496,17 @@ class TestSqueezedPairColumns:
     ])
     def test_matches_laguerre_sum(self, alpha_p, alpha_s, zeta, cutoff):
         st = displaced_squeezed_state(alpha_p, alpha_s, zeta, cutoff)
-        k = np.arange(st.cutoff + 1)
-        d_p = displacement_entry(k[:, np.newaxis], k[np.newaxis, :], alpha_p)
-        d_s = displacement_entry(k[:, np.newaxis], k[np.newaxis, :], alpha_s)
-        ref = (d_p * _pair_amplitudes(zeta, k.size)) @ d_s.T
-        ref /= np.linalg.norm(ref)
-        assert np.abs(dense_amplitudes(st) - ref).max() < 1e-13
+        self.check(st, alpha_p, alpha_s, zeta, st.cutoff + 1)
 
     @pytest.mark.parametrize("s, nbar", [(0.5, 400.0), (0.5, 1000.0),
                                          (1.0, 400.0), (1.0, 1000.0)])
     def test_matches_dense_product(self, s, nbar):
+        # the pair columns past 2K carry amplitudes under 1e-34, and the
+        # Laguerre entries of the far corner of the grid leave the float
+        # range at these photon numbers
         st = squeezed_for_mean_photons(nbar, s)
-        d = fock._displacement_columns(np.sqrt(nbar / 2.0 - np.sinh(s) ** 2), st.cutoff,
-                                       st.cutoff + 1)
-        scaled = d * _pair_amplitudes(s, st.cutoff + 1)
-        # subnormal parts change nothing at this tolerance but slow the
-        # product by an order of magnitude
-        parts = scaled.view(np.float64)
-        parts[np.abs(parts) < np.finfo(np.float64).tiny] = 0.0
-        ref = scaled @ d.T
-        ref /= np.linalg.norm(ref)
-        assert np.abs(dense_amplitudes(st) - ref).max() < 1e-13
+        alpha = np.sqrt(nbar / 2.0 - np.sinh(s) ** 2)
+        self.check(st, alpha, alpha, s, 2 * len(st.c))
 
 
 class TestEmbedding:
@@ -511,7 +581,8 @@ class TestMomentForms:
     def test_variance_of_an_eigenvector_is_zero(self):
         # one entry 0.6+0.8j on |8, 1>: L = 3.5 exactly, and the uncentred
         # <L^2> - <L>^2 left 1.8e-15 where the variance is 0
-        st = TwoModeFockState(8, np.array([[0.6 + 0.8j]]), 0.0, (8, 1))
+        st = TwoModeFockState(8, np.eye(9)[:, 8:], np.array([0.6 + 0.8j]),
+                              np.eye(9)[:, 1:2], 0.0)
         assert dense_moments(st).l_var == 0.0
 
     def test_commutator_on_interior_states(self):
@@ -559,8 +630,11 @@ class TestMomentForms:
         dense[n, 20 - n] = 0.0
         assert np.linalg.norm(dense) == 0.0
 
-    def test_box_must_fit_the_grid(self):
+    def test_factors_must_fit_the_grid(self):
+        ones = np.ones((5, 2))
         with pytest.raises(DimensionMismatchError):
-            fock.TwoModeFockState(4, np.ones((2, 2), dtype=complex), 0.0, (4, 0))
+            fock.TwoModeFockState(4, ones, np.ones(2), np.ones((6, 2)), 0.0)
         with pytest.raises(DimensionMismatchError):
-            fock.TwoModeFockState(4, np.ones((2, 2), dtype=complex), 0.0, (0, -1))
+            fock.TwoModeFockState(4, ones, np.ones(3), ones, 0.0)
+        with pytest.raises(DimensionMismatchError):
+            fock.TwoModeFockState(3, ones, np.ones(2), ones, 0.0)

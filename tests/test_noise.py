@@ -92,23 +92,30 @@ class TestAnalyze:
            density=st.floats(0.02, 1.0))
     def test_grid_moments_match_operator_objects(self, seed, cutoff, density):
         # random grids with mass on row 0 and column 0, so the vacuum wrap
-        # term of E and the row ends of the offset product both count
+        # term of E counts
         rng = np.random.default_rng(seed)
         shape = (cutoff + 1, cutoff + 1)
         mask = rng.random(shape) < density
         mask[0, rng.integers(cutoff + 1)] = mask[rng.integers(cutoff + 1), 0] = True
         amps = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * mask
-        states = [TwoModeFockState(cutoff, amps / np.linalg.norm(amps), 0.0)]
-        # random boxes at offsets with both, one and neither index at zero:
-        # the vacuum wrap applies only to the first, and the offset product
-        # runs over box edges that are not the grid's
+        ones, eye = np.ones(cutoff + 1), np.eye(cutoff + 1)
+        states = [TwoModeFockState(cutoff, amps / np.linalg.norm(amps), ones, eye, 0.0)]
+        # random boxes at offsets with both, one and neither index at zero,
+        # as dense grids: the vacuum wrap meets only the first
         def corner():
             return int(rng.integers(1, cutoff + 1))
         for m0, n0 in ((0, 0), (0, corner()), (corner(), 0), (corner(), corner())):
             box = (int(rng.integers(1, cutoff + 2 - m0)), int(rng.integers(1, cutoff + 2 - n0)))
-            block = rng.normal(size=box) + 1j * rng.normal(size=box)
-            states.append(TwoModeFockState(cutoff, block / np.linalg.norm(block), 0.0,
-                                           (m0, n0)))
+            grid = np.zeros(shape, dtype=complex)
+            grid[m0:m0 + box[0], n0:n0 + box[1]] = rng.normal(size=box) + 1j * rng.normal(size=box)
+            states.append(TwoModeFockState(cutoff, grid / np.linalg.norm(grid), ones, eye, 0.0))
+        # random rank-K factors, real and complex, shared and not
+        for k in (1, 3):
+            d_p = rng.normal(size=(cutoff + 1, k))
+            c = rng.normal(size=k) + 1j * rng.normal(size=k)
+            for d_s in (d_p, rng.normal(size=(cutoff + 1, k)) + 1j * rng.normal(size=(cutoff + 1, k))):
+                norm = np.linalg.norm((d_p * c) @ d_s.T)
+                states.append(TwoModeFockState(cutoff, d_p, c / norm, d_s, 0.0))
         # random windows on an even layer N <= 12; a window that spans the
         # layer puts the wrap |0, N> -> |N, 0> into <E>
         for spans in (True, False):
@@ -126,6 +133,20 @@ class TestAnalyze:
             assert report.l_var == pytest.approx(ref.l_var, rel=1e-12, abs=1e-15)
             assert abs(report.e_mean - ref.e_mean) <= 1e-12 * abs(ref.e_mean) + 1e-15
             assert report.p_var == pytest.approx(ref.p_var, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("s, nbar", [(1.0, 1000.0), (2.0, 30.0), (2.0, 400.0)])
+    def test_pair_correlated_moments_match_the_grid(self, s, nbar):
+        # the separable Gram sums for Var L and Var P cancel the spread of
+        # N_p and N_s, some 3000 times Var L at s = 2, nbar 400: they keep
+        # 3e-12 there, against rounding on the dense grid
+        state = squeezed_for_mean_photons(nbar, s)
+        report, ref = analyze(state), dense_moments(state)
+        assert report.n_mean == pytest.approx(ref.n_mean, rel=1e-13)
+        assert report.l_var == pytest.approx(ref.l_var, rel=3e-12)
+        assert report.p_var == pytest.approx(ref.p_var, rel=3e-12)
+        assert abs(report.e_mean - ref.e_mean) < 1e-13
+        closed = 0.5 * (nbar / 2.0 - np.sinh(s) ** 2) * np.exp(-2.0 * s)
+        assert ref.l_var == pytest.approx(closed, rel=1e-13)
 
     @pytest.mark.parametrize("N", [1000, 6000])
     def test_small_modulus_variance_keeps_its_digits(self, N):

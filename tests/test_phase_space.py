@@ -359,6 +359,15 @@ class TestNonFiniteInputs:
         with pytest.raises(InvalidParameterError, match="Psi_0 must be finite"):
             phase_state({0: value, 1: 1.0})
 
+    @pytest.mark.parametrize("value", [1e200, 1e-200, 5e-324, 1.7e308])
+    def test_components_past_the_square_range(self, value):
+        # the squares overflow or underflow; the state is (|0> + |1>)/sqrt(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = phase_state({0: value, 1: value})
+        assert psi.l_min == 0
+        assert np.abs(psi.amplitudes - 1.0 / math.sqrt(2.0)).max() < 3e-16
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_mathieu_coefficient_refused_not_dropped(self, value):
         # the NaN component was trimmed away, leaving a unit-norm state at l = 0
