@@ -200,7 +200,7 @@ def cmd_sweep(args) -> int:
     if fmt == "json":
         doc = {
             "columns": list(SWEEP_COLUMNS),
-            "rows": [list(row) for row in rows],
+            "rows": [[noise.json_number(x) for x in row] for row in rows],
             "fit": summary,
         }
         _write_lines(args.output, [json.dumps(doc, indent=2, sort_keys=True)])

@@ -77,11 +77,14 @@ TAIL_TOL = 1e-10
 #: entry where a displacement or the pair ratio is complex.
 MAX_FACTOR_BYTES = 2 ** 30
 
-#: Pair amplitude (tanh s)^K below which a displaced squeezed state's pair
-#: terms are dropped; the norm they hold, (tanh s)^(2K), is far under one
-#: rounding unit of a unit-norm state, and no amplitude or moment moves
-#: by more than rounding.
-PAIR_AMPLITUDE_FLOOR = 1e-17
+#: Bound on the pair amplitudes a displaced squeezed state drops: K is the
+#: smallest count with (tanh s)^K / (1 - tanh s) < PAIR_AMPLITUDE_FLOOR,
+#: the sum of every dropped pair amplitude.  No displacement entry
+#: exceeds 1 in magnitude, so no stored amplitude moves by more than this
+#: from the sum over all pair columns, at any s: about the accuracy of
+#: the columns themselves (1e-13 against the Laguerre closed form).  The
+#: norm the dropped terms hold, (tanh s)^(2K), counts as tail.
+PAIR_AMPLITUDE_FLOOR = 1e-14
 
 #: Displacements below this magnitude build the identity columns: every
 #: moment moves by |alpha|^2 or less, which is under the float range.
@@ -365,10 +368,13 @@ def displaced_squeezed_state(alpha_p: complex, alpha_s: complex, zeta: complex,
 
     The pair part is sum_n (e^{i theta} tanh s)^n |n, n> / cosh s with
     zeta = s e^{i theta}.  Only the first K pair terms are kept, K the
-    smallest with (tanh s)^K < PAIR_AMPLITUDE_FLOOR (at most cutoff + 1),
-    so the state is D_p[:, :K] diag(c) D_s[:, :K]^T.  zeta = 0 reduces
-    exactly to ``coherent_state``.  Raises TruncationError when the mass
-    past the cutoff and the dropped pair terms exceed TAIL_TOL.
+    smallest with (tanh s)^K / (1 - tanh s) < PAIR_AMPLITUDE_FLOOR (at
+    most cutoff + 1), so the state is D_p[:, :K] diag(c) D_s[:, :K]^T and
+    no amplitude moves by more than that bound from the sum over all pair
+    terms; the norm the dropped terms hold, (tanh s)^(2K), counts as
+    tail.  zeta = 0 reduces exactly to ``coherent_state``.  Raises
+    TruncationError when the mass past the cutoff and the dropped pair
+    terms exceed TAIL_TOL.
     """
     finite("alpha_p", complex(alpha_p))
     finite("alpha_s", complex(alpha_s))
@@ -389,10 +395,11 @@ def displaced_squeezed_state(alpha_p: complex, alpha_s: complex, zeta: complex,
         cutoff = _default_cutoff(np.sqrt(n_used) + amax, 8.0)
     cutoff = _check_cutoff(cutoff)
 
-    # the pair terms from K on hold r^(2K) of the norm
+    # the pair terms from K on sum to at most r^K / (1 - r) in any
+    # amplitude, and hold r^(2K) of the norm
     pairs = cutoff + 1
     if r < 1.0:
-        pairs = min(pairs, int(math.log(PAIR_AMPLITUDE_FLOOR) / math.log(r)) + 1)
+        pairs = min(pairs, int(math.log(PAIR_AMPLITUDE_FLOOR * (1.0 - r)) / math.log(r)) + 1)
     # the common factor 1 / cosh s goes with the normalization
     unit = zeta / s
     return _gaussian_state(alpha_p, alpha_s, cutoff, pairs,

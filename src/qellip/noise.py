@@ -38,13 +38,13 @@ class MomentReport:
     """Moment summary of one state at one operating photon number.
 
     bound is |<E>|^2 / 4; saturation_ratio = product / bound (+inf when
-    the bound is degenerate).  The bound presumes a negligible layer-wrap
-    term of E: phase states and bright two-mode states keep the ratio
-    >= 1 (-> 1 at saturation), but dim ones fall under it (balanced
-    coherent states read 0.0043 at nbar 0.5 and 0.70 at nbar 5).  p_var
-    is the modulus variance: exact for Fock states, the high-photon
-    approximation 4 Var(L) / nbar^2 for bare phase states, where the
-    photon number is an external parameter.
+    the bound is degenerate, written null in JSON).  The bound presumes a
+    negligible layer-wrap term of E: phase states and bright two-mode
+    states keep the ratio >= 1 (-> 1 at saturation), but dim ones fall
+    under it (balanced coherent states read 0.0043 at nbar 0.5 and 0.70
+    at nbar 5).  p_var is the modulus variance: exact for Fock states,
+    the high-photon approximation 4 Var(L) / nbar^2 for bare phase
+    states, where the photon number is an external parameter.
     """
 
     n_mean: float
@@ -393,15 +393,26 @@ def scaling_sweep(family: StateFamily, n_list, target: str) -> ScalingFit:
 # ---------------------------------------------------------------------------
 # serialization (consumed by the CLI)
 
+def json_number(x):
+    """x as a JSON value: an infinite float (the saturation ratio where the
+    bound is 0) becomes None, written null, since JSON has no Infinity."""
+    return None if isinstance(x, float) and math.isinf(x) else x
+
+
 def report_to_dict(report: MomentReport) -> dict:
-    """Flat JSON-friendly mapping; complex e_mean split into re/im."""
+    """Flat JSON-friendly mapping; complex e_mean split into re/im, and an
+    infinite saturation ratio written as None."""
     d = dataclasses.asdict(report)
     e_mean = d.pop("e_mean")
     d["e_mean_re"], d["e_mean_im"] = e_mean.real, e_mean.imag
+    d["saturation_ratio"] = json_number(d["saturation_ratio"])
     return d
 
 
 def report_from_dict(d: dict) -> MomentReport:
+    """The report ``report_to_dict`` wrote; a None saturation ratio is +inf."""
+    if d["saturation_ratio"] is None:
+        d = {**d, "saturation_ratio": math.inf}
     fields = {f.name: float(d[f.name]) for f in dataclasses.fields(MomentReport)
               if f.name not in ("e_mean", "pol_squeezed")}
     return MomentReport(e_mean=complex(float(d["e_mean_re"]), float(d["e_mean_im"])),

@@ -102,6 +102,11 @@ def fresnel_interface(n_i: complex, n_t: complex, theta_i: float) -> tuple[compl
     return r_p, r_s
 
 
+#: Phase-thickness decay Im beta past which a film is opaque: the round
+#: trip e^{-2 Im beta} through it is below 5e-18.
+_OPAQUE = 20.0
+
+
 def _amplitude_reflection(stack: LayerStack, pol: str) -> complex:
     """Characteristic-matrix reflection for one polarization."""
     n0 = complex(stack.ambient_index)
@@ -116,19 +121,24 @@ def _amplitude_reflection(stack: LayerStack, pol: str) -> complex:
         return w if pol == "s" else n * n / w
 
     m = np.eye(2, dtype=complex)
+    n_sub = complex(stack.substrate_index)
     for layer in stack.layers:
         n = complex(layer.index)
         w = _forward_cos_times_n(n, kx)
-        eta = admittance(n, w)
         beta = 2.0 * np.pi * layer.thickness * w / stack.wavelength
+        if beta.imag > _OPAQUE:
+            # it reflects as a substrate would and hides the layers under
+            # it; cos beta would overflow further on
+            n_sub = n
+            break
+        eta = admittance(n, w)
         cb, sb = np.cos(beta), np.sin(beta)
         # -i sin: the e^{-i omega t} convention needs round-trip phase
         # e^{+2 i beta} (decaying in absorbing films, Im beta >= 0)
         m = m @ np.array([[cb, -1j * sb / eta], [-1j * eta * sb, cb]])
 
     eta0 = admittance(n0, w0)
-    eta_sub = admittance(complex(stack.substrate_index),
-                         _forward_cos_times_n(complex(stack.substrate_index), kx))
+    eta_sub = admittance(n_sub, _forward_cos_times_n(n_sub, kx))
     b, c = m @ np.array([1.0, eta_sub])
     r = (eta0 * b - c) / (eta0 * b + c)
     # the p admittance form carries the Born & Wolf sign; flip into the

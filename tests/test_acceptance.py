@@ -13,7 +13,8 @@ one PASS/FAIL line (visible under ``pytest -s`` or in failure output):
  8. polarization-squeezing boundary
  9. uncertainty relation never violated (randomized states)
 10. transfer matrix vs multiple-bounce summation
-11. shot-noise limits of coherent and squeezed states at large photon numbers
+11. shot-noise limits of coherent and squeezed states at large photon numbers,
+    and squeezed states over hypothesis draws up to nbar 1e4
 """
 
 import functools
@@ -21,6 +22,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qellip import (
     PhaseWaveFunction,
@@ -276,3 +279,21 @@ def test_11_squeezed_closed_forms_at_scale(s):
     l_var = (nbar / 2.0 - np.sinh(s) ** 2) * np.exp(-2.0 * s) / 2.0
     assert report.l_var == pytest.approx(l_var, rel=1e-12)
     assert report.saturation_ratio >= 1.0 - 1e-9
+
+
+@criterion(11, "Gaussian states at scale")
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(s=st.floats(0.05, 1.5), spread=st.floats(0.0, 1.0))
+def test_11_squeezed_relation_over_the_admissible_range(s, spread):
+    # nbar log-uniform from 2 sinh^2 s + 1, where each displacement
+    # carries half a photon, to 1e4; the bound |<E>|^2 / 4 leaves out the
+    # layer-wrap term of E, which dim states feel (MomentReport), and the
+    # ratio stays >= 1 from nbar 9.3 on over this range of s
+    low = 2.0 * np.sinh(s) ** 2 + 1.0
+    nbar = low * (1e4 / low) ** spread
+    report = squeezed_family(s).build_report(nbar)
+    assert report.n_mean == pytest.approx(nbar, rel=1e-9)
+    l_var = (nbar / 2.0 - np.sinh(s) ** 2) * np.exp(-2.0 * s) / 2.0
+    assert report.l_var == pytest.approx(l_var, rel=1e-9)
+    if nbar >= 10.0:
+        assert report.saturation_ratio >= 1.0 - 1e-9

@@ -72,6 +72,24 @@ class TestState:
             "--nbar", "50", "--output", str(path))
         assert report_from_dict(json.loads(path.read_text())) == first
 
+    @pytest.mark.parametrize("argv", [("mathieu", "--q", "0"), ("von_mises", "--kappa", "0")])
+    def test_degenerate_bound_writes_strict_json(self, capsys, argv):
+        # <E> = 0: the saturation ratio is null, not the non-JSON Infinity
+        def refuse(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        code, out, _ = run(capsys, "state", "--family", *argv, "--nbar", "100")
+        assert code == 0
+        doc = json.loads(out, parse_constant=refuse)
+        assert doc["saturation_ratio"] is None
+        assert math.isinf(report_from_dict(doc).saturation_ratio)
+        code, out, _ = run(capsys, "sweep", "--family", *argv, "--format", "json",
+                           "--nbar-list", "10,20,40,80")
+        assert code == 0
+        doc = json.loads(out, parse_constant=refuse)
+        column = doc["columns"].index("saturation_ratio")
+        assert [row[column] for row in doc["rows"]] == [None] * 4
+
     @pytest.mark.parametrize("family,missing", REQUIRED_PARAMS)
     def test_missing_family_parameter(self, capsys, family, missing):
         given = [a for name, p in REQUIRED_PARAMS
@@ -567,6 +585,15 @@ class TestEllipsometry:
         doc = json.loads(out)
         assert doc["psi_deg"] == pytest.approx(0.0, abs=1e-10)
         assert abs(complex(doc["rho_re"], doc["rho_im"])) < 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_opaque_film_gives_finite_fields(self, capsys, tmp_path):
+        stack = tmp_path / "stack.txt"
+        stack.write_text("ambient 1.0\nlayer 2 1 1e6\nsubstrate 1.5 0.1\n"
+                         "wavelength 500\nangle 17\n")
+        code, out, _ = run(capsys, "ellipsometry", "--stack", str(stack))
+        assert code == 0
+        assert all(math.isfinite(v) for v in json.loads(out).values())
 
     def test_zero_thickness_film_byte_identical(self, capsys, tmp_path):
         bare, film = tmp_path / "bare.txt", tmp_path / "film.txt"

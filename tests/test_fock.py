@@ -464,15 +464,17 @@ def laguerre_amplitudes(alpha_p, alpha_s, zeta, cutoff: int, ncols: int) -> np.n
 
 
 class TestSqueezedPairColumns:
-    """The build keeps the K pair columns whose amplitude (tanh s)^K is
-    at least 1e-17; every amplitude must still match the Laguerre sum
-    over all M+1 pair columns, and every moment those of that sum."""
+    """The build keeps the K pair columns that the sum of the dropped
+    pair amplitudes, (tanh s)^K / (1 - tanh s), needs to fall under
+    PAIR_AMPLITUDE_FLOOR; every amplitude must still match the Laguerre
+    sum over all M+1 pair columns, and every moment those of that sum."""
 
     @staticmethod
     def check(st, alpha_p, alpha_s, zeta, ncols):
         r = np.tanh(abs(zeta))
         pairs = len(st.c)
-        assert pairs == st.cutoff + 1 or r ** pairs < fock.PAIR_AMPLITUDE_FLOOR <= r ** (pairs - 1)
+        assert (pairs == st.cutoff + 1
+                or r ** pairs / (1.0 - r) < fock.PAIR_AMPLITUDE_FLOOR <= r ** (pairs - 1) / (1.0 - r))
         full = laguerre_amplitudes(alpha_p, alpha_s, zeta, st.cutoff, ncols)
         assert np.abs(dense_amplitudes(st) - full).max() < 1e-13
         report = analyze(st)
@@ -507,6 +509,21 @@ class TestSqueezedPairColumns:
         st = squeezed_for_mean_photons(nbar, s)
         alpha = np.sqrt(nbar / 2.0 - np.sinh(s) ** 2)
         self.check(st, alpha, alpha, s, 2 * len(st.c))
+
+    @pytest.mark.parametrize("s, nbar, pairs", [(0.5, 100.0, 43), (1.0, 100.0, 124),
+                                                (2.0, 400.0, 971)])
+    def test_dropped_columns_stay_under_the_bound(self, monkeypatch, s, nbar, pairs):
+        # against the same build under a floor a thousand times lower
+        st = squeezed_for_mean_photons(nbar, s)
+        monkeypatch.setattr(fock, "PAIR_AMPLITUDE_FLOOR", 1e-17)
+        ref = squeezed_for_mean_photons(nbar, s)
+        assert len(st.c) == pairs < len(ref.c)
+        assert np.abs(dense_amplitudes(st) - dense_amplitudes(ref)).max() < 1e-14
+        got, want = analyze(st), analyze(ref)
+        for field in ("n_mean", "e_var", "l_var", "p_var"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-13, abs=0.0)
+        assert abs(got.e_mean - want.e_mean) <= 1e-13 * abs(want.e_mean)
+        assert abs(got.l_mean - want.l_mean) <= 1e-13 * want.n_mean
 
 
 class TestEmbedding:

@@ -312,9 +312,9 @@ def test_recurrence_residuals_match_row_loop(q):
 
 class TestLapackLoading:
     def test_solve_loads_no_scipy_linalg_package(self):
-        # the LAPACK routines of the Mathieu solve and of the squeezed
-        # displacement factors come from scipy's extension module alone,
-        # not through the scipy.linalg package and its ~330 modules
+        # the LAPACK routines of the Mathieu solve come from scipy's
+        # extension module alone, not through the scipy.linalg package and
+        # its ~330 modules; on Linux, not through the scipy package either
         code = (
             "import sys\n"
             "from qellip import (from_mathieu, se_even_eigenvalue, solve_even_mathieu,\n"
@@ -325,6 +325,9 @@ class TestLapackLoading:
             "se_even_eigenvalue(3.0, 1)\n"
             "squeezed_for_mean_photons(10.0, 1.0)\n"
             "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg imported'\n"
+            "if sys.platform.startswith('linux'):\n"
+            "    assert 'scipy.linalg._flapack' in sys.modules\n"
+            "    assert 'scipy' not in sys.modules, 'scipy imported'\n"
             "import numpy as np, scipy.linalg\n"
             "assert _lapack().dstebz is scipy.linalg.lapack.dstebz\n"
             "assert _lapack().dstevd is scipy.linalg.lapack.dstevd\n"

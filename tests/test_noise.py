@@ -212,6 +212,8 @@ class TestAnalyze:
         report = analyze(phase_state({2: 1.0}), nbar=10.0)
         assert report.bound == 0.0
         assert math.isinf(report.saturation_ratio)
+        assert report_to_dict(report)["saturation_ratio"] is None
+        assert report_from_dict(report_to_dict(report)) == report
 
     def test_report_roundtrip(self):
         report = analyze(squeezed_for_mean_photons(10.0, 0.5, 0.3))

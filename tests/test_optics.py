@@ -117,6 +117,30 @@ class TestStackReflection:
         assert 0.0 <= res.psi_angle <= np.pi / 2.0
         assert 0.0 <= res.delta < 2.0 * np.pi
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ambient, film, thickness, substrate, angle", [
+        (1.0, 2.0 + 1.0j, 1e6, 1.5 + 0.1j, 17.0),  # a 1 mm absorbing film
+        (1.5, 1.0 + 0j, 1e5, 1.5 + 0j, 60.0),      # frustrated total reflection
+    ])
+    def test_opaque_film_reflects_as_substrate(self, ambient, film, thickness, substrate, angle):
+        # Im beta ~ 1e3 to 1e4: cos beta overflows unless the film is opaque
+        theta = np.deg2rad(angle)
+        res = stack_reflection(LayerStack(ambient, (Layer(film, thickness),), substrate,
+                                          500.0, theta))
+        r_p, r_s = fresnel_interface(ambient, film, theta)
+        assert abs(res.r_p - r_p) < 1e-12
+        assert abs(res.r_s - r_s) < 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_opaque_film_hides_the_layers_under_it(self):
+        above = (Layer(1.46 + 0j, 100.0), Layer(2.3 + 0j, 35.0))
+        below = (Layer(1.3 + 0j, 50.0), Layer(4.0 + 2.0j, 1e300))
+        theta = np.deg2rad(55.0)
+        full = stack_reflection(LayerStack(1.0, above + (Layer(2.0 + 1.0j, 1e5),) + below,
+                                           3.85 + 0.02j, 632.8, theta))
+        cut = stack_reflection(LayerStack(1.0, above, 2.0 + 1.0j, 632.8, theta))
+        assert (full.r_p, full.r_s) == (cut.r_p, cut.r_s)
+
     def test_grazing_layer_mode_rejected(self):
         # a layer index matching the transverse wavevector kills cos(theta)
         theta = 1.0
