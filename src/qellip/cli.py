@@ -30,7 +30,7 @@ from .errors import (
 )
 from .mathieu import se_even_eigenvalue, solve_even_mathieu
 
-#: Most rows a mathieu-table may ask for: its orders' default Fourier windows, summed.
+#: Most rows a mathieu-table may ask for: its orders' first Fourier windows, summed.
 MAX_TABLE_ROWS = 2 ** 20
 
 

@@ -30,8 +30,8 @@ class DimensionMismatchError(QellipError, ValueError):
 
 
 class TruncationError(QellipError):
-    """A truncation window (Fourier order, Fock cutoff, layer size) is too
-    small to hold the requested state within the tail tolerance."""
+    """A truncation window (Fock cutoff, layer size) is too small to hold
+    the requested state within the tail tolerance."""
 
 
 class InconsistentSolutionError(QellipError):

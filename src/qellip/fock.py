@@ -27,7 +27,8 @@ factors or window; no dense grid or operator object is built.
 Construction is tail-checked: every constructor records the probability
 lost to the truncation before renormalizing, and raises TruncationError
 when it exceeds TAIL_TOL = 1e-10: one fixed rule, which no argument or
-environment variable changes.  The two-mode constructors check the bytes
+environment variable changes.  A Gaussian state's cutoff is derived from
+its parameters, never set.  The two-mode constructors check the bytes
 of their factors against ``MAX_FACTOR_BYTES`` before allocating anything.
 
 The displacement columns G[m, n] = <m|D(alpha)|n> come from the
@@ -135,14 +136,6 @@ class LayerState:
     cutoff: int
     psi: PhaseWaveFunction
     tail_mass: float
-
-
-def _check_cutoff(cutoff: int) -> int:
-    """The cutoff as an int, refused unless a whole number >= 1."""
-    cutoff = integer("cutoff", cutoff)
-    if cutoff < 1:
-        raise InvalidParameterError(f"cutoff must be >= 1, got {cutoff}")
-    return cutoff
 
 
 def _budget_rows(cutoff: int, pairs: int, modes: int, itemsize: int) -> int:
@@ -348,22 +341,20 @@ def _gaussian_state(alpha_p: complex, alpha_s: complex, cutoff: int, pairs: int,
                             d_p if same else d_s[:kept], tail)
 
 
-def coherent_state(alpha_p: complex, alpha_s: complex,
-                   cutoff: int | None = None) -> TwoModeFockState:
+def coherent_state(alpha_p: complex, alpha_s: complex) -> TwoModeFockState:
     """Two-mode coherent state |alpha_p> (x) |alpha_s>, truncated: one
-    factor column per mode.  Raises TruncationError when the Poisson
-    tail beyond the cutoff exceeds TAIL_TOL.
+    factor column per mode.  The cutoff is ceil(mu + 12 sqrt(mu + 1) + 25),
+    mu the larger mean photon number, where the Poisson tail of both modes
+    is far below TAIL_TOL; a larger tail raises TruncationError.
     """
     finite("alpha_p", complex(alpha_p))
     finite("alpha_s", complex(alpha_s))
-    if cutoff is None:  # the Poisson tail of both modes far below 1e-10
-        cutoff = _default_cutoff(max(abs(alpha_p), abs(alpha_s)), 12.0)
-    cutoff = _check_cutoff(cutoff)
+    cutoff = _default_cutoff(max(abs(alpha_p), abs(alpha_s)), 12.0)
     return _gaussian_state(alpha_p, alpha_s, cutoff, 1, 0.0, 0.0, "coherent state")
 
 
-def displaced_squeezed_state(alpha_p: complex, alpha_s: complex, zeta: complex,
-                             cutoff: int | None = None) -> TwoModeFockState:
+def displaced_squeezed_state(alpha_p: complex, alpha_s: complex,
+                             zeta: complex) -> TwoModeFockState:
     """Two-mode squeezed vacuum displaced in each mode.
 
     The pair part is sum_n (e^{i theta} tanh s)^n |n, n> / cosh s with
@@ -372,34 +363,29 @@ def displaced_squeezed_state(alpha_p: complex, alpha_s: complex, zeta: complex,
     most cutoff + 1), so the state is D_p[:, :K] diag(c) D_s[:, :K]^T and
     no amplitude moves by more than that bound from the sum over all pair
     terms; the norm the dropped terms hold, (tanh s)^(2K), counts as
-    tail.  zeta = 0 reduces exactly to ``coherent_state``.  Raises
-    TruncationError when the mass past the cutoff and the dropped pair
-    terms exceed TAIL_TOL.
+    tail.  zeta = 0 reduces exactly to ``coherent_state``.  The cutoff
+    covers every pair column whose clipped mass could reach ~1e-12 and
+    the outer support edge (sqrt(n) + |alpha|)^2 of the displaced number
+    states those columns become.  Raises TruncationError when the mass
+    past the cutoff and the dropped pair terms exceed TAIL_TOL.
     """
     finite("alpha_p", complex(alpha_p))
     finite("alpha_s", complex(alpha_s))
     zeta = finite("zeta", complex(zeta))
     s = abs(zeta)
     if s == 0.0:
-        return coherent_state(alpha_p, alpha_s, cutoff)
+        return coherent_state(alpha_p, alpha_s)
     r = np.tanh(s)
-    if cutoff is None:
-        # keep every pair column whose clipped mass could reach ~1e-12,
-        # and cover the outer support edge (sqrt(n) + |alpha|)^2 of the
-        # displaced number states those columns become
-        if r >= 1.0:
-            raise InvalidParameterError(
-                f"squeezing s={s} rounds tanh s to 1: no finite cutoff holds it")
-        amax = max(abs(alpha_p), abs(alpha_s))
-        n_used = (12.0 * np.log(10.0) - np.log(1.0 - r * r)) / (-2.0 * np.log(r))
-        cutoff = _default_cutoff(np.sqrt(n_used) + amax, 8.0)
-    cutoff = _check_cutoff(cutoff)
+    if r >= 1.0:
+        raise InvalidParameterError(
+            f"squeezing s={s} rounds tanh s to 1: no finite cutoff holds it")
+    amax = max(abs(alpha_p), abs(alpha_s))
+    n_used = (12.0 * np.log(10.0) - np.log(1.0 - r * r)) / (-2.0 * np.log(r))
+    cutoff = _default_cutoff(np.sqrt(n_used) + amax, 8.0)
 
     # the pair terms from K on sum to at most r^K / (1 - r) in any
     # amplitude, and hold r^(2K) of the norm
-    pairs = cutoff + 1
-    if r < 1.0:
-        pairs = min(pairs, int(math.log(PAIR_AMPLITUDE_FLOOR * (1.0 - r)) / math.log(r)) + 1)
+    pairs = min(cutoff + 1, int(math.log(PAIR_AMPLITUDE_FLOOR * (1.0 - r)) / math.log(r)) + 1)
     # the common factor 1 / cosh s goes with the normalization
     unit = zeta / s
     return _gaussian_state(alpha_p, alpha_s, cutoff, pairs,
@@ -407,8 +393,7 @@ def displaced_squeezed_state(alpha_p: complex, alpha_s: complex, zeta: complex,
                            float(r) ** (2 * pairs), "displaced squeezed state")
 
 
-def squeezed_for_mean_photons(nbar: float, s: float, dphi: float = 0.0,
-                              cutoff: int | None = None) -> TwoModeFockState:
+def squeezed_for_mean_photons(nbar: float, s: float, dphi: float = 0.0) -> TwoModeFockState:
     """Displaced squeezed state at the balanced operating point.
 
     Splits nbar as |alpha_p| = |alpha_s| = sqrt(nbar/2 - sinh^2 s) with
@@ -432,7 +417,7 @@ def squeezed_for_mean_photons(nbar: float, s: float, dphi: float = 0.0,
         )
     alpha = np.sqrt(alpha_sq)
     zeta = s * np.exp(-1j * dphi)  # phi_p = phi_s = 0, so theta = -dphi
-    return displaced_squeezed_state(alpha, alpha, zeta, cutoff)
+    return displaced_squeezed_state(alpha, alpha, zeta)
 
 
 def embed_phase_state(psi: PhaseWaveFunction, N: int) -> LayerState:

@@ -21,7 +21,7 @@ coefficients are un-scaled on output.  Normalization is McLachlan's
 with the sign fixed by A_0 > 0.  Only q >= 0 is supported.  The odd
 (elliptic-sine) pi-periodic branch is exposed for eigenvalue checks only.
 
-The default window follows the support, not the recurrence's turning
+The Fourier window follows the support, not the recurrence's turning
 point 2 sqrt(q): for large q the coefficients of ce_{2k} tend to a
 Hermite-Gauss profile of width ~q^(1/4) in j (DLMF 28.8), so J grows
 like (6.5 + k/2) q^(1/4), and it doubles until the last coefficient
@@ -45,7 +45,6 @@ import numpy as np
 from .errors import (
     InconsistentSolutionError,
     InvalidParameterError,
-    TruncationError,
     finite,
     integer,
 )
@@ -186,40 +185,34 @@ def _solve(q: float, k: int, J: int, odd: bool) -> tuple[float, np.ndarray]:
     return float(w[0]), vecs[:, 0]
 
 
-def _eigenpair(q: float, k: int, truncation: int | None,
-               odd: bool) -> tuple[float, int, float, np.ndarray, int]:
+def _eigenpair(q: float, k: int, odd: bool) -> tuple[float, int, float, np.ndarray, int]:
     """Validated (q, J), the k-th eigenpair (a, v) of one branch, and k as an int.
 
-    An explicit ``truncation`` is the window J as given.  By default J
-    starts at ``auto_truncation(q, k)`` and doubles while the last
+    J starts at ``auto_truncation(q, k)`` and doubles while the last
     component is not below TAIL_TOL; once J passes the recurrence's
     turning point near 2 sqrt(q) the tail decays faster than
     geometrically, so the doubling ends.
 
-    Raises InvalidParameterError for q non-finite or negative, k or J not
-    whole, k < 0, J < 1 or J > MAX_TRUNCATION; TruncationError for k >= J.
+    Raises InvalidParameterError for q non-finite or negative, k not
+    whole, k < 0 or J > MAX_TRUNCATION.
     """
     q = _validate_q(q)
     k = integer("order index k", k)
     if k < 0:
         raise InvalidParameterError(f"order index k must be >= 0, got {k}")
-    if truncation is None:
-        J = auto_truncation(q, k)
+    J = auto_truncation(q, k)
+    a, vec = _solve(q, k, J, odd)
+    while abs(vec[-1]) >= TAIL_TOL:
+        J *= 2
         a, vec = _solve(q, k, J, odd)
-        while abs(vec[-1]) >= TAIL_TOL:
-            J *= 2
-            a, vec = _solve(q, k, J, odd)
-        return q, J, a, vec, k
-    J = integer("truncation", truncation)
-    if J < 1:
-        raise InvalidParameterError(f"truncation must be positive, got {J}")
-    if k >= J:
-        raise TruncationError(f"order k={k} requires truncation J > k, got J={J}")
-    return (q, J, *_solve(q, k, J, odd), k)
+    return q, J, a, vec, k
 
 
-def solve_even_mathieu(q: float, k: int = 0, truncation: int | None = None) -> MathieuSolution:
+def solve_even_mathieu(q: float, k: int = 0) -> MathieuSolution:
     """Compute the k-th even pi-periodic Mathieu eigenpair ce_{2k}(eta, q).
+
+    The Fourier window J is ``auto_truncation(q, k)``, doubled until the
+    coefficient tail decays below TAIL_TOL.
 
     Parameters
     ----------
@@ -228,9 +221,6 @@ def solve_even_mathieu(q: float, k: int = 0, truncation: int | None = None) -> M
     k : int
         Order index; the eigenvalue is a_{2k}(q), eigenvalues sorted
         ascending.
-    truncation : int, optional
-        Fourier window length J.  Defaults to ``auto_truncation(q, k)``,
-        doubled until the coefficient tail decays below TAIL_TOL.
 
     Returns
     -------
@@ -239,27 +229,18 @@ def solve_even_mathieu(q: float, k: int = 0, truncation: int | None = None) -> M
     Raises
     ------
     InvalidParameterError
-        q non-finite or negative, k or J not a whole number, k negative,
-        J < 1, or J over MAX_TRUNCATION (q above about 1.6e17 by default).
-    TruncationError
-        k >= J, or the coefficient tail does not decay below TAIL_TOL
-        within an explicit window.
+        q non-finite or negative, k not a whole number, k negative, or J
+        over MAX_TRUNCATION (q above about 1.6e17).
     """
-    q, J, a, vec, k = _eigenpair(q, k, truncation, odd=False)
+    q, J, a, vec, k = _eigenpair(q, k, odd=False)
     coeffs = vec.copy()
     coeffs[0] /= _SQRT2  # undo the symmetrizing scale; norm is now McLachlan
     if coeffs[0] < 0.0:
         coeffs = -coeffs
-
-    if abs(coeffs[-1]) >= TAIL_TOL:
-        raise TruncationError(
-            f"coefficient tail |A_(2(J-1))| = {abs(coeffs[-1]):.3e} at J={J}; "
-            "increase truncation"
-        )
     return MathieuSolution(k, q, a, coeffs, J)
 
 
-def se_even_eigenvalue(q: float, k: int = 0, truncation: int | None = None) -> float:
+def se_even_eigenvalue(q: float, k: int = 0) -> float:
     """Eigenvalue b_{2k+2}(q) of the odd pi-periodic branch se_{2k+2}.
 
     The odd-branch recurrence (a - 4j^2) B_{2j} = q (B_{2j-2} + B_{2j+2}),
@@ -267,7 +248,7 @@ def se_even_eigenvalue(q: float, k: int = 0, truncation: int | None = None) -> f
     eigenvalue is exposed; the variance pipeline covers the even branch.
     Validation and errors are those of ``solve_even_mathieu``.
     """
-    return _eigenpair(q, k, truncation, odd=True)[2]
+    return _eigenpair(q, k, odd=True)[2]
 
 
 def eval_ce(sol: MathieuSolution, eta) -> np.ndarray | float:

@@ -265,21 +265,20 @@ def analyze(state, nbar: float | None = None) -> MomentReport:
 # ---------------------------------------------------------------------------
 # state families
 
-def coherent_family(*, cutoff: int | None = None) -> StateFamily:
+def coherent_family() -> StateFamily:
     """Balanced two-mode coherent states, |alpha_p| = |alpha_s| = sqrt(nbar/2)."""
     def build(nbar: float) -> MomentReport:
         if not (math.isfinite(nbar) and nbar >= 0.0):
             raise InvalidParameterError(f"nbar must be finite and >= 0, got {nbar}")
         a = np.sqrt(nbar / 2.0)
-        return analyze(fock.coherent_state(a, a, cutoff))
+        return analyze(fock.coherent_state(a, a))
     return StateFamily(build)
 
 
-def squeezed_family(s: float, dphi: float = 0.0, *,
-                    cutoff: int | None = None) -> StateFamily:
+def squeezed_family(s: float, dphi: float = 0.0) -> StateFamily:
     """Displaced squeezed states at the balanced operating point."""
     def build(nbar: float) -> MomentReport:
-        return analyze(fock.squeezed_for_mean_photons(nbar, s, dphi, cutoff))
+        return analyze(fock.squeezed_for_mean_photons(nbar, s, dphi))
     return StateFamily(build)
 
 
@@ -307,17 +306,14 @@ def von_mises_family(kappa: float, phi0: float = 0.0) -> StateFamily:
     return _phase_family(phase_space.from_von_mises(kappa, phi0))
 
 
-_CUTOFF = Param("cutoff", int, "per-mode Fock cutoff (default: auto)")
-
 #: The state families by name: each family's constructor and the
 #: parameters it takes.  The CLI reads its --family choices and family
 #: flags from here.
 FAMILIES: dict[str, tuple[Callable[..., StateFamily], tuple[Param, ...]]] = {
-    "coherent": (coherent_family, (_CUTOFF,)),
+    "coherent": (coherent_family, ()),
     "squeezed": (squeezed_family, (
         Param("s", float, "squeezing magnitude", required=True),
-        Param("dphi", float, "squeezing noise-balance phase (rad)"),
-        _CUTOFF)),
+        Param("dphi", float, "squeezing noise-balance phase (rad)"))),
     "mathieu": (mathieu_family, (
         Param("q", float, "Mathieu phase-dispersion parameter", required=True),
         Param("order", int, "Mathieu order index k (default 0)"))),

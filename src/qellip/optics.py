@@ -131,6 +131,11 @@ def _amplitude_reflection(stack: LayerStack, pol: str) -> complex:
             # it; cos beta would overflow further on
             n_sub = n
             break
+        if not abs(beta.real) < 2 ** 52:  # also a non-finite beta
+            raise NumericalDomainError(
+                f"a film of {layer.thickness} nm is past 2^52 rad of phase thickness: "
+                "its phase has no digits left"
+            )
         eta = admittance(n, w)
         cb, sb = np.cos(beta), np.sin(beta)
         # -i sin: the e^{-i omega t} convention needs round-trip phase

@@ -103,7 +103,7 @@ def _trimmed(l_min: int, amps: np.ndarray) -> PhaseWaveFunction:
 
 
 def phase_state(components: dict[int, complex]) -> PhaseWaveFunction:
-    """Build a normalized state from an {l: Psi_l} mapping (test/CLI
+    """Build a normalized state from an {l: Psi_l} mapping (a library
     convenience); a non-finite component raises InvalidParameterError."""
     if not components:
         raise InvalidStateError("empty component map")

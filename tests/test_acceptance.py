@@ -3,7 +3,7 @@
 One test per release criterion, each at its stated tolerance, printing
 one PASS/FAIL line (visible under ``pytest -s`` or in failure output):
 
- 1. coherent baseline moments at cutoff 200
+ 1. coherent baseline moments at the derived cutoff
  2. displaced-squeezed closed form and its noise-balance cosine
  3. discrete phase states as eigenstates of the layer phase operator
  4. Mathieu eigensolve vs continued fraction, residuals, k=0 optimality
@@ -69,7 +69,7 @@ def test_01_coherent_baseline():
     for nbar in (10.0, 50.0, 100.0):
         start = time.perf_counter()
         a = np.sqrt(nbar / 2.0)
-        state = coherent_state(a, a, cutoff=200)
+        state = coherent_state(a, a)
         dense = dense_moments(state)
         l_var = dense.l_var
         e_mean = abs(dense.e_mean)

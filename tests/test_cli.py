@@ -100,10 +100,10 @@ class TestState:
 
     @pytest.mark.parametrize("family,flag", [
         ("coherent --q 5", "--q"),
-        ("mathieu --q 1 --cutoff 10", "--cutoff"),
+        ("mathieu --q 1 --dphi 0.5", "--dphi"),
         ("von_mises --kappa 1 --s 1", "--s"),
         ("squeezed --s 1 --order 1", "--order"),
-    ], ids=["coherent-q", "mathieu-cutoff", "von_mises-s", "squeezed-order"])
+    ], ids=["coherent-q", "mathieu-dphi", "von_mises-s", "squeezed-order"])
     def test_flag_of_another_family_exits_2(self, capsys, family, flag):
         code, _, err = run(capsys, "state", "--family", *family.split())
         assert code == 2
@@ -116,6 +116,18 @@ class TestState:
         code, out, _ = run(capsys, "state", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["n_mean"] == pytest.approx(16.0, rel=1e-9)
+
+    def test_cutoff_config_key_is_ignored(self, capsys, tmp_path):
+        # the Fock cutoff is derived, never set: a cutoff key is one more
+        # key no subcommand takes, whatever its value
+        outputs = []
+        for extra in ({}, {"cutoff": 5}, {"cutoff": 40.7}):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"family": "coherent", "nbar": 100, **extra}))
+            code, out, _ = run(capsys, "state", "--config", str(cfg))
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_invalid_parameter_exits_2(self, capsys):
         code, _, _ = run(capsys, "state", "--family", "mathieu", "--q", "-1")
@@ -294,14 +306,15 @@ class TestFamilyRegistry:
         assert l_var == pytest.approx([l_var[0]] * 3, rel=1e-12)
         assert l_var[0] > 10 * rows["0"][0][2]
 
-    @pytest.mark.parametrize("argv", ["state --nbar 40", "sweep --nbar-list 40,80"],
+    @pytest.mark.parametrize("argv", ["state --nbar 100", "sweep --nbar-list 40,80"],
                              ids=["state", "sweep"])
-    def test_too_small_cutoff_exits_3(self, capsys, argv):
+    def test_cutoff_flag_exits_2(self, capsys, argv):
+        # the Fock cutoff is derived from the state, not a family flag
         command, *nbar = argv.split()
-        code, _, err = run(capsys, command, "--family", "coherent",
-                           "--cutoff", "5", *nbar)
-        assert code == 3
-        assert "tail" in err
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--family", "coherent", *nbar, "--cutoff", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cutoff 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("family", [["coherent"],
                                         ["squeezed", "--s", "0.7", "--dphi", "0.3"]],
@@ -352,7 +365,7 @@ class TestInputChecks:
         ("mathieu-table", {"q": 1, "kmax": [3]}, "kmax"),
         # integers must be whole numbers: the parent read 1.5 as 1
         ("state", {"family": "mathieu", "q": 1, "order": 1.5}, "order"),
-        ("state", {"family": "coherent", "nbar": 20, "cutoff": 40.7}, "cutoff"),
+        ("sweep", {"family": "mathieu", "q": 1, "order": 2.5, "nbar_list": [40, 80]}, "order"),
         ("density", {"kappa": 2, "grid": 100.5}, "grid"),
         ("mathieu-table", {"q": 1, "kmax": 1.9}, "kmax"),
     ])
@@ -595,6 +608,18 @@ class TestEllipsometry:
         assert code == 0
         assert all(math.isfinite(v) for v in json.loads(out).values())
 
+    @pytest.mark.parametrize("thickness", ["1e20", "1e308"])
+    def test_film_past_the_phase_digits_exits_3(self, capsys, tmp_path, thickness):
+        # a lossless film this thick once printed NaN (1e308 nm) or a
+        # phase with no digits left (1e20 nm) and exited 0
+        stack = tmp_path / "stack.txt"
+        stack.write_text(f"ambient 1.0\nlayer 1.5 0 {thickness}\nsubstrate 1.5 0.1\n"
+                         "wavelength 500\nangle 17\n")
+        code, out, err = run(capsys, "ellipsometry", "--stack", str(stack))
+        assert code == 3
+        assert out == ""
+        assert "2^52 rad" in err and "NaN" not in err
+
     def test_zero_thickness_film_byte_identical(self, capsys, tmp_path):
         bare, film = tmp_path / "bare.txt", tmp_path / "film.txt"
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
@@ -720,10 +745,11 @@ class TestMathieuTable:
 class TestFixedTolerance:
     def test_environment_does_not_loosen_the_tail_check(self, capsys, monkeypatch):
         # the tail tolerance is fixed: no variable reads an infinite one,
-        # which once let --cutoff 5 report n_mean 9.79 for nbar 100
+        # which once let a cutoff of 5 report n_mean 9.79 for nbar 100;
+        # here a von Mises state at kappa 100 is clipped by the layer of 2
         monkeypatch.setenv("QELLIP_TOL", "inf")
-        code, out, err = run(capsys, "state", "--family", "coherent",
-                             "--nbar", "100", "--cutoff", "5")
+        code, out, err = run(capsys, "sweep", "--family", "von_mises", "--kappa", "100",
+                             "--nbar-list", "2,4,6,8")
         assert code == 3
         assert out == ""
         assert "truncation tail" in err and "exceeds tolerance 1.0e-10" in err

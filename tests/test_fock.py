@@ -36,6 +36,25 @@ from oracles import (
 )
 
 
+def coherent_at(alpha_p, alpha_s, cutoff: int) -> TwoModeFockState:
+    """``coherent_state`` at a set cutoff, built by the constructor it
+    shares with the squeezed states."""
+    return fock._gaussian_state(alpha_p, alpha_s, cutoff, 1, 0.0, 0.0, "coherent state")
+
+
+def squeezed_at(alpha_p, alpha_s, zeta, cutoff: int) -> TwoModeFockState:
+    """``displaced_squeezed_state`` at a set cutoff, with its own pair
+    count and ratio: the reference of windows wider or narrower than the
+    derived one."""
+    s = abs(zeta)
+    r = np.tanh(s)
+    pairs = min(cutoff + 1, int(math.log(fock.PAIR_AMPLITUDE_FLOOR * (1.0 - r)) / math.log(r)) + 1)
+    unit = zeta / s
+    return fock._gaussian_state(alpha_p, alpha_s, cutoff, pairs,
+                                r * (unit.real if unit.imag == 0.0 else unit),
+                                float(r) ** (2 * pairs), "displaced squeezed state")
+
+
 def discrete_phase_state(N: int, k: int) -> np.ndarray:
     """e^{i m theta_k} / sqrt(N+1) on |m, N-m>, theta_k = 2 pi k / (N+1):
     the eigenvector of the layer's cyclic shift E with eigenvalue e^{i theta_k}."""
@@ -129,7 +148,7 @@ class TestDiagonalOperators:
 
 class TestCoherent:
     def test_vacuum(self):
-        st = coherent_state(0.0, 0.0, 5)
+        st = coherent_state(0.0, 0.0)
         amps = dense_amplitudes(st)
         assert amps[0, 0] == pytest.approx(1.0)
         assert np.sum(np.abs(amps)) == pytest.approx(1.0)
@@ -137,14 +156,14 @@ class TestCoherent:
 
     def test_balanced_hundred_photons(self):
         a = np.sqrt(50.0)
-        st = coherent_state(a, a, 200)
+        st = coherent_state(a, a)
         mom = dense_moments(st)
         assert mom.l_var == pytest.approx(25.0, abs=1e-6)
         assert mom.e_var == pytest.approx(0.01, rel=0.05)
 
     def test_cutoff_too_small(self):
         with pytest.raises(TruncationError):
-            coherent_state(np.sqrt(50.0), np.sqrt(50.0), 60)
+            coherent_at(np.sqrt(50.0), np.sqrt(50.0), 60)
 
     def test_auto_cutoff(self):
         st = coherent_state(2.0, 1.0 + 1.0j)
@@ -186,6 +205,16 @@ class TestCoherent:
         assert st.d_s.dtype == np.complex128
 
 
+class TestFixedTolerance:
+    def test_environment_does_not_loosen_the_tail_check(self, monkeypatch):
+        # the tail tolerance is fixed: no variable reads an infinite one,
+        # which once let a cutoff of 5 report n_mean 9.79 for nbar 100
+        monkeypatch.setenv("QELLIP_TOL", "inf")
+        with pytest.raises(TruncationError,
+                           match=r"truncation tail .* exceeds tolerance 1\.0e-10 at cutoff 5"):
+            coherent_at(np.sqrt(50.0), np.sqrt(50.0), 5)
+
+
 class TestGridBudget:
     def test_oversized_grids_rejected(self):
         # |alpha|^2 = 1e12 needs 1e12 rows; s = 5 needs all 268114 pair
@@ -222,11 +251,11 @@ class TestGridBudget:
     def test_budget_boundary(self, monkeypatch):
         # one shared real column: 7320 bytes at cutoff 10, 7472 at 11
         monkeypatch.setattr(fock, "MAX_FACTOR_BYTES", self.planned_bytes(10, 1, 1, 8))
-        assert coherent_state(0.5, 0.5, 10).cutoff == 10
+        assert coherent_at(0.5, 0.5, 10).cutoff == 10
         with pytest.raises(InvalidParameterError, match="budget"):
-            coherent_state(0.5, 0.5, 11)
+            coherent_at(0.5, 0.5, 11)
         with pytest.raises(InvalidParameterError, match="budget"):
-            displaced_squeezed_state(0.5, 0.5, 0.1, cutoff=11)
+            squeezed_at(0.5, 0.5, 0.1, 11)
 
     def test_embed_ignores_the_grid_budget(self, monkeypatch):
         monkeypatch.setattr(fock, "MAX_FACTOR_BYTES", self.planned_bytes(10, 1, 1, 8))
@@ -279,7 +308,7 @@ class TestHugeInputs:
 
     def test_message_within_float_range_keeps_its_size(self):
         with pytest.raises(InvalidParameterError) as exc:
-            coherent_state(1.0, 1.0, cutoff=10 ** 11)
+            coherent_at(1.0, 1.0, 10 ** 11)
         assert str(exc.value) == ("cutoff 100000000000 with K = 1 needs 14496033 MiB "
                                   "of mode factors, over the 1024 MiB budget")
 
@@ -289,14 +318,12 @@ class TestIntegerArguments:
 
     @pytest.mark.parametrize("call", [
         lambda: embed_phase_state(from_von_mises(2.0), 100.7),
-        lambda: coherent_state(1.0, 1.0, cutoff=10.5),
-    ], ids=["embed", "cutoff"])
+    ], ids=["embed"])
     def test_fraction_refused(self, call):
         with pytest.raises(InvalidParameterError, match="must be an integer"):
             call()
 
     def test_whole_floats_accepted(self):
-        assert coherent_state(1.0, 1.0, cutoff=30.0).cutoff == 30
         assert embed_phase_state(from_von_mises(2.0), 100.0).cutoff == 100
 
 
@@ -379,8 +406,8 @@ class TestDisplacement:
 
 class TestSqueezed:
     def test_zero_squeezing_reduces_to_coherent(self):
-        a = displaced_squeezed_state(1.0 + 0.5j, 0.3, 0.0, cutoff=40)
-        b = coherent_state(1.0 + 0.5j, 0.3, cutoff=40)
+        a = displaced_squeezed_state(1.0 + 0.5j, 0.3, 0.0)
+        b = coherent_state(1.0 + 0.5j, 0.3)
         assert np.abs(dense_amplitudes(a) - dense_amplitudes(b)).max() == 0.0
 
     def test_pair_correlated_vacuum(self):
@@ -413,9 +440,10 @@ class TestSqueezed:
 
     def test_cutoff_too_small_caught_by_the_measured_tail(self):
         # the mass in the rows past the cutoff, over the total
+        alpha = np.sqrt(50.0 - np.sinh(1.0) ** 2)
         with pytest.raises(TruncationError, match="tail 2.6..e-05"):
-            squeezed_for_mean_photons(100.0, 1.0, 0.0, cutoff=120)
-        assert squeezed_for_mean_photons(100.0, 1.0, 0.0, cutoff=200).tail_mass < 1e-13
+            squeezed_at(alpha, alpha, 1.0, 120)
+        assert squeezed_at(alpha, alpha, 1.0, 200).tail_mass < 1e-13
 
     def test_mean_phase_closed_forms(self):
         # coherent: <E> ~ prod_sigma (1 - 1/(8 |alpha_sigma|^2))
@@ -492,12 +520,14 @@ class TestSqueezedPairColumns:
         # balanced nbar = 100 at dphi = 0.5, one shared factor
         (np.sqrt(50.0 - np.sinh(1.0) ** 2), np.sqrt(50.0 - np.sinh(1.0) ** 2),
          np.exp(-0.5j), None),
-        # at s = 2 the pair columns reach the auto cutoff with ~1e-11 of
+        # at s = 2 the pair columns reach the derived cutoff with ~1e-11 of
         # the amplitude, where truncation alone moves them; go further out
         (0.5 + 0.2j, -0.3j, 2.0 * np.exp(-0.4j), 800),
     ])
     def test_matches_laguerre_sum(self, alpha_p, alpha_s, zeta, cutoff):
-        st = displaced_squeezed_state(alpha_p, alpha_s, zeta, cutoff)
+        # None: the derived cutoff
+        st = (displaced_squeezed_state(alpha_p, alpha_s, zeta) if cutoff is None
+              else squeezed_at(alpha_p, alpha_s, zeta, cutoff))
         self.check(st, alpha_p, alpha_s, zeta, st.cutoff + 1)
 
     @pytest.mark.parametrize("s, nbar", [(0.5, 400.0), (0.5, 1000.0),

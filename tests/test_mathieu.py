@@ -1,5 +1,6 @@
 """Even pi-periodic Mathieu solver: eigenvalues, coefficients, variances."""
 
+import functools
 import math
 import os
 import subprocess
@@ -12,7 +13,6 @@ import pytest
 from qellip import (
     InconsistentSolutionError,
     InvalidParameterError,
-    TruncationError,
     eval_ce,
     mathieu_variances,
     se_even_eigenvalue,
@@ -25,6 +25,20 @@ from qellip.mathieu import auto_truncation
 from oracles import mathieu_eigenvalue_cf, mathieu_ode_value
 
 Q_GRID = [0.01, 0.1, 1.0, 10.0, 100.0]
+
+
+def even_on_window(q: float, k: int, J: int) -> tuple[float, np.ndarray]:
+    """a_{2k} and the coefficients of ce_{2k} on the set window J, scaled
+    and signed as ``solve_even_mathieu`` gives them: the reference of the
+    window comparisons."""
+    a, coeffs = mathieu._solve(q, k, J, odd=False)
+    coeffs[0] /= np.sqrt(2.0)
+    return a, coeffs if coeffs[0] >= 0.0 else -coeffs
+
+
+def odd_on_window(q: float, k: int, J: int) -> float:
+    """b_{2k+2} on the set window J."""
+    return mathieu._solve(q, k, J, odd=True)[0]
 
 
 class TestEigenpairs:
@@ -42,7 +56,7 @@ class TestEigenpairs:
 
     def test_q1_eigenvalue_against_high_truncation(self):
         # high-truncation eigensolve as the first oracle route
-        a_ref = solve_even_mathieu(1.0, 0, truncation=64).eigenvalue
+        a_ref = even_on_window(1.0, 0, 64)[0]
         assert solve_even_mathieu(1.0, 0).eigenvalue == pytest.approx(a_ref, abs=1e-12)
         assert a_ref == pytest.approx(-0.4551386, abs=5e-8)
 
@@ -71,8 +85,8 @@ class TestEigenpairs:
     def test_truncation_convergence_on_doubling(self, q):
         J = auto_truncation(q)
         for k in range(4):
-            a1 = solve_even_mathieu(q, k, truncation=J).eigenvalue
-            a2 = solve_even_mathieu(q, k, truncation=2 * J).eigenvalue
+            a1 = even_on_window(q, k, J)[0]
+            a2 = even_on_window(q, k, 2 * J)[0]
             assert abs(a1 - a2) < 1e-10
 
     def test_eigenvalue_ordering(self):
@@ -86,10 +100,6 @@ class TestErrors:
         with pytest.raises(InvalidParameterError):
             solve_even_mathieu(q, 0)
 
-    def test_order_exceeds_truncation(self):
-        with pytest.raises(TruncationError):
-            solve_even_mathieu(1.0, 8, truncation=8)
-
     def test_negative_order(self):
         with pytest.raises(InvalidParameterError):
             solve_even_mathieu(1.0, -1)
@@ -97,8 +107,7 @@ class TestErrors:
     @pytest.mark.parametrize("call", [
         lambda: solve_even_mathieu(1.0, 1.5),
         lambda: se_even_eigenvalue(1.0, 1.5),
-        lambda: solve_even_mathieu(1.0, 0, truncation=20.5),
-    ], ids=["even-order", "odd-order", "truncation"])
+    ], ids=["even-order", "odd-order"])
     def test_fractional_order_or_window(self, call):
         with pytest.raises(InvalidParameterError, match="must be an integer"):
             call()
@@ -111,13 +120,9 @@ class TestErrors:
     def test_one_row_window(self):
         # a 1 x 1 recurrence is diagonal: the even branch's lone A_0 is its
         # own tail, the odd branch's eigenvalue is exact
-        with pytest.raises(TruncationError):
-            solve_even_mathieu(1.0, 0, truncation=1)
-        assert se_even_eigenvalue(1.0, 0, truncation=1) == 4.0
-
-    def test_tail_not_decayed(self):
-        with pytest.raises(TruncationError):
-            solve_even_mathieu(100.0, 0, truncation=8)
+        a, vec = mathieu._solve(1.0, 0, 1, odd=False)
+        assert a == 0.0 and vec.tolist() == [1.0] and abs(vec[-1]) >= mathieu.TAIL_TOL
+        assert odd_on_window(1.0, 0, 1) == 4.0
 
 
 class TestEvaluation:
@@ -208,19 +213,11 @@ class TestOddBranch:
         assert a[0] < b[0] < a[1] < b[1] < a[2]
 
     def test_truncation_convergence(self):
-        assert abs(se_even_eigenvalue(10.0, 0, truncation=40)
-                   - se_even_eigenvalue(10.0, 0, truncation=80)) < 1e-10
+        assert abs(odd_on_window(10.0, 0, 40) - odd_on_window(10.0, 0, 80)) < 1e-10
 
     def test_rejects_negative_q(self):
         with pytest.raises(InvalidParameterError):
             se_even_eigenvalue(-2.0, 0)
-
-    @pytest.mark.parametrize("solver", [solve_even_mathieu, se_even_eigenvalue])
-    def test_zero_truncation_is_invalid(self, solver):
-        # both branches validate through one helper: J = 0 is bad input,
-        # not a truncation failure
-        with pytest.raises(InvalidParameterError, match="truncation must be positive"):
-            solver(1.0, 0, truncation=0)
 
 
 def turning_point_window(q: float) -> int:
@@ -233,39 +230,40 @@ class TestSupportWindow:
     def test_default_window_needs_no_doubling(self, odd):
         for q in [0.0] + list(np.logspace(-3, 8, 45)):
             for k in range(11):
-                J = mathieu._eigenpair(q, k, None, odd)[1]
+                J = mathieu._eigenpair(q, k, odd)[1]
                 assert J == auto_truncation(q, k), (q, k)
 
     def test_too_small_default_window_doubles(self, monkeypatch):
         q, k = 100.0, 2
-        wide = solve_even_mathieu(q, k, truncation=200)
-        b_wide = se_even_eigenvalue(q, k, truncation=200)
+        a_wide, wide = even_on_window(q, k, 200)
+        b_wide = odd_on_window(q, k, 200)
         monkeypatch.setattr(mathieu, "auto_truncation", lambda q, k=0: k + 1)
         sol = solve_even_mathieu(q, k)
         J = sol.truncation_dim
         assert J > k + 1  # doubled from the patched window
-        assert sol.eigenvalue == pytest.approx(wide.eigenvalue, rel=1e-14)
-        assert np.max(np.abs(sol.coefficients - wide.coefficients[:J])) < 1e-14
-        assert np.max(np.abs(wide.coefficients[J:])) < mathieu.TAIL_TOL
+        assert sol.eigenvalue == pytest.approx(a_wide, rel=1e-14)
+        assert np.max(np.abs(sol.coefficients - wide[:J])) < 1e-14
+        assert np.max(np.abs(wide[J:])) < mathieu.TAIL_TOL
         assert se_even_eigenvalue(q, k) == pytest.approx(b_wide, rel=1e-14)
 
     @pytest.mark.parametrize("q, truncation", [(1e20, None), (1e300, None),
                                                (1.0, mathieu.MAX_TRUNCATION + 1)])
     def test_window_over_budget_refused_before_allocating(self, q, truncation):
+        # None: the derived window; a set one through the solve it goes to
+        if truncation is None:
+            solvers = (solve_even_mathieu, se_even_eigenvalue)
+        else:
+            solvers = [functools.partial(mathieu._solve, J=truncation, odd=odd)
+                       for odd in (False, True)]
         tracemalloc.start()
         try:
-            for solver in (solve_even_mathieu, se_even_eigenvalue):
+            for solver in solvers:
                 with pytest.raises(InvalidParameterError, match="budget"):
-                    solver(q, 0, truncation=truncation)
+                    solver(q, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
-
-    def test_explicit_window_is_not_doubled(self):
-        assert solve_even_mathieu(100.0, 0, truncation=40).truncation_dim == 40
-        with pytest.raises(TruncationError):
-            solve_even_mathieu(100.0, 0, truncation=12)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_large_q_window_and_continued_fraction(self, k):
@@ -280,7 +278,7 @@ class TestSupportWindow:
     @pytest.mark.parametrize("q", np.logspace(-3, 8, 12))
     def test_odd_branch_matches_wide_window(self, q):
         for k in range(4):
-            wide = se_even_eigenvalue(q, k, truncation=2 * turning_point_window(q))
+            wide = odd_on_window(q, k, 2 * turning_point_window(q))
             assert se_even_eigenvalue(q, k) == pytest.approx(wide, rel=1e-14, abs=1e-300)
 
 

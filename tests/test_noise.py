@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from qellip import (
     InvalidParameterError,
-    TruncationError,
     TwoModeFockState,
     analyze,
     coherent_state,
@@ -299,11 +298,6 @@ class TestFamilyRegistry:
             expected = from_mathieu(solve_even_mathieu(1.0, order))
             got = mathieu_family(1.0, order=order).phase
             assert np.array_equal(got.amplitudes, expected.amplitudes)
-
-    def test_fock_families_take_a_cutoff(self):
-        for family in (coherent_family(cutoff=5), squeezed_family(0.5, cutoff=5)):
-            with pytest.raises(TruncationError):
-                family.build_report(40.0)
 
     @pytest.mark.parametrize("nbar", [-5.0, math.inf, math.nan])
     def test_coherent_family_names_a_bad_nbar(self, nbar):

@@ -141,6 +141,28 @@ class TestStackReflection:
         cut = stack_reflection(LayerStack(1.0, above, 2.0 + 1.0j, 632.8, theta))
         assert (full.r_p, full.r_s) == (cut.r_p, cut.r_s)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("thickness", [1e20, 1e308])
+    def test_film_past_the_phase_digits_rejected(self, thickness):
+        # a lossless film whose phase thickness passes 2^52 rad keeps no
+        # digit of its phase; at 1e308 nm beta is not even finite
+        stack = LayerStack(1.0, (Layer(1.5 + 0j, thickness),), 1.5 + 0.1j,
+                           500.0, np.deg2rad(17.0))
+        with pytest.raises(NumericalDomainError, match=r"2\^52 rad"):
+            stack_reflection(stack)
+
+    def test_thin_film_unaffected_by_the_phase_check(self):
+        # the same stack at 300 nm, and just under the 2^52 rad edge
+        theta = np.deg2rad(17.0)
+        thin = LayerStack(1.0, (Layer(1.5 + 0j, 300.0),), 1.5 + 0.1j, 500.0, theta)
+        res = stack_reflection(thin)
+        assert abs(res.r_p - airy_reflection(thin, "p")) < 1e-10
+        assert abs(res.r_s - airy_reflection(thin, "s")) < 1e-10
+        w = np.sqrt(1.5 ** 2 - np.sin(theta) ** 2)
+        edge = 0.99 * 2.0 ** 52 * 500.0 / (2.0 * np.pi * w)
+        res = stack_reflection(LayerStack(1.0, (Layer(1.5 + 0j, edge),), 1.5 + 0.1j, 500.0, theta))
+        assert np.isfinite([res.r_p, res.r_s, res.rho]).all()
+
     def test_grazing_layer_mode_rejected(self):
         # a layer index matching the transverse wavevector kills cos(theta)
         theta = 1.0

@@ -27,7 +27,7 @@ from qellip import (
     solve_even_mathieu,
     theta_series,
 )
-from qellip import phase_space
+from qellip import mathieu, phase_space
 from qellip.phase_space import _trimmed
 
 from oracles import (circular_variance, index_variance, von_mises_circular_mean,
@@ -104,7 +104,9 @@ class TestFromMathieu:
         for q in np.logspace(-3, 8, 45):
             psi = from_mathieu(solve_even_mathieu(q, 0))
             J = max(32, math.ceil(2.0 * math.sqrt(q)) + 24)
-            ref = from_mathieu(solve_even_mathieu(q, 0, truncation=J))
+            a, coeffs = mathieu._solve(q, 0, J, odd=False)
+            coeffs[0] /= np.sqrt(2.0)
+            ref = from_mathieu(MathieuSolution(0, q, a, coeffs if coeffs[0] >= 0.0 else -coeffs, J))
             assert psi.l_min == ref.l_min, q
             assert len(psi.amplitudes) == len(ref.amplitudes), q
             assert np.max(np.abs(psi.amplitudes - ref.amplitudes)) < 1e-13, q
