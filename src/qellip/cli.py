@@ -176,20 +176,8 @@ def cmd_sweep(args) -> int:
     family = _family(args, cfg)
     nbar_list = [finite("nbar", _number(float, v, "nbar"))
                  for v in _items(_param(args, cfg, "nbar_list", required=True), "nbar list")]
-    if not nbar_list:
-        raise QellipError("empty nbar list")
     targets = _items(_param(args, cfg, "targets") or ["e_var"], "targets")
-    for t in targets:
-        if t not in noise.SWEEP_TARGETS:
-            raise QellipError(
-                f"unknown target {t!r}; expected one of {noise.SWEEP_TARGETS}")
-
-    reports = noise.family_reports(family, nbar_list)
-    fits = {
-        t: noise.fit_power_law(
-            [(n, noise.target_value(r, t)) for n, r in reports])
-        for t in targets
-    }
+    reports, fits = noise.scaling_sweep(family, nbar_list, targets)
     rows = [(n, *(getattr(r, c) for c in SWEEP_COLUMNS[1:])) for n, r in reports]
     summary = {t: {"slope": f.slope, "intercept": f.intercept, "r_squared": f.r_squared}
                for t, f in fits.items()}
@@ -279,7 +267,6 @@ def cmd_mathieu_table(args) -> int:
     cfg = _load_config(args.config)
     q = _param(args, cfg, "q", float, required=True)
     kmax = _param(args, cfg, "kmax", int, 3)
-    mathieu._validate_q(q)
     if kmax < 0:
         raise QellipError(f"kmax must be >= 0, got {kmax}")
     needed = 0

@@ -70,8 +70,11 @@ def auto_truncation(q: float, k: int = 0) -> int:
     The coefficients of ce_{2k} spread over ~q^(1/4) rows (DLMF 28.8),
     wider for higher k; the constant covers small q, where
     A_{2j} ~ q^j / (4^j j!^2) needs a dozen rows to reach TAIL_TOL.
+    Raises InvalidParameterError as ``solve_even_mathieu`` does for q
+    and k.
     """
-    return math.ceil((6.5 + 0.5 * k) * max(q, 0.0) ** 0.25) + 12 + 2 * k
+    q, k = _validated(q, k)
+    return math.ceil((6.5 + 0.5 * k) * q ** 0.25) + 12 + 2 * k
 
 
 @dataclass(frozen=True)
@@ -110,11 +113,16 @@ class MathieuSolution:
         return (a - 4.0 * j * j) * A[:-1] - q * (below + A[1:])
 
 
-def _validate_q(q: float) -> float:
+def _validated(q: float, k: int) -> tuple[float, int]:
+    """q as a finite float >= 0 and k as a whole number >= 0, else
+    InvalidParameterError."""
     q = finite("Mathieu parameter q", float(q))
     if q < 0.0:
         raise InvalidParameterError(f"Mathieu parameter q must be >= 0, got {q}")
-    return abs(q)  # -0.0 -> 0.0
+    k = integer("order index k", k)
+    if k < 0:
+        raise InvalidParameterError(f"order index k must be >= 0, got {k}")
+    return abs(q), k  # -0.0 -> 0.0
 
 
 @functools.cache
@@ -196,10 +204,7 @@ def _eigenpair(q: float, k: int, odd: bool) -> tuple[float, int, float, np.ndarr
     Raises InvalidParameterError for q non-finite or negative, k not
     whole, k < 0 or J > MAX_TRUNCATION.
     """
-    q = _validate_q(q)
-    k = integer("order index k", k)
-    if k < 0:
-        raise InvalidParameterError(f"order index k must be >= 0, got {k}")
+    q, k = _validated(q, k)
     J = auto_truncation(q, k)
     a, vec = _solve(q, k, J, odd)
     while abs(vec[-1]) >= TAIL_TOL:

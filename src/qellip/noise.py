@@ -7,12 +7,10 @@ Everything revolves around the relation
 between the circular variance of the relative-phase unitary and the
 photon-difference variance.  ``analyze`` condenses a state into a
 MomentReport (product, bound, saturation ratio, polarization-squeezing
-flag); ``scaling_sweep`` fits how a chosen variance scales with the mean
+flag); ``scaling_sweep`` fits how each chosen variance scales with the mean
 photon number, which separates shot-noise-limited families (slope -1 in
 the circular variance) from Heisenberg-limited ones (slope -2 in the
-modulus variance).  The moments of a Gaussian state come from K x K
-Grams of its mode factors, those of a phase state on a layer from its
-window; no dense grid is formed.
+modulus variance).
 
 ``FAMILIES`` is the one registry of input-state families: each name maps
 to its ``StateFamily`` constructor and the parameters it takes.
@@ -117,128 +115,18 @@ def _make_report(n_mean: float, e_mean: complex, e_var: float,
                         product, bound, ratio, pol_squeezed)
 
 
-def _marginal(d: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sum_kl conj(d[m, k] c_k) g[k, l] c_l d[m, l] for each row m: the
-    photon-number distribution of one mode, g the other mode's Gram."""
-    h = g * c
-    h *= np.conj(c)[:, np.newaxis]
-    return np.einsum("mk,mk->m", np.conj(d) if d.dtype.kind == "c" else d, d @ h.T).real
-
-
-def _factor_moments(state: fock.TwoModeFockState
-                    ) -> tuple[float, complex, float, float, float, float]:
-    """(n_mean, e_mean, e_var, l_mean, l_var, p_var) of a normalized state
-    A = d_p diag(c) d_s^T.
-
-    An operator f(N_p) g(N_s) has <f g> = c^H (F_p o G_s) c with the K x K
-    Grams F_p = d_p^H diag(f) d_p and G_s = d_s^H diag(g) d_s.  The mode
-    marginals (rows of d_p against the s-mode Gram, and back) give every
-    one-mode moment; the Grams of centred weights give the N_p-N_s
-    covariance and the cross terms of P = X Y, X = sqrt(N_p),
-    Y = 1/sqrt(N_s + 1):
-
-        Var P = E[(X-x)^2 Y^2] + 2x E[(X-x) Y (Y-y)] + x^2 Var Y - E[(X-x) Y]^2.
-
-    These separable sums cancel digits on strongly pair-correlated
-    states: about 1e-12 relative of Var L and 2e-12 of Var P at s = 2,
-    nbar 400, where N_p and N_s each vary some 3000 times more than
-    their difference.
-
-    E pairs |m, n> with |m+1, n-1>, the Grams of the factors shifted by
-    one row, plus the vacuum wrap |0, N> -> |N, 0> from the first row and
-    column of A.  Each Gram is dropped once used, which keeps the K x K
-    arrays held at once within the plan ``fock.MAX_FACTOR_BYTES`` is
-    checked against.
-    """
-    d_p, c, d_s = state.d_p, state.c, state.d_s
-    same = d_s is d_p
-    gram, form = fock._gram, fock._pair_form
-
-    def weighted(d, w):
-        if d.dtype.kind == "f" and w.min() >= 0.0:  # a symmetric product
-            d = np.sqrt(w)[:, np.newaxis] * d
-            return d.T @ d
-        return gram(d, w[:, np.newaxis] * d)
-
-    def expect(w_p, w_s):
-        """<w_p(N_p) w_s(N_s)>"""
-        f_p = weighted(d_p, w_p)
-        return form(c, f_p, f_p if same and w_s is w_p else weighted(d_s, w_s)).real
-
-    prob_p = _marginal(d_p, c, gram(d_s, d_s))
-    prob_s = prob_p if same else _marginal(d_s, c, gram(d_p, d_p))
-    k = np.arange(state.cutoff + 1.0)
-    mean_p, mean_s = float(k @ prob_p), float(k @ prob_s)
-    dm = k - mean_p
-    dn = dm if same and mean_s == mean_p else k - mean_s
-    # Var L = (Var N_p + Var N_s - 2 Cov) / 4 from centred weights
-    l_var = 0.25 * float((dm * dm) @ prob_p + (dn * dn) @ prob_s - 2.0 * expect(dm, dn))
-    root_m, inv_root_n = np.sqrt(k), 1.0 / np.sqrt(k + 1.0)
-    x, y = float(root_m @ prob_p), float(inv_root_n @ prob_s)
-    dx, dy = root_m - x, inv_root_n - y
-    g_dx = weighted(d_p, dx)
-    cross = form(c, g_dx, weighted(d_s, inv_root_n)).real
-    mixed = form(c, g_dx, weighted(d_s, inv_root_n * dy)).real
-    del g_dx
-    p_var = (expect(dx * dx, inv_root_n * inv_root_n) + 2.0 * x * mixed
-             + x * x * float((dy * dy) @ prob_s) - cross * cross)
-
-    shift_p = gram(d_p[:-1], d_p[1:])
-    shift_s = shift_p if same else gram(d_s[:-1], d_s[1:])
-    e_mean = (form(c, shift_p, np.conj(shift_s).T)
-              + complex(np.vdot(d_p @ (c * d_s[0]), d_s @ (c * d_p[0]))))
-    e_var = min(max(1.0 - abs(e_mean) ** 2, 0.0), 1.0)
-    return (mean_p + mean_s, e_mean, e_var, 0.5 * (mean_p - mean_s),
-            max(l_var, 0.0), max(p_var, 0.0))
-
-
-def _layer_moments(state: fock.LayerState
-                   ) -> tuple[float, complex, float, float, float, float]:
-    """The moments of a phase state on the layer of N photons: L is
-    the index l, E steps l to l + 1 (the wrap |0, N> -> |N, 0> pairs
-    N/2 with -N/2), and P = sqrt(A / B), A = N/2 + l, B = N + 1 - A.
-
-    P is centred on the middle component's P_c first, through
-    P - P_c = j (N + 1) / (B B_c (P + P_c)) with the integer offset
-    j = l - c, so no digits cancel at any N; then on the mean."""
-    psi, N = state.psi, state.cutoff
-    mom = phase_space.circular_moments(psi)
-    prob = np.abs(psi.amplitudes) ** 2
-    e_mean, e_var = mom.e_mean, mom.e_var
-    if len(prob) == N + 1:  # the window spans the layer
-        e_mean, e_var = phase_space._phase_moments(psi.amplitudes, float(prob.sum()),
-                                                   closed=True)
-    c = len(prob) // 2
-    j = np.arange(len(prob)) - float(c)
-    a_c = N // 2 + psi.l_min + c
-    b = float(N + 1 - a_c) - j
-    p = np.sqrt((a_c + j) / b)
-    s = p + p[c]
-    s[c] = 1.0  # j = 0 there; P_c is 0 on a one-component window at l = -N/2
-    dp = j / b * (float(N + 1) / b[c]) / s
-    dp -= prob @ dp
-    return float(N), e_mean, e_var, mom.l_mean, mom.l_var, float(prob @ (dp * dp))
-
-
 def analyze(state, nbar: float | None = None) -> MomentReport:
     """Moment report for a Fock-grid state, a phase state on a Fock layer
     or a bare phase state.
 
-    Fock states carry their own photon number.  Two-mode moments come
-    from K x K Grams of the stored mode factors (N and L from the mode
-    marginals and the centred N_p-N_s covariance, P from centred cross
-    terms of sqrt(m) and 1/sqrt(n+1), <E> from the Grams of the factors
-    shifted by one row), with the vacuum wrap |0, N> -> |N, 0> included,
-    at O(M K^2) for K factor columns on M+1 rows.  A layer state's
-    moments take a few passes over its window.  Bare phase states need
-    the external ``nbar`` (the layer a later embedding would use), which
-    must be finite and positive, and not so small that p_var =
-    4 Var(L) / nbar^2 overflows.
+    Fock states carry their own photon number and take their own
+    moments (``moments()``).  Bare phase states need the external
+    ``nbar`` (the layer a later embedding would use), which must be
+    finite and positive, and not so small that p_var = 4 Var(L) / nbar^2
+    overflows.
     """
-    if isinstance(state, fock.TwoModeFockState):
-        return _make_report(*_factor_moments(state))
-    if isinstance(state, fock.LayerState):
-        return _make_report(*_layer_moments(state))
+    if isinstance(state, (fock.TwoModeFockState, fock.LayerState)):
+        return _make_report(*state.moments())
 
     if isinstance(state, phase_space.PhaseWaveFunction):
         if nbar is None:
@@ -282,17 +170,9 @@ def squeezed_family(s: float, dphi: float = 0.0) -> StateFamily:
     return StateFamily(build)
 
 
-def _layer_number(nbar: float) -> int:
-    if not (nbar >= 2 and nbar % 2 == 0):  # inf % 2 is nan
-        raise InvalidParameterError(
-            f"embedded phase families need even integer photon numbers, got {nbar}"
-        )
-    return int(nbar)
-
-
 def _phase_family(psi: phase_space.PhaseWaveFunction) -> StateFamily:
     def build(nbar: float) -> MomentReport:
-        return analyze(fock.embed_phase_state(psi, _layer_number(nbar)))
+        return analyze(fock.embed_phase_state(psi, nbar))
     return StateFamily(build, psi)
 
 
@@ -326,22 +206,12 @@ FAMILIES: dict[str, tuple[Callable[..., StateFamily], tuple[Param, ...]]] = {
 # ---------------------------------------------------------------------------
 # sweeps and fits
 
-def family_reports(family: StateFamily, n_list) -> list[tuple[float, MomentReport]]:
-    """Reports for each photon number, sorted ascending."""
-    n_sorted = sorted(float(n) for n in n_list)
-    return [(n, family.build_report(n)) for n in n_sorted]
-
-
 def target_value(report: MomentReport, target: str) -> float:
-    """Pick the swept variance out of a report."""
+    """Pick the swept variance, one of SWEEP_TARGETS, out of a report."""
     if target == "rho_var":
         if abs(report.e_mean) <= 0.0:
             return math.inf  # degenerate phase channel; excluded from fits
         return rho_uncertainty(report).sigma_rho_rel ** 2
-    if target not in SWEEP_TARGETS:
-        raise InvalidParameterError(
-            f"unknown sweep target {target!r}; expected one of {SWEEP_TARGETS}"
-        )
     return getattr(report, target)
 
 
@@ -372,18 +242,27 @@ def fit_power_law(points) -> ScalingFit:
                       min(max(r2, 0.0), 1.0), excluded)
 
 
-def scaling_sweep(family: StateFamily, n_list, target: str) -> ScalingFit:
-    """Fit how one variance scales with photon number across a family.
+def scaling_sweep(family: StateFamily, n_list, targets
+                  ) -> tuple[list[tuple[float, MomentReport]], dict[str, ScalingFit]]:
+    """Fit how each target variance scales with photon number across a
+    family: the (nbar, report) rows and the fit of each target.
 
-    Requires at least 4 strictly increasing photon numbers.
+    The one sweep contract, which ``qellip sweep`` runs too: the photon
+    numbers are sorted ascending and may repeat, but not be empty; every
+    target must be one of SWEEP_TARGETS, checked before any state is
+    built; each fit needs usable points at two distinct photon numbers
+    (``fit_power_law``).
     """
-    n_list = [float(n) for n in n_list]
-    if len(n_list) < 4:
-        raise InvalidParameterError(f"sweep needs >= 4 photon numbers, got {len(n_list)}")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise InvalidParameterError("sweep photon numbers must be strictly increasing")
-    reports = family_reports(family, n_list)
-    return fit_power_law([(n, target_value(r, target)) for n, r in reports])
+    n_sorted = sorted(float(n) for n in n_list)
+    if not n_sorted:
+        raise InvalidParameterError("empty nbar list")
+    for t in targets:
+        if t not in SWEEP_TARGETS:
+            raise InvalidParameterError(
+                f"unknown sweep target {t!r}; expected one of {SWEEP_TARGETS}")
+    reports = [(n, family.build_report(n)) for n in n_sorted]
+    return reports, {t: fit_power_law([(n, target_value(r, t)) for n, r in reports])
+                     for t in targets}
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def rotate(psi: PhaseWaveFunction, theta: float) -> PhaseWaveFunction:
     return PhaseWaveFunction(psi.l_min, amps)
 
 
-def _phase_moments(a: np.ndarray, n: float, closed: bool) -> tuple[complex, float]:
+def phase_moments(a: np.ndarray, n: float, closed: bool) -> tuple[complex, float]:
     """<e^{i phi}> = sum conj(a_l) a_{l+1} and 1 - |<e^{i phi}>|^2 / n^2 of
     amplitudes ``a`` of norm n = |a|^2; ``closed`` adds the pair (last,
     first), a layer's wrap.  The variance is (d/n)(2 - d/n), with
@@ -224,7 +224,7 @@ def circular_moments(psi: PhaseWaveFunction) -> CircularMoments:
     """Moments <e^{i phi}>, circular variance, <L>, Var L.
 
     <e^{i phi}> = sum_l conj(Psi_l) Psi_{l+1}, with the circular variance
-    taken without cancellation (``_phase_moments``); Var L =
+    taken without cancellation (``phase_moments``); Var L =
     sum |Psi_l|^2 (l - <L>)^2 is centred on integer offsets within the
     window, so it keeps its digits at any l.  Raises InvalidStateError if
     the norm is off by more than 1e-9 or is NaN.
@@ -237,7 +237,7 @@ def circular_moments(psi: PhaseWaveFunction) -> CircularMoments:
     k = np.arange(len(a), dtype=float)
     l_mean = float((k + psi.l_min) @ p)
     k -= float(k @ p)
-    e_mean, e_var = _phase_moments(a, nrm2, closed=False)
+    e_mean, e_var = phase_moments(a, nrm2, closed=False)
     return CircularMoments(e_mean, e_var, l_mean, float((k * k) @ p))
 
 

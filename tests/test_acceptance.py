@@ -175,15 +175,14 @@ def test_06_von_mises_limits(tmp_path):
 @criterion(7, "scaling laws")
 def test_07_scaling_laws():
     start = time.perf_counter()
-    fit_e = scaling_sweep(coherent_family(), [25, 50, 100, 200, 400], "e_var")
+    fit_e = scaling_sweep(coherent_family(), [25, 50, 100, 200, 400], ["e_var"])[1]["e_var"]
     assert fit_e.slope == pytest.approx(-1.0, abs=0.05)
     assert fit_e.r_squared > 0.99
 
     family = mathieu_family(1.0)
-    fit_p = scaling_sweep(family, [40, 80, 160, 320], "p_var")
-    assert fit_p.slope == pytest.approx(-2.0, abs=0.05)
-    fit_l = scaling_sweep(family, [40, 80, 160, 320], "l_var")
-    assert fit_l.slope == pytest.approx(0.0, abs=0.02)
+    _, fits = scaling_sweep(family, [40, 80, 160, 320], ["p_var", "l_var"])
+    assert fits["p_var"].slope == pytest.approx(-2.0, abs=0.05)
+    assert fits["l_var"].slope == pytest.approx(0.0, abs=0.02)
     assert time.perf_counter() - start < 120.0
 
 
@@ -264,7 +263,7 @@ def test_10_optics():
 def test_11_coherent_shot_noise_slope_at_scale():
     # e_var -> 1/nbar: the relative-phase variance of two Poisson modes
     nbars = [1e2, 1e3, 1e4, 1e5, 1e6]
-    fit = scaling_sweep(coherent_family(), nbars, "e_var")
+    fit = scaling_sweep(coherent_family(), nbars, ["e_var"])[1]["e_var"]
     assert fit.slope == pytest.approx(-1.0, abs=1e-3)
     e_var = dict(fit.points)[1e6]
     assert abs(e_var * 1e6 - 1.0) < 1e-5

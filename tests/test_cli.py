@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qellip import cli
+from qellip import cli, noise
 from qellip.cli import main
 from qellip.mathieu import auto_truncation
-from qellip.noise import FAMILIES, report_from_dict
+from qellip.noise import FAMILIES, coherent_family, report_from_dict, rho_uncertainty
 
 STACK = """\
 ambient 1.0
@@ -171,6 +171,10 @@ class TestState:
         code, _, _ = run(capsys, "state", "--family", "coherent",
                          "--config", str(cfg))
         assert code == 2
+        cfg.write_text("[1, 2]")
+        code, _, err = run(capsys, "state", "--family", "coherent", "--config", str(cfg))
+        assert code == 2
+        assert "expected a JSON object" in err
 
     def test_von_mises_window_over_budget_exits_2(self, capsys):
         code, _, err = run(capsys, "state", "--family", "von_mises",
@@ -250,6 +254,28 @@ class TestSweep:
         last_nbar, last_e_var = float(rows[-1][0]), float(rows[-1][1])
         assert last_e_var * last_nbar == pytest.approx(np.exp(2.0), rel=0.1)
         assert all(r[7] == "true" for r in rows)
+
+    def test_rho_var_target(self, capsys, monkeypatch):
+        # the fitted points are the squared relative rho bars of each row's report
+        fitted = []
+
+        def fit_power_law(points):
+            fitted.extend(points)
+            return fit(points)
+
+        fit = noise.fit_power_law
+        monkeypatch.setattr(noise, "fit_power_law", fit_power_law)
+        code, out, _ = run(capsys, "sweep", "--family", "coherent",
+                           "--nbar-list", "100,200,400,800", "--target", "rho_var",
+                           "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert [n for n, _ in fitted] == [row[0] for row in doc["rows"]] == [100, 200, 400, 800]
+        for (nbar, value), row in zip(fitted, doc["rows"]):
+            report = coherent_family().build_report(nbar)
+            assert [report.e_var, report.p_var] == row[1:4:2]
+            assert value == rho_uncertainty(report).sigma_rho_rel ** 2
+        assert doc["fit"]["slope"] == pytest.approx(-1.0, abs=0.05)
 
     def test_non_finite_nbar_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--family", "mathieu", "--q", "1",
@@ -376,6 +402,24 @@ class TestInputChecks:
         code, _, err = run(capsys, command, "--config", str(path))
         assert code == 2
         assert err.startswith(f"error: {what} must be")
+
+    def test_unknown_sweep_format_in_config_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"family": "coherent", "nbar_list": [10, 20],
+                                    "format": "xml"}))
+        code, out, err = run(capsys, "sweep", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert "unknown output format 'xml'" in err
+
+    def test_output_naming_a_directory_exits_2(self, capsys, tmp_path):
+        # the rename onto the directory fails; the temp file goes with it
+        (tmp_path / "out").mkdir()
+        code, out, _ = run(capsys, "state", "--family", "coherent", "--nbar", "10",
+                           "--output", str(tmp_path / "out"))
+        assert code == 2
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
     def test_numeric_strings_and_whole_floats_are_read(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
@@ -734,6 +778,13 @@ class TestMathieuTable:
         assert lines[0] == "k,q,eigenvalue,j,coeff"
         assert len(lines) == 1 + sum(auto_truncation(1.0, k) for k in range(301))
         assert lines[-1].startswith("300,1,")
+
+    @pytest.mark.parametrize("q", ["nan", "inf", "-1"])
+    def test_bad_q_exits_2(self, capsys, q):
+        code, out, err = run(capsys, "mathieu-table", "--q", q)
+        assert code == 2
+        assert out == ""
+        assert "Mathieu parameter q must be" in err
 
     def test_window_over_truncation_budget_keeps_solver_message(self, capsys):
         code, out, err = run(capsys, "mathieu-table", "--q", "1e300")

@@ -257,6 +257,26 @@ class TestGridBudget:
         with pytest.raises(InvalidParameterError, match="budget"):
             squeezed_at(0.5, 0.5, 0.1, 11)
 
+    @pytest.mark.parametrize("build", [
+        lambda: squeezed_for_mean_photons(30.0, 2.0),
+        lambda: squeezed_for_mean_photons(30.0, 2.0, 0.3),
+        lambda: displaced_squeezed_state(3 + 4j, 2.0, 1.5 * np.exp(0.4j)),
+        lambda: squeezed_for_mean_photons(80.0, 2.5),
+    ], ids=["s2-real", "s2-dphi", "displaced-complex", "s2.5"])
+    def test_build_and_analysis_fit_the_plan(self, build):
+        # the plan that MAX_FACTOR_BYTES is checked against bounds what a
+        # build and its moments allocate (0.61 to 0.65 of it here)
+        tracemalloc.start()
+        try:
+            st = build()
+            analyze(st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        modes = 1 if st.d_s is st.d_p else 2
+        itemsize = max(a.itemsize for a in (st.d_p, st.d_s, st.c))
+        assert peak <= self.planned_bytes(st.cutoff, len(st.c), modes, itemsize)
+
     def test_embed_ignores_the_grid_budget(self, monkeypatch):
         monkeypatch.setattr(fock, "MAX_FACTOR_BYTES", self.planned_bytes(10, 1, 1, 8))
         report = analyze(embed_phase_state(from_von_mises(0.0), 12))
@@ -409,6 +429,10 @@ class TestSqueezed:
         a = displaced_squeezed_state(1.0 + 0.5j, 0.3, 0.0)
         b = coherent_state(1.0 + 0.5j, 0.3)
         assert np.abs(dense_amplitudes(a) - dense_amplitudes(b)).max() == 0.0
+
+    def test_negative_squeezing_refused(self):
+        with pytest.raises(InvalidParameterError, match="squeezing magnitude must be >= 0"):
+            squeezed_for_mean_photons(10.0, -0.5)
 
     def test_pair_correlated_vacuum(self):
         st = displaced_squeezed_state(0.0, 0.0, 0.5)

@@ -99,15 +99,20 @@ class TestErrors:
     def test_bad_q(self, q):
         with pytest.raises(InvalidParameterError):
             solve_even_mathieu(q, 0)
+        with pytest.raises(InvalidParameterError, match="^Mathieu parameter q must be"):
+            auto_truncation(q)
 
     def test_negative_order(self):
         with pytest.raises(InvalidParameterError):
             solve_even_mathieu(1.0, -1)
+        with pytest.raises(InvalidParameterError, match="^order index k must be >= 0"):
+            auto_truncation(1.0, -1)
 
     @pytest.mark.parametrize("call", [
         lambda: solve_even_mathieu(1.0, 1.5),
         lambda: se_even_eigenvalue(1.0, 1.5),
-    ], ids=["even-order", "odd-order"])
+        lambda: auto_truncation(1.0, 1.5),
+    ], ids=["even-order", "odd-order", "window-order"])
     def test_fractional_order_or_window(self, call):
         with pytest.raises(InvalidParameterError, match="must be an integer"):
             call()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qellip import (
     InvalidParameterError,
+    StateFamily,
     TwoModeFockState,
     analyze,
     coherent_state,
@@ -30,7 +31,6 @@ from qellip import (
 )
 from qellip.noise import (
     FAMILIES,
-    family_reports,
     fit_power_law,
     report_from_dict,
     report_to_dict,
@@ -221,34 +221,45 @@ class TestAnalyze:
 
 class TestScalingSweeps:
     def test_coherent_shot_noise_slope(self):
-        fit = scaling_sweep(coherent_family(), [25, 50, 100, 200, 400], "e_var")
+        fit = scaling_sweep(coherent_family(), [25, 50, 100, 200, 400], ["e_var"])[1]["e_var"]
         assert fit.slope == pytest.approx(-1.0, abs=0.05)
         assert fit.r_squared > 0.99
 
     def test_mathieu_heisenberg_modulus_slope(self):
-        fit = scaling_sweep(mathieu_family(1.0), [40, 80, 160, 320], "p_var")
+        fit = scaling_sweep(mathieu_family(1.0), [40, 80, 160, 320], ["p_var"])[1]["p_var"]
         assert fit.slope == pytest.approx(-2.0, abs=0.05)
         assert fit.r_squared > 0.99
 
     def test_mathieu_flat_difference_noise(self):
-        fit = scaling_sweep(mathieu_family(1.0), [40, 80, 160, 320], "l_var")
+        fit = scaling_sweep(mathieu_family(1.0), [40, 80, 160, 320], ["l_var"])[1]["l_var"]
         assert fit.slope == pytest.approx(0.0, abs=0.02)
 
     def test_von_mises_family_matches_mathieu_scaling(self):
-        fit = scaling_sweep(von_mises_family(1.0), [40, 80, 160, 320], "p_var")
+        fit = scaling_sweep(von_mises_family(1.0), [40, 80, 160, 320], ["p_var"])[1]["p_var"]
         assert fit.slope == pytest.approx(-2.0, abs=0.05)
 
-    def test_needs_four_increasing_points(self):
-        with pytest.raises(InvalidParameterError):
-            scaling_sweep(coherent_family(), [10, 20, 30], "e_var")
-        with pytest.raises(InvalidParameterError):
-            scaling_sweep(coherent_family(), [10, 20, 20, 30], "e_var")
-        with pytest.raises(InvalidParameterError):
-            scaling_sweep(coherent_family(), [], "e_var")
+    def test_three_and_repeated_points_run(self):
+        # the CLI's contract: sorted, repeats allowed, not empty, and
+        # usable points at two distinct photon numbers per fit
+        family = coherent_family()
+        fit = scaling_sweep(family, [400, 100, 200], ["e_var"])[1]["e_var"]
+        assert fit.slope == pytest.approx(-1.0, abs=0.05)
+        reports, fits = scaling_sweep(family, [20, 10, 20], ["e_var", "l_var"])
+        assert [n for n, _ in reports] == [10.0, 20.0, 20.0]
+        assert reports[1][1] == reports[2][1]
+        assert fits["l_var"].slope == pytest.approx(1.0, abs=1e-6)
+        with pytest.raises(InvalidParameterError, match="power-law fit needs >= 2"):
+            scaling_sweep(family, [10, 10], ["e_var"])
+        with pytest.raises(InvalidParameterError, match="empty nbar list"):
+            scaling_sweep(family, [], ["e_var"])
 
     def test_unknown_target(self):
-        with pytest.raises(InvalidParameterError):
-            scaling_sweep(coherent_family(), [10, 20, 40, 80], "n_var")
+        # checked before any state is built
+        built = []
+        family = StateFamily(lambda n: built.append(n))
+        with pytest.raises(InvalidParameterError, match="unknown sweep target 'n_var'"):
+            scaling_sweep(family, [10, 20, 40, 80], ["e_var", "n_var"])
+        assert built == []
 
     def test_degenerate_points_excluded(self):
         # kappa = 0 keeps l_var identically zero: unusable on log axes
@@ -274,11 +285,11 @@ class TestScalingSweeps:
                 fit_power_law(points)
 
     def test_reports_sorted_by_nbar(self):
-        reports = family_reports(coherent_family(), [100, 25, 50])
+        reports, _ = scaling_sweep(coherent_family(), [100, 25, 50], [])
         assert [n for n, _ in reports] == [25.0, 50.0, 100.0]
 
     def test_squeezed_family_beats_shot_noise_at_fixed_s(self):
-        reports = family_reports(squeezed_family(1.0, 0.0), [10, 20, 40, 80])
+        reports, _ = scaling_sweep(squeezed_family(1.0, 0.0), [10, 20, 40, 80], [])
         for nbar, r in reports:
             assert r.l_var <= nbar / 4.0 * np.exp(-2.0) + 1e-9
 
@@ -309,7 +320,7 @@ class TestFamilyRegistry:
 
     @pytest.mark.parametrize("nbar", [math.inf, math.nan])
     def test_phase_family_needs_an_even_whole_layer(self, nbar):
-        with pytest.raises(InvalidParameterError, match="even integer photon numbers"):
+        with pytest.raises(InvalidParameterError, match="^layer photon number must be"):
             mathieu_family(1.0).build_report(nbar)
 
     def test_huge_layer_runs(self):
