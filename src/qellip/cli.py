@@ -43,9 +43,11 @@ def _fmt(x) -> str:
 def _write_lines(path: str | None, lines) -> None:
     """Write each line and a newline atomically (temp file + rename) to a
     path, streamed as the lines come, or to stdout in one write, so that
-    a failure part way prints nothing."""
+    a failure part way prints nothing.  Stdout is flushed here, so a
+    failed write (a full device, a closed pipe) raises inside ``main``."""
     if path in (None, "-"):
         sys.stdout.write("".join(f"{line}\n" for line in lines))
+        sys.stdout.flush()
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qellip-")
@@ -361,5 +363,27 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """Entry point of ``python -m qellip.cli`` and of the ``qellip``
+    console script: ``main()``, a flush of stdout and stderr, then
+    ``os._exit``.
+
+    Every output file is renamed into place inside ``main``, so the
+    interpreter's teardown (module cleanup, the last garbage collections,
+    the BLAS libraries' destructors) could change no result and is
+    skipped.  A flush that fails turns a success into exit 2, with no
+    traceback.  An exception that escapes ``main`` (argparse's
+    ``SystemExit``, ``KeyboardInterrupt``, a warning raised as an error)
+    takes the normal exit path.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            code = code or 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

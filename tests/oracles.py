@@ -6,8 +6,9 @@ replaces the Fourier evaluation, explicit multiple-bounce (Airy)
 summation replaces characteristic matrices, quadrature replaces Bessel
 identities, scipy's exponentially scaled Bessel function replaces the
 backward recurrence of von Mises states, the Laguerre closed form
-replaces the degree recurrence of the displacement columns, sums over fixed-photon-number
-layers replace the grid moments of coherent states, exactly rounded
+replaces the degree recurrence of the displacement columns, decimal sums
+of Poisson amplitudes from exact ratios replace the factor moments of
+balanced coherent states, exactly rounded
 sums over the index window replace the Var L of bare phase states,
 decimal sums carried past the digits of N the Var P of embedded ones,
 exact integer sums replace the circular variance, and the dense
@@ -203,26 +204,39 @@ def dense_moments(state) -> DenseMoments:
 
 
 # ---------------------------------------------------------------------------
-# balanced coherent <E> by fixed-photon-number layers
+# balanced coherent e_var by exact decimal ratios
 
-def coherent_e_mean(nbar: float) -> float:
-    """<E> of the two-mode coherent state with |alpha_p|^2 = |alpha_s|^2 = nbar/2
-    and real amplitudes.
+def coherent_e_var(nbar: float) -> float:
+    """1 - <E>^2 of the untruncated two-mode coherent state with
+    |alpha_p|^2 = |alpha_s|^2 = nbar/2 and real amplitudes.
 
-    The total photon number N is Poisson(nbar); given N, the photons split
-    binomially, b_m = C(N, m) / 2^N on |m, N - m>, with equal phases.  E
-    moves m to m - 1 inside the layer and wraps |0, N> onto |N, 0>, so
-    <E> = sum_N P(N) [sum_{m>=1} sqrt(b_{m-1} b_m) + sqrt(b_0 b_N)].
+    Each mode holds the Poisson amplitudes u_m at mu = nbar/2.  E moves
+    a photon from the p mode to the s mode, and wraps |0, N> onto |N, 0>,
+    so <E> = (S / sum u_m^2)^2 + e^(-mu) with S = sum u_m u_(m+1): the
+    square is the two modes' shifts, and the wrap adds
+    u_0^2 sum u_N^2 = e^(-mu).  u is built from the exact ratios
+    u_(m+1) / u_m = sqrt(mu / (m + 1)) in decimal arithmetic at 40
+    digits, from u = 1 on the mode both ways over 40 (sqrt(mu) + 1) rows,
+    so its scale cancels, and 1 - <E>^2 (about 1/nbar) is taken in
+    decimal too, with no digits lost at any nbar.
     """
-    width = 15.0 * np.sqrt(nbar) + 10.0
-    total = 0.0
-    for N in range(max(0, int(nbar - width)), int(nbar + width) + 1):
-        log_poisson = -nbar + N * np.log(nbar) - gammaln(N + 1.0)
-        m = np.arange(N + 1.0)
-        log_b = gammaln(N + 1.0) - gammaln(m + 1.0) - gammaln(N - m + 1.0) - N * np.log(2.0)
-        inner = np.sum(np.exp(0.5 * (log_b[:-1] + log_b[1:]))) + np.exp(0.5 * (log_b[0] + log_b[-1]))
-        total += np.exp(log_poisson) * inner
-    return float(total)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        mu = Decimal(nbar) / 2
+        mode = int(nbar / 2)
+        width = int(40.0 * (math.sqrt(nbar / 2.0) + 1.0))
+        below, u = [], Decimal(1)
+        for m in range(mode, max(0, mode - width), -1):  # u_(m-1) from u_m
+            u *= (m / mu).sqrt()
+            below.append(u)
+        above, u = [Decimal(1)], Decimal(1)
+        for m in range(mode, mode + width):  # u_(m+1) from u_m
+            u *= (mu / (m + 1)).sqrt()
+            above.append(u)
+        amps = below[::-1] + above
+        s = sum(a * b for a, b in zip(amps, amps[1:]))
+        e_mean = (s / sum(a * a for a in amps)) ** 2 + (-mu).exp()
+        return float(1 - e_mean ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,22 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def child_env() -> dict:
+    """This environment, with the tree's src first on PYTHONPATH and no
+    PYTHONUNBUFFERED, so a child's stdout is block-buffered as a user's is."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
+def qellip(*argv, cwd=None, stdout=subprocess.PIPE):
+    """One ``python -m qellip.cli`` process, through ``cli.run``."""
+    return subprocess.run([sys.executable, "-m", "qellip.cli", *argv], cwd=cwd,
+                          env=child_env(), stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=120)
+
+
 class TestState:
     def test_coherent_reference_values(self, capsys):
         code, out, _ = run(capsys, "state", "--family", "coherent",
@@ -544,10 +560,7 @@ class TestStartup:
             "        assert qellip.cli.main(argv) == 0\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -804,3 +817,154 @@ class TestFixedTolerance:
         assert code == 3
         assert out == ""
         assert "truncation tail" in err and "exceeds tolerance 1.0e-10" in err
+
+
+class _BrokenStdout:
+    """A stdout whose ``write`` or ``flush`` fails as a full device does."""
+
+    def __init__(self, failing: str):
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(28, "No space left on device")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(28, "No space left on device")
+
+
+class _Exited(Exception):
+    pass
+
+
+class TestStdoutFailure:
+    """A failed write to stdout is a user error: exit 2 with an error line,
+    never a traceback or an ignored exception at exit."""
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_failed_stdout_exits_2(self, capsys, monkeypatch, failing):
+        monkeypatch.setattr(sys, "stdout", _BrokenStdout(failing))
+        code = main(["state", "--family", "coherent", "--nbar", "100"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: [Errno 28] No space left on device\n"
+
+    @pytest.fixture
+    def exit_code(self, monkeypatch):
+        """Calls ``cli.run`` with ``os._exit`` caught; returns its code."""
+        def _exit(code):
+            raise _Exited(code)
+        monkeypatch.setattr(cli.os, "_exit", _exit)
+
+        def call():
+            with pytest.raises(_Exited) as exc:
+                cli.run()
+            return exc.value.args[0]
+        return call
+
+    @pytest.mark.parametrize("code", [0, 2, 3])
+    def test_run_exits_with_main_code(self, monkeypatch, exit_code, code):
+        monkeypatch.setattr(cli, "main", lambda: code)
+        assert exit_code() == code
+
+    @pytest.mark.parametrize("code,expected", [(0, 2), (3, 3)])
+    def test_run_maps_a_failed_flush_to_2(self, monkeypatch, exit_code, code, expected):
+        monkeypatch.setattr(cli, "main", lambda: code)
+        monkeypatch.setattr(sys, "stdout", _BrokenStdout("flush"))
+        assert exit_code() == expected
+
+    def test_run_leaves_exceptions_to_the_normal_exit(self, monkeypatch, exit_code):
+        # exit_code keeps a faulty run from ending the test process
+        def interrupted():
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "main", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.run()
+
+
+#: One invocation of each kind the cli benchmark runs, and a report on
+#: stdout: argv and the files it writes.
+PROCESS_INVOCATIONS = {
+    "state-stdout": (["state", "--family", "coherent", "--nbar", "100"], []),
+    "state-coherent": (["state", "--family", "coherent", "--nbar", "123.456",
+                        "--output", "out.json"], ["out.json"]),
+    "state-squeezed": (["state", "--family", "squeezed", "--s", "0.7", "--nbar", "40",
+                        "--output", "out.json"], ["out.json"]),
+    "state-mathieu": (["state", "--family", "mathieu", "--q", "3.5", "--nbar", "80",
+                       "--output", "out.json"], ["out.json"]),
+    "state-von_mises": (["state", "--family", "von_mises", "--kappa", "4.2", "--nbar", "120",
+                         "--output", "out.json"], ["out.json"]),
+    "sweep-coherent": (["sweep", "--family", "coherent", "--nbar-list", "100,400,1600,2800",
+                        "--target", "e_var", "--output", "sweep.csv",
+                        "--fit-output", "fit.json"], ["sweep.csv", "fit.json"]),
+    "sweep-mathieu": (["sweep", "--family", "mathieu", "--q", "3.5",
+                       "--nbar-list", "40,80,160,320", "--target", "p_var",
+                       "--output", "sweep.csv", "--fit-output", "fit.json"],
+                      ["sweep.csv", "fit.json"]),
+    "density": (["density", "--q", "3.5", "--grid", "512", "--output", "density.csv"],
+                ["density.csv", "density_spectrum.csv"]),
+    "ellipsometry": (["ellipsometry", "--stack", "film.stack", "--family", "coherent",
+                      "--nbar", "123.456", "--output", "ell.json"], ["ell.json"]),
+    "mathieu-table": (["mathieu-table", "--q", "3.5", "--kmax", "3", "--output", "table.csv"],
+                      ["table.csv"]),
+}
+
+
+class TestProcessBoundary:
+    """``python -m qellip.cli`` in a child process: its outputs reach their
+    files and pipes whole, and its exit codes are main's, although the
+    process ends by ``os._exit`` with no interpreter teardown."""
+
+    @pytest.mark.parametrize("kind", PROCESS_INVOCATIONS)
+    def test_files_match_in_process_main(self, capsys, monkeypatch, tmp_path, kind):
+        argv, outputs = PROCESS_INVOCATIONS[kind]
+        child, here = tmp_path / "child", tmp_path / "here"
+        for d in (child, here):
+            d.mkdir()
+            (d / "film.stack").write_text(STACK)
+        proc = qellip(*argv, cwd=child)
+        monkeypatch.chdir(here)
+        assert main(argv) == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+        names = sorted(p.name for p in child.iterdir())
+        assert names == sorted(p.name for p in here.iterdir())
+        assert names == sorted(["film.stack", *outputs])  # no .qellip-* temp file left
+        for name in outputs:
+            assert (child / name).read_bytes() == (here / name).read_bytes()
+
+    def test_long_density_reaches_a_pipe_whole(self):
+        proc = qellip("density", "--q", "1", "--grid", "100000")
+        assert proc.returncode == 0
+        assert proc.stdout.endswith("\n")
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 100001
+        assert all(line.count(",") == 3 for line in lines)
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["state", "--family", "coherent", "--nbar", "-5"], 2,
+         "nbar must be finite and >= 0, got -5.0"),
+        (["sweep", "--family", "von_mises", "--kappa", "100", "--nbar-list", "2,4,6,8"], 3,
+         "truncation tail"),
+    ])
+    def test_error_exit_codes(self, tmp_path, argv, code, message):
+        proc = qellip(*argv, "--output", "out", cwd=tmp_path)
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_takes_the_normal_exit(self):
+        proc = qellip("--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: qellip")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_2(self):
+        # block-buffered stdout: the write succeeds into the buffer and the
+        # flush fails, inside main
+        with open("/dev/full", "w") as full:
+            proc = qellip("state", "--family", "coherent", "--nbar", "100", stdout=full)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: [Errno 28] No space left on device\n"

@@ -28,7 +28,7 @@ from qellip.phase_space import PhaseWaveFunction
 from qellip import fock
 from oracles import (
     apply_phase,
-    coherent_e_mean,
+    coherent_e_var,
     dense_amplitudes,
     dense_moments,
     diagonal_values,
@@ -171,14 +171,22 @@ class TestCoherent:
         n = dense_moments(st).n_mean
         assert n == pytest.approx(4.0 + 2.0, rel=1e-9)
 
-    @pytest.mark.parametrize("nbar", [3000.0, 6000.0])
+    @pytest.mark.parametrize("nbar", [3000.0, 6000.0, 1e5, 1e6])
     def test_builds_where_the_vacuum_factor_underflows(self, nbar):
         # regression: starting the recurrence at e^{-nbar/4} zeroed the
         # vector past nbar ~ 2980 and raised a false TruncationError
         a = np.sqrt(nbar / 2.0)
         report = analyze(coherent_state(a, a))
         assert report.n_mean == pytest.approx(nbar, rel=1e-9)
-        assert report.e_var == pytest.approx(1.0 - coherent_e_mean(nbar) ** 2, rel=1e-7)
+        assert report.e_var == pytest.approx(coherent_e_var(nbar), rel=1e-7)
+
+    @pytest.mark.parametrize("nbar", [0.5, 5.0, 50.0])
+    def test_e_var_oracle_matches_the_dense_grid(self, nbar):
+        # the oracle's closed form (mode shifts squared plus the e^(-nbar/2)
+        # wrap) against E applied entry by entry to the dense amplitudes
+        a = np.sqrt(nbar / 2.0)
+        e_var = dense_moments(coherent_state(a, a)).e_var
+        assert e_var == pytest.approx(coherent_e_var(nbar), rel=1e-9)
 
     @pytest.mark.parametrize("alpha", [np.sqrt(5.0), 0.3 + 2.0j, np.sqrt(200.0),
                                        np.sqrt(1400.0) * np.exp(0.7j)])
