@@ -9,7 +9,6 @@ floats) and written atomically.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import os
@@ -18,7 +17,7 @@ import tempfile
 
 import numpy as np
 
-from . import mathieu, noise, optics, phase_space
+from . import mathieu, noise, phase_space
 from .errors import (
     InconsistentSolutionError,
     InvalidParameterError,
@@ -244,6 +243,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_ellipsometry(args) -> int:
+    from . import optics  # the one subcommand that reflects off a stack
+
     cfg = _load_config(args.config)
     stack = optics.load_stack(args.stack)
     result = optics.stack_reflection(stack)
@@ -256,7 +257,7 @@ def cmd_ellipsometry(args) -> int:
     }
     if _param(args, cfg, "family") is not None:
         bars = noise.rho_uncertainty(_single_report(args, cfg))
-        doc["noise"] = dataclasses.asdict(bars)
+        doc["noise"] = bars._asdict()
     else:
         for flag in ("nbar", *_FAMILY_PARAMS):
             if getattr(args, flag) is not None:

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,29 +102,35 @@ _NEGLIGIBLE = 1e-150
 _BLOCK = 256
 
 
-@dataclass(frozen=True)
-class TwoModeFockState:
-    """Normalized amplitudes A = d_p diag(c) d_s^T over the truncated
-    two-mode basis, stored as the factors.
-
-    d_p and d_s are (cutoff+1, K) arrays (the same object when the two
-    modes share a displacement) and c has K entries.  tail_mass is the
-    norm lost to the truncation, recorded before renormalization.
-    """
-
+class _TwoModeFockStateFields(NamedTuple):
     cutoff: int
     d_p: np.ndarray
     c: np.ndarray
     d_s: np.ndarray
     tail_mass: float
 
-    def __post_init__(self):
-        shape = (self.cutoff + 1, len(self.c))
-        if self.c.ndim != 1 or self.d_p.shape != shape or self.d_s.shape != shape:
+
+class TwoModeFockState(_TwoModeFockStateFields):
+    """Normalized amplitudes A = d_p diag(c) d_s^T over the truncated
+    two-mode basis, stored as the factors.
+
+    d_p and d_s are (cutoff+1, K) arrays (the same object when the two
+    modes share a displacement) and c has K entries.  tail_mass is the
+    norm lost to the truncation, recorded before renormalization.
+    Factors that do not fit the cutoff raise DimensionMismatchError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, cutoff: int, d_p: np.ndarray, c: np.ndarray, d_s: np.ndarray,
+                tail_mass: float):
+        shape = (cutoff + 1, len(c))
+        if c.ndim != 1 or d_p.shape != shape or d_s.shape != shape:
             raise DimensionMismatchError(
-                f"factors {self.d_p.shape} and {self.d_s.shape} with {self.c.shape} "
-                f"pair amplitudes do not give a grid of cutoff {self.cutoff}"
+                f"factors {d_p.shape} and {d_s.shape} with {c.shape} "
+                f"pair amplitudes do not give a grid of cutoff {cutoff}"
             )
+        return super().__new__(cls, cutoff, d_p, c, d_s, tail_mass)
 
     def moments(self) -> tuple[float, complex, float, float, float, float]:
         """(n_mean, e_mean, e_var, l_mean, l_var, p_var) of the state.
@@ -189,8 +195,7 @@ class TwoModeFockState:
                 max(l_var, 0.0), max(p_var, 0.0))
 
 
-@dataclass(frozen=True)
-class LayerState:
+class LayerState(NamedTuple):
     """A phase state on the Fock layer of N = ``cutoff`` photons: Psi_l of
     ``psi`` multiplies |N/2 + l, N/2 - l>.  tail_mass is the norm deficit
     the clip to |l| <= N/2 left before renormalization."""

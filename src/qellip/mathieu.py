@@ -38,7 +38,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,12 +73,15 @@ def auto_truncation(q: float, k: int = 0) -> int:
     Raises InvalidParameterError as ``solve_even_mathieu`` does for q
     and k.
     """
-    q, k = _validated(q, k)
+    return _window(*_validated(q, k))
+
+
+def _window(q: float, k: int) -> int:
+    """``auto_truncation`` of a q and k already validated."""
     return math.ceil((6.5 + 0.5 * k) * q ** 0.25) + 12 + 2 * k
 
 
-@dataclass(frozen=True)
-class MathieuSolution:
+class MathieuSolution(NamedTuple):
     """One even pi-periodic eigenpair ce_{2k}(eta, q).
 
     Attributes
@@ -205,7 +208,7 @@ def _eigenpair(q: float, k: int, odd: bool) -> tuple[float, int, float, np.ndarr
     whole, k < 0 or J > MAX_TRUNCATION.
     """
     q, k = _validated(q, k)
-    J = auto_truncation(q, k)
+    J = _window(q, k)
     a, vec = _solve(q, k, J, odd)
     while abs(vec[-1]) >= TAIL_TOL:
         J *= 2

@@ -18,9 +18,7 @@ to its ``StateFamily`` constructor and the parameters it takes.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,8 +29,7 @@ from .mathieu import solve_even_mathieu
 
 SWEEP_TARGETS = ("e_var", "l_var", "p_var", "rho_var")
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     """Moment summary of one state at one operating photon number.
 
     bound is |<E>|^2 / 4; saturation_ratio = product / bound (+inf when
@@ -57,8 +54,7 @@ class MomentReport:
     pol_squeezed: bool
 
 
-@dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(NamedTuple):
     """Least-squares power law var ~ nbar^slope on log10 axes."""
 
     points: tuple[tuple[float, float], ...]
@@ -68,8 +64,7 @@ class ScalingFit:
     excluded: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class StateFamily:
+class StateFamily(NamedTuple):
     """A one-parameter family nbar -> state.  phase is the bare phase
     state a phase family embeds on the nbar layer; None for Fock families."""
 
@@ -88,8 +83,7 @@ class Param(NamedTuple):
     required: bool = False
 
 
-@dataclass(frozen=True)
-class RhoUncertainty:
+class RhoUncertainty(NamedTuple):
     """Small-noise error bars on the ellipsometric function.
 
     sigma_delta is the circular standard deviation of the phase channel,
@@ -277,7 +271,7 @@ def json_number(x):
 def report_to_dict(report: MomentReport) -> dict:
     """Flat JSON-friendly mapping; complex e_mean split into re/im, and an
     infinite saturation ratio written as None."""
-    d = dataclasses.asdict(report)
+    d = report._asdict()
     e_mean = d.pop("e_mean")
     d["e_mean_re"], d["e_mean_im"] = e_mean.real, e_mean.imag
     d["saturation_ratio"] = json_number(d["saturation_ratio"])
@@ -288,8 +282,8 @@ def report_from_dict(d: dict) -> MomentReport:
     """The report ``report_to_dict`` wrote; a None saturation ratio is +inf."""
     if d["saturation_ratio"] is None:
         d = {**d, "saturation_ratio": math.inf}
-    fields = {f.name: float(d[f.name]) for f in dataclasses.fields(MomentReport)
-              if f.name not in ("e_mean", "pol_squeezed")}
+    fields = {f: float(d[f]) for f in MomentReport._fields
+              if f not in ("e_mean", "pol_squeezed")}
     return MomentReport(e_mean=complex(float(d["e_mean_re"]), float(d["e_mean_im"])),
                         pol_squeezed=bool(d["pol_squeezed"]), **fields)
 

@@ -19,53 +19,61 @@ returns the Born & Wolf sign, which is flipped into the convention above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalDomainError, StackParseError, finite
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(NamedTuple):
     index: complex
     thickness: float  # nanometers
 
 
-@dataclass(frozen=True)
-class LayerStack:
-    """Ambient / films / substrate description at one wavelength and angle."""
-
+class _LayerStackFields(NamedTuple):
     ambient_index: complex
     layers: tuple[Layer, ...]
     substrate_index: complex
     wavelength: float          # nanometers
     angle_of_incidence: float  # radians
 
-    def __post_init__(self):
-        if not (math.isfinite(self.wavelength) and self.wavelength > 0.0):
+
+class LayerStack(_LayerStackFields):
+    """Ambient / films / substrate description at one wavelength and angle.
+
+    The films are stored as a tuple.  A wavelength that is not finite
+    and positive, an angle outside [0, pi/2), an index that is not
+    finite or has Im(n) < 0, or a thickness that is not finite and
+    >= 0 raises InvalidParameterError."""
+
+    __slots__ = ()
+
+    def __new__(cls, ambient_index: complex, layers, substrate_index: complex,
+                wavelength: float, angle_of_incidence: float):
+        if not (math.isfinite(wavelength) and wavelength > 0.0):
             raise InvalidParameterError(
-                f"wavelength must be finite and > 0, got {self.wavelength}")
-        if not 0.0 <= self.angle_of_incidence < np.pi / 2.0:
+                f"wavelength must be finite and > 0, got {wavelength}")
+        if not 0.0 <= angle_of_incidence < np.pi / 2.0:
             raise InvalidParameterError(
-                f"angle of incidence must lie in [0, pi/2), got {self.angle_of_incidence}"
+                f"angle of incidence must lie in [0, pi/2), got {angle_of_incidence}"
             )
-        for n in (self.ambient_index, self.substrate_index,
-                  *(l.index for l in self.layers)):
+        layers = tuple(layers)
+        for n in (ambient_index, substrate_index, *(l.index for l in layers)):
             n = finite("refractive index", complex(n))
             if n.imag < 0.0:
                 raise InvalidParameterError(
                     f"absorbing convention requires Im(n) >= 0, got {n}"
                 )
-        for l in self.layers:
+        for l in layers:
             finite("film thickness", l.thickness)
             if l.thickness < 0.0:
                 raise InvalidParameterError(f"negative thickness {l.thickness}")
-        object.__setattr__(self, "layers", tuple(self.layers))
+        return super().__new__(cls, ambient_index, layers, substrate_index,
+                               wavelength, angle_of_incidence)
 
 
-@dataclass(frozen=True)
-class EllipsometricResult:
+class EllipsometricResult(NamedTuple):
     """Reflection pair and the derived (rho, psi, Delta) triple."""
 
     r_p: complex

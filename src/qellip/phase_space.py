@@ -18,7 +18,7 @@ translation, so the state stays 2 pi - periodic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,12 @@ MAX_PHASE_WINDOW = 2 ** 18
 MAX_DENSITY_BYTES = 2 ** 30
 
 
-@dataclass(frozen=True)
-class PhaseWaveFunction:
+class _PhaseWaveFunctionFields(NamedTuple):
+    l_min: int
+    amplitudes: np.ndarray
+
+
+class PhaseWaveFunction(_PhaseWaveFunctionFields):
     """Fourier components of a relative-phase state.
 
     ``amplitudes[i]`` is Psi_l for l = ``l_min + i``; outside the window
@@ -48,15 +52,14 @@ class PhaseWaveFunction:
     stops being exact, raises InvalidParameterError.
     """
 
-    l_min: int
-    amplitudes: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        l_min = integer("l_min", self.l_min)
-        if max(-l_min, l_min + len(self.amplitudes) - 1) >= 2 ** 53:
+    def __new__(cls, l_min: int, amplitudes: np.ndarray):
+        l_min = integer("l_min", l_min)
+        if max(-l_min, l_min + len(amplitudes) - 1) >= 2 ** 53:
             raise InvalidParameterError("the window reaches past |l| < 2^53, "
                                         "where float l stops being exact")
-        object.__setattr__(self, "l_min", l_min)
+        return super().__new__(cls, l_min, amplitudes)
 
     @property
     def l_values(self) -> np.ndarray:
@@ -73,8 +76,7 @@ class PhaseWaveFunction:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
-@dataclass(frozen=True)
-class CircularMoments:
+class CircularMoments(NamedTuple):
     """First and second moments on the circle.
 
     e_mean is <e^{i phi}>, e_var the circular variance 1 - |e_mean|^2;

@@ -565,6 +565,44 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    @staticmethod
+    def child(code: str) -> str:
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_bare_import_loads_no_submodule(self):
+        out = self.child("import sys, qellip\n"
+                         "print(sorted(m for m in sys.modules if m.startswith('qellip.')))\n")
+        assert out == "[]"
+
+    def test_state_loads_no_optics(self):
+        out = self.child(
+            "import contextlib, io, sys\n"
+            "from qellip import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['state', '--family', 'coherent', '--nbar', '100']) == 0\n"
+            "print('qellip.optics' in sys.modules)\n")
+        assert out == "False"
+
+    def test_every_public_name_resolves_after_a_bare_import(self):
+        out = self.child(
+            "import importlib, qellip\n"
+            "submodules = ('cli', 'errors', 'fock', 'mathieu', 'noise', 'optics', 'phase_space')\n"
+            "for name in submodules:\n"
+            "    assert getattr(qellip, name) is importlib.import_module('qellip.' + name)\n"
+            "for name in qellip.__all__:\n"
+            "    value = getattr(qellip, name)\n"
+            "    assert any(getattr(getattr(qellip, m), name, None) is value\n"
+            "               for m in submodules), name\n"
+            "assert set(qellip.__all__) | set(submodules) <= set(dir(qellip))\n"
+            "try:\n"
+            "    qellip.no_such_name\n"
+            "except AttributeError:\n"
+            "    print(len(qellip.__all__))\n")
+        assert int(out) >= 47
+
 
 class TestDensity:
     def test_fig1_style_outputs(self, capsys, tmp_path):

@@ -242,7 +242,7 @@ class TestSupportWindow:
         q, k = 100.0, 2
         a_wide, wide = even_on_window(q, k, 200)
         b_wide = odd_on_window(q, k, 200)
-        monkeypatch.setattr(mathieu, "auto_truncation", lambda q, k=0: k + 1)
+        monkeypatch.setattr(mathieu, "_window", lambda q, k=0: k + 1)
         sol = solve_even_mathieu(q, k)
         J = sol.truncation_dim
         assert J > k + 1  # doubled from the patched window

@@ -9,17 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qellip
 from qellip import (
+    DimensionMismatchError,
     InvalidParameterError,
+    Layer,
+    LayerStack,
     StateFamily,
     TwoModeFockState,
     analyze,
+    circular_moments,
     coherent_state,
     coherent_family,
     embed_phase_state,
     from_mathieu,
     from_von_mises,
     mathieu_family,
+    parse_stack_text,
     phase_state,
     rho_uncertainty,
     scaling_sweep,
@@ -27,10 +33,12 @@ from qellip import (
     solve_even_mathieu,
     squeezed_family,
     squeezed_for_mean_photons,
+    stack_reflection,
     von_mises_family,
 )
 from qellip.noise import (
     FAMILIES,
+    MomentReport,
     fit_power_law,
     report_from_dict,
     report_to_dict,
@@ -365,7 +373,6 @@ class TestSaturation:
 
 class TestRhoUncertainty:
     def test_noiseless_limit(self):
-        from qellip.noise import MomentReport
         report = MomentReport(n_mean=100.0, e_mean=1.0 + 0.0j, e_var=0.0,
                               l_mean=0.0, l_var=0.0, p_var=0.0, product=0.0,
                               bound=0.25, saturation_ratio=1.0,
@@ -420,3 +427,103 @@ class TestRhoUncertainty:
         with pytest.raises(InvalidParameterError):
             rho_uncertainty(report)
         assert math.isinf(target_value(report, "rho_var"))
+
+
+class TestRecordContract:
+    """Every public record is an immutable named tuple with fixed fields;
+    the three that check themselves do so however they are built."""
+
+    FIELDS = {
+        "MomentReport": ("n_mean", "e_mean", "e_var", "l_mean", "l_var", "p_var",
+                         "product", "bound", "saturation_ratio", "pol_squeezed"),
+        "ScalingFit": ("points", "slope", "intercept", "r_squared", "excluded"),
+        "StateFamily": ("build_report", "phase"),
+        "RhoUncertainty": ("sigma_delta", "sigma_tanpsi_rel", "sigma_rho_rel",
+                           "large_noise"),
+        "MathieuSolution": ("order_index", "q", "eigenvalue", "coefficients",
+                            "truncation_dim"),
+        "CircularMoments": ("e_mean", "e_var", "l_mean", "l_var"),
+        "PhaseWaveFunction": ("l_min", "amplitudes"),
+        "TwoModeFockState": ("cutoff", "d_p", "c", "d_s", "tail_mass"),
+        "LayerState": ("cutoff", "psi", "tail_mass"),
+        "Layer": ("index", "thickness"),
+        "LayerStack": ("ambient_index", "layers", "substrate_index", "wavelength",
+                       "angle_of_incidence"),
+        "EllipsometricResult": ("r_p", "r_s", "rho", "psi_angle", "delta"),
+    }
+    DEFAULTS = {"ScalingFit": {"excluded": ()}, "StateFamily": {"phase": None}}
+
+    @staticmethod
+    def records() -> dict:
+        sol = solve_even_mathieu(1.0)
+        psi = from_mathieu(sol)
+        report = analyze(psi, nbar=100.0)
+        stack = parse_stack_text("ambient 1.0\nlayer 1.46 0.0 100.0\n"
+                                        "substrate 3.85 0.02\nwavelength 632.8\nangle 70\n")
+        return {
+            "MomentReport": report,
+            "ScalingFit": fit_power_law([(1.0, 1.0), (2.0, 0.5), (4.0, 0.0)]),
+            "StateFamily": mathieu_family(1.0),
+            "RhoUncertainty": rho_uncertainty(report),
+            "MathieuSolution": sol,
+            "CircularMoments": circular_moments(psi),
+            "PhaseWaveFunction": psi,
+            "TwoModeFockState": coherent_state(2.0, 2.0),
+            "LayerState": embed_phase_state(psi, 40),
+            "Layer": stack.layers[0],
+            "LayerStack": stack,
+            "EllipsometricResult": stack_reflection(stack),
+        }
+
+    def test_fields_order_and_defaults(self):
+        for name, record in self.records().items():
+            cls = getattr(qellip, name)
+            assert type(record) is cls, name
+            assert isinstance(record, tuple), name
+            assert cls._fields == self.FIELDS[name], name
+            assert cls._field_defaults == self.DEFAULTS.get(name, {}), name
+
+    def test_records_refuse_attribute_assignment(self):
+        for name, record in self.records().items():
+            for field in (*record._fields, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(record, field, 0.0)
+            assert not hasattr(record, "__dict__"), name
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(numbers=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                            min_size=10, max_size=10),
+           infinite_ratio=st.booleans(), pol_squeezed=st.booleans())
+    def test_report_dict_roundtrip(self, numbers, infinite_ratio, pol_squeezed):
+        n_mean, re, im, e_var, l_mean, l_var, p_var, product, bound, ratio = numbers
+        report = MomentReport(n_mean, complex(re, im), e_var, l_mean, l_var, p_var,
+                              product, bound, math.inf if infinite_ratio else ratio,
+                              pol_squeezed)
+        assert report_from_dict(report_to_dict(report)) == report
+
+    @pytest.mark.parametrize("keywords", [False, True], ids=["positional", "keyword"])
+    def test_validating_records_check_every_construction(self, keywords):
+        def build(cls, *args):
+            return cls(**dict(zip(cls._fields, args))) if keywords else cls(*args)
+
+        psi = build(PhaseWaveFunction, np.int64(-1), np.ones(3) / math.sqrt(3.0))
+        assert type(psi.l_min) is int and psi.l_min == -1
+        for l_min in (1.5, 2 ** 53):
+            with pytest.raises(InvalidParameterError):
+                build(PhaseWaveFunction, l_min, np.ones(1))
+        d = np.ones((3, 1))
+        assert build(TwoModeFockState, 2, d, np.ones(1), d, 0.0).cutoff == 2
+        with pytest.raises(DimensionMismatchError):
+            build(TwoModeFockState, 3, d, np.ones(1), d, 0.0)
+        stack = build(LayerStack, 1.0, [Layer(1.5, 10.0)], 1.5, 500.0, 0.3)
+        assert stack.layers == (Layer(1.5, 10.0),)
+        # films given once, as a generator, are checked and stored whole
+        films = (Layer(1.5, d) for d in (10.0, 20.0))
+        stack = build(LayerStack, 1.0, films, 1.5, 500.0, 0.3)
+        assert stack.layers == (Layer(1.5, 10.0), Layer(1.5, 20.0))
+        for bad in ((1.0, [Layer(1.5, -1.0)], 1.5, 500.0, 0.3),
+                    (1.0, [], 1.5 - 0.1j, 500.0, 0.3),
+                    (1.0, [], 1.5, math.nan, 0.3),
+                    (1.0, [], 1.5, 500.0, math.pi / 2.0)):
+            with pytest.raises(InvalidParameterError):
+                build(LayerStack, *bad)
