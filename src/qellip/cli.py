@@ -1,6 +1,8 @@
 """Command-line frontend.
 
 Subcommands: state, sweep, density, ellipsometry, mathieu-table.
+Argparse only splits the command line: ``_number`` converts every
+numeric flag and config value, and the library checks them.
 Exit codes: 0 success, 2 user error, 3 internal tolerance failure.
 Outputs are deterministic (no timestamps, 12-significant-digit CSV
 floats) and written atomically.
@@ -18,15 +20,8 @@ import tempfile
 import numpy as np
 
 from . import mathieu, noise, phase_space
-from .errors import (
-    InconsistentSolutionError,
-    InvalidParameterError,
-    NumericalDomainError,
-    QellipError,
-    TruncationError,
-    finite,
-    integer,
-)
+from .errors import (InconsistentSolutionError, InvalidParameterError, NumericalDomainError,
+                     QellipError, TruncationError, integer)
 from .mathieu import se_even_eigenvalue, solve_even_mathieu
 
 #: Most rows a mathieu-table may ask for: its orders' first Fourier windows, summed.
@@ -89,15 +84,26 @@ def _param(args, cfg: dict, key: str, kind: type | None = None, default=None,
 
 
 def _number(kind: type, value, what: str):
-    """A flag or config value as a float, or as an int that must be whole.
-    A string is parsed first ("12" is 12); a value of the wrong type (a
-    JSON list or object, say) is a user error naming ``what``."""
+    """A numeric flag or config value as a float, or as an int that must be
+    whole (2.0 is 2).  A string of digits is an int, any other string a
+    float; a boolean, list or object is a user error naming ``what``."""
     try:
-        number = kind(value) if isinstance(value, str) else value
-        return integer(what, number) if kind is int else float(number)
+        if isinstance(value, str):
+            value = int(value) if value.strip().isdecimal() else float(value)
+        if isinstance(value, bool):
+            raise TypeError
+        return integer(what, value) if kind is int else float(value)
     except (TypeError, ValueError, OverflowError):
         raise QellipError(f"{what} must be {'an integer' if kind is int else 'a number'}, "
                           f"got {value!r}") from None
+
+
+def _refuse(args, flags, why: str) -> None:
+    """The first of ``flags`` given on the command line is an error; config
+    keys are not checked, since one config may serve several subcommands."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise QellipError(f"--{flag} {why}")
 
 
 def _items(value, what: str) -> list:
@@ -118,28 +124,26 @@ _FAMILY_PARAMS = {p.name: p for _, params in noise.FAMILIES.values()
 
 
 def _add_family_flags(parser: argparse.ArgumentParser, nbar: bool = True) -> None:
-    parser.add_argument("--family", choices=noise.FAMILIES,
+    parser.add_argument("--family", metavar=f"{{{','.join(noise.FAMILIES)}}}",
                         help="input state family")
     if nbar:
-        parser.add_argument("--nbar", type=float, help="mean total photon number")
+        parser.add_argument("--nbar", help="mean total photon number")
     for p in _FAMILY_PARAMS.values():
-        parser.add_argument(f"--{p.name}", type=p.type, help=p.help)
+        parser.add_argument(f"--{p.name}", help=p.help)
 
 
 def _family(args, cfg: dict) -> noise.StateFamily:
     """The registry family named by --family, built from the flags and
     config keys of its parameters.  A flag the family does not take is an
-    error; config keys are not checked, since one config may serve
-    several subcommands."""
+    error."""
     name = _param(args, cfg, "family", required=True)
     if not isinstance(name, str) or name not in noise.FAMILIES:
         raise QellipError(f"unknown family {name!r}; expected one of "
                           f"{', '.join(noise.FAMILIES)}")
     build, params = noise.FAMILIES[name]
     taken = {p.name for p in params}
-    for flag in _FAMILY_PARAMS:
-        if flag not in taken and getattr(args, flag) is not None:
-            raise QellipError(f"--{flag} does not apply to family {name}")
+    _refuse(args, [f for f in _FAMILY_PARAMS if f not in taken],
+            f"does not apply to family {name}")
     kwargs = {p.name: _param(args, cfg, p.name, p.type, required=p.required)
               for p in params}
     # a missing optional parameter takes the constructor's default
@@ -151,7 +155,7 @@ def _single_report(args, cfg: dict) -> noise.MomentReport:
     families; for a phase family, the bare phase state's circular moments
     with nbar as an external parameter, p_var = 4 Var(L) / nbar^2."""
     family = _family(args, cfg)
-    nbar = finite("nbar", _param(args, cfg, "nbar", float, 100.0))
+    nbar = _param(args, cfg, "nbar", float, 100.0)
     if family.phase is not None:
         return noise.analyze(family.phase, nbar=nbar)
     return family.build_report(nbar)
@@ -160,8 +164,7 @@ def _single_report(args, cfg: dict) -> noise.MomentReport:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_state(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_state(args, cfg: dict) -> int:
     report = _single_report(args, cfg)
     _write_lines(args.output, [json.dumps(noise.report_to_dict(report), indent=2,
                                           sort_keys=True)])
@@ -170,12 +173,15 @@ def cmd_state(args) -> int:
 
 SWEEP_COLUMNS = ("nbar", "e_var", "l_var", "p_var", "product", "bound",
                  "saturation_ratio", "pol_squeezed")
+SWEEP_FORMATS = ("csv", "json")
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_sweep(args, cfg: dict) -> int:
+    fmt = _param(args, cfg, "format", default="csv")
+    if fmt not in SWEEP_FORMATS:
+        raise QellipError(f"unknown output format {fmt!r}")
     family = _family(args, cfg)
-    nbar_list = [finite("nbar", _number(float, v, "nbar"))
+    nbar_list = [_number(float, v, "nbar")
                  for v in _items(_param(args, cfg, "nbar_list", required=True), "nbar list")]
     targets = _items(_param(args, cfg, "targets") or ["e_var"], "targets")
     reports, fits = noise.scaling_sweep(family, nbar_list, targets)
@@ -185,7 +191,6 @@ def cmd_sweep(args) -> int:
     if len(targets) == 1:
         summary = summary[targets[0]]
 
-    fmt = _param(args, cfg, "format", default="csv")
     if fmt == "json":
         doc = {
             "columns": list(SWEEP_COLUMNS),
@@ -193,21 +198,20 @@ def cmd_sweep(args) -> int:
             "fit": summary,
         }
         _write_lines(args.output, [json.dumps(doc, indent=2, sort_keys=True)])
-    elif fmt == "csv":
+    else:
         _write_lines(args.output, itertools.chain([",".join(SWEEP_COLUMNS)],
                                                   (",".join(map(_fmt, row)) for row in rows)))
         _write_lines(args.fit_output, [json.dumps(summary, indent=2, sort_keys=True)])
-    else:
-        raise QellipError(f"unknown output format {fmt!r}")
     return 0
 
 
-def cmd_density(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_density(args, cfg: dict) -> int:
     q = _param(args, cfg, "q", float)
     kappa = _param(args, cfg, "kappa", float)
     if (q is None) == (kappa is None):
         raise QellipError("density needs exactly one of --q or --kappa")
+    if q is not None:
+        _refuse(args, ("phi0",), "needs --kappa")
     grid = _param(args, cfg, "grid", int, 512)
     if grid < 64:
         raise QellipError(f"density grid must be >= 64 points, got {grid}")
@@ -242,10 +246,9 @@ def cmd_density(args) -> int:
     return 0
 
 
-def cmd_ellipsometry(args) -> int:
+def cmd_ellipsometry(args, cfg: dict) -> int:
     from . import optics  # the one subcommand that reflects off a stack
 
-    cfg = _load_config(args.config)
     stack = optics.load_stack(args.stack)
     result = optics.stack_reflection(stack)
     doc = {
@@ -259,15 +262,12 @@ def cmd_ellipsometry(args) -> int:
         bars = noise.rho_uncertainty(_single_report(args, cfg))
         doc["noise"] = bars._asdict()
     else:
-        for flag in ("nbar", *_FAMILY_PARAMS):
-            if getattr(args, flag) is not None:
-                raise QellipError(f"--{flag} needs --family")
+        _refuse(args, ("nbar", *_FAMILY_PARAMS), "needs --family")
     _write_lines(args.output, [json.dumps(doc, indent=2, sort_keys=True)])
     return 0
 
 
-def cmd_mathieu_table(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_mathieu_table(args, cfg: dict) -> int:
     q = _param(args, cfg, "q", float, required=True)
     kmax = _param(args, cfg, "kmax", int, 3)
     if kmax < 0:
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated photon numbers")
     p_sweep.add_argument("--target", dest="targets", action="append",
                          help="fit target (repeatable): e_var l_var p_var rho_var")
-    p_sweep.add_argument("--format", choices=("csv", "json"),
+    p_sweep.add_argument("--format", metavar=f"{{{','.join(SWEEP_FORMATS)}}}",
                          help="output format (default csv)")
     p_sweep.add_argument("--fit-output", dest="fit_output",
                          help="fit summary path (default stdout)")
@@ -331,10 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_dens = _subcommand(sub, "density", cmd_density,
                          "phase density and Fourier spectrum",
                          "density CSV path (default stdout)")
-    p_dens.add_argument("--q", type=float, help="Mathieu parameter")
-    p_dens.add_argument("--kappa", type=float, help="von Mises concentration")
-    p_dens.add_argument("--phi0", type=float, help="von Mises mean phase (rad)")
-    p_dens.add_argument("--grid", type=int, help="grid points over [0, 2pi), >= 64")
+    p_dens.add_argument("--q", help="Mathieu parameter")
+    p_dens.add_argument("--kappa", help="von Mises concentration")
+    p_dens.add_argument("--phi0", help="von Mises mean phase (rad)")
+    p_dens.add_argument("--grid", help="grid points over [0, 2pi), >= 64")
     p_dens.add_argument("--spectrum-output", dest="spectrum_output",
                         help="spectrum CSV path (default: derived from --output)")
 
@@ -345,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mt = _subcommand(sub, "mathieu-table", cmd_mathieu_table,
                        "eigenvalue / Fourier-coefficient dump")
-    p_mt.add_argument("--q", type=float, help="Mathieu parameter")
-    p_mt.add_argument("--kmax", type=int, help="largest order index (default 3)")
+    p_mt.add_argument("--q", help="Mathieu parameter")
+    p_mt.add_argument("--kmax", help="largest order index (default 3)")
     p_mt.add_argument("--odd", action="store_true",
                       help="odd-branch eigenvalues instead of the even family")
     return parser
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args.config))
     except (TruncationError, InconsistentSolutionError, NumericalDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -65,3 +65,15 @@ def integer(what: str, value) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+
+
+class Checked:
+    """Mixin, listed first among the bases, of a named tuple whose
+    ``__new__`` checks its fields: ``_make``, which ``_replace`` calls
+    too, goes through ``cls(...)``, so every construction path checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

@@ -59,6 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    Checked,
     DimensionMismatchError,
     InconsistentSolutionError,
     InvalidParameterError,
@@ -110,7 +111,7 @@ class _TwoModeFockStateFields(NamedTuple):
     tail_mass: float
 
 
-class TwoModeFockState(_TwoModeFockStateFields):
+class TwoModeFockState(Checked, _TwoModeFockStateFields):
     """Normalized amplitudes A = d_p diag(c) d_s^T over the truncated
     two-mode basis, stored as the factors.
 
@@ -501,9 +502,9 @@ def squeezed_for_mean_photons(nbar: float, s: float, dphi: float = 0.0) -> TwoMo
     dphi = phi_p + phi_s - theta is the requested noise-balance phase
     (dphi = 0 minimizes the photon-difference variance).
     """
-    finite("nbar", complex(nbar))
-    finite("squeezing magnitude", complex(s))
-    finite("dphi", complex(dphi))
+    finite("nbar", nbar)
+    finite("squeezing magnitude", s)
+    finite("dphi", dphi)
     s = float(s)
     if s < 0.0:
         raise InvalidParameterError(f"squeezing magnitude must be >= 0, got {s}")

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import fock, phase_space
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, finite
 from .mathieu import solve_even_mathieu
 
 SWEEP_TARGETS = ("e_var", "l_var", "p_var", "rho_var")
@@ -242,12 +242,12 @@ def scaling_sweep(family: StateFamily, n_list, targets
     family: the (nbar, report) rows and the fit of each target.
 
     The one sweep contract, which ``qellip sweep`` runs too: the photon
-    numbers are sorted ascending and may repeat, but not be empty; every
-    target must be one of SWEEP_TARGETS, checked before any state is
-    built; each fit needs usable points at two distinct photon numbers
-    (``fit_power_law``).
+    numbers must be finite, are sorted ascending and may repeat, but not
+    be empty; every target must be one of SWEEP_TARGETS, checked before
+    any state is built; each fit needs usable points at two distinct
+    photon numbers (``fit_power_law``).
     """
-    n_sorted = sorted(float(n) for n in n_list)
+    n_sorted = sorted(finite("nbar", float(n)) for n in n_list)
     if not n_sorted:
         raise InvalidParameterError("empty nbar list")
     for t in targets:

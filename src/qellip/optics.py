@@ -23,7 +23,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericalDomainError, StackParseError, finite
+from .errors import Checked, InvalidParameterError, NumericalDomainError, StackParseError, finite
+
+
+def _check_media(angle: float, indices) -> None:
+    """Refuse an angle of incidence outside [0, pi/2) and an index that is
+    not finite or has Im(n) < 0: the rule of ``LayerStack`` and of
+    ``fresnel_interface``."""
+    if not 0.0 <= angle < math.pi / 2.0:
+        raise InvalidParameterError(f"angle of incidence must lie in [0, pi/2), got {angle}")
+    for n in indices:
+        n = finite("refractive index", complex(n))
+        if n.imag < 0.0:
+            raise InvalidParameterError(f"absorbing convention requires Im(n) >= 0, got {n}")
 
 
 class Layer(NamedTuple):
@@ -39,7 +51,7 @@ class _LayerStackFields(NamedTuple):
     angle_of_incidence: float  # radians
 
 
-class LayerStack(_LayerStackFields):
+class LayerStack(Checked, _LayerStackFields):
     """Ambient / films / substrate description at one wavelength and angle.
 
     The films are stored as a tuple.  A wavelength that is not finite
@@ -54,17 +66,9 @@ class LayerStack(_LayerStackFields):
         if not (math.isfinite(wavelength) and wavelength > 0.0):
             raise InvalidParameterError(
                 f"wavelength must be finite and > 0, got {wavelength}")
-        if not 0.0 <= angle_of_incidence < np.pi / 2.0:
-            raise InvalidParameterError(
-                f"angle of incidence must lie in [0, pi/2), got {angle_of_incidence}"
-            )
         layers = tuple(layers)
-        for n in (ambient_index, substrate_index, *(l.index for l in layers)):
-            n = finite("refractive index", complex(n))
-            if n.imag < 0.0:
-                raise InvalidParameterError(
-                    f"absorbing convention requires Im(n) >= 0, got {n}"
-                )
+        _check_media(angle_of_incidence,
+                     (ambient_index, substrate_index, *(l.index for l in layers)))
         for l in layers:
             finite("film thickness", l.thickness)
             if l.thickness < 0.0:
@@ -97,9 +101,11 @@ def fresnel_interface(n_i: complex, n_t: complex, theta_i: float) -> tuple[compl
     r_s = (n_i cos t_i - n_t cos t_t) / (n_i cos t_i + n_t cos t_t)
     r_p = (n_t cos t_i - n_i cos t_t) / (n_t cos t_i + n_i cos t_t)
 
-    with the transmitted cosine from the complex Snell law.
+    with the transmitted cosine from the complex Snell law.  The angle and
+    the indices are refused where ``LayerStack`` refuses them.
     """
     n_i, n_t = complex(n_i), complex(n_t)
+    _check_media(theta_i, (n_i, n_t))
     if n_i == 0:
         raise InvalidParameterError("incident index must be nonzero")
     ci = np.cos(theta_i)

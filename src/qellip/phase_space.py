@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (InconsistentSolutionError, InvalidParameterError, InvalidStateError,
-                     finite, integer)
+from .errors import (Checked, InconsistentSolutionError, InvalidParameterError,
+                     InvalidStateError, finite, integer)
 from .mathieu import MathieuSolution
 
 _SQRT2 = np.sqrt(2.0)
@@ -43,7 +43,7 @@ class _PhaseWaveFunctionFields(NamedTuple):
     amplitudes: np.ndarray
 
 
-class PhaseWaveFunction(_PhaseWaveFunctionFields):
+class PhaseWaveFunction(Checked, _PhaseWaveFunctionFields):
     """Fourier components of a relative-phase state.
 
     ``amplitudes[i]`` is Psi_l for l = ``l_min + i``; outside the window

@@ -410,6 +410,10 @@ class TestInputChecks:
         ("sweep", {"family": "mathieu", "q": 1, "order": 2.5, "nbar_list": [40, 80]}, "order"),
         ("density", {"kappa": 2, "grid": 100.5}, "grid"),
         ("mathieu-table", {"q": 1, "kmax": 1.9}, "kmax"),
+        # a JSON boolean is no number: the parent read true as 1
+        ("state", {"family": "mathieu", "q": 1, "order": True}, "order"),
+        ("state", {"family": "coherent", "nbar": True}, "nbar"),
+        ("density", {"kappa": 2, "grid": False}, "grid"),
     ])
     def test_config_value_of_wrong_type_exits_2(self, capsys, tmp_path,
                                                 command, cfg, what):
@@ -438,14 +442,62 @@ class TestInputChecks:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
     def test_numeric_strings_and_whole_floats_are_read(self, capsys, tmp_path):
+        # flags and config values share one conversion: the parent refused
+        # the flag --kmax 2.0 and the config string "2.0"
         path = tmp_path / "cfg.json"
         outputs = []
-        for cfg in ({"q": 1, "kmax": 2}, {"q": "1", "kmax": "2"}, {"q": 1.0, "kmax": 2.0}):
+        for cfg in ({"q": 1, "kmax": 2}, {"q": "1", "kmax": "2"}, {"q": 1.0, "kmax": 2.0},
+                    {"q": "1.0", "kmax": "2.0"}):
             path.write_text(json.dumps(cfg))
             code, out, _ = run(capsys, "mathieu-table", "--config", str(path))
             assert code == 0
             outputs.append(out)
-        assert outputs[0] == outputs[1] == outputs[2]
+        for kmax in ("2", "2.0", "2e0"):
+            code, out, _ = run(capsys, "mathieu-table", "--q", "1", "--kmax", kmax)
+            assert code == 0
+            outputs.append(out)
+        assert len(set(outputs)) == 1
+
+    @pytest.mark.parametrize("argv, flag, whole", [
+        ("density --q 1", "--grid", "512"),
+        ("state --family mathieu --q 1", "--order", "1"),
+        ("sweep --family mathieu --q 1 --nbar-list 40,80", "--order", "1"),
+        ("mathieu-table --q 1", "--kmax", "2"),
+    ], ids=["grid", "state-order", "sweep-order", "kmax"])
+    def test_whole_float_flags_are_integers(self, capsys, argv, flag, whole):
+        code, expected, _ = run(capsys, *argv.split(), flag, whole)
+        assert code == 0
+        code, out, err = run(capsys, *argv.split(), flag, whole + ".0")
+        assert (code, err) == (0, "")
+        assert out == expected
+
+    @pytest.mark.parametrize("argv, message", [
+        ("state --family mathieu --q abc", "q must be a number, got 'abc'"),
+        ("state --family mathieu --q 1 --order 1.5", "order must be an integer, got 1.5"),
+        ("mathieu-table --q 1 --kmax 1.5", "kmax must be an integer, got 1.5"),
+        ("density --kappa 2 --grid 64x", "grid must be an integer, got '64x'"),
+        ("state --family bogus",
+         "unknown family 'bogus'; expected one of coherent, squeezed, mathieu, von_mises"),
+        ("sweep --family coherent --nbar-list 10,20 --format xml",
+         "unknown output format 'xml'"),
+    ])
+    def test_bad_flag_value_is_one_error_line(self, capsys, argv, message):
+        # argparse converts no value, so a bad one is no usage line and
+        # no SystemExit out of main
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        ("state --family coherent --nbar inf", "nbar must be finite and >= 0, got inf"),
+        ("state --family squeezed --s 1 --nbar inf", "nbar must be finite, got inf"),
+        ("state --family mathieu --q 1 --nbar nan", "nbar must be finite and positive, got nan"),
+        ("sweep --family coherent --nbar-list 10,-inf", "nbar must be finite, got -inf"),
+    ])
+    def test_library_checks_the_photon_number(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv", [
         "state --family coherent --nbar 1e200",
@@ -649,6 +701,17 @@ class TestDensity:
     def test_q_and_kappa_together_exit_2(self, capsys):
         code, _, _ = run(capsys, "density", "--q", "1", "--kappa", "1")
         assert code == 2
+
+    def test_phi0_needs_kappa(self, capsys, tmp_path):
+        # the parent dropped --phi0 silently; a config key is not checked
+        code, out, err = run(capsys, "density", "--q", "1", "--phi0", "0.3")
+        assert (code, out) == (2, "")
+        assert err == "error: --phi0 needs --kappa\n"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q": 1, "phi0": 0.3}))
+        code, out, _ = run(capsys, "density", "--config", str(cfg))
+        assert code == 0
+        assert out == run(capsys, "density", "--q", "1")[1]
 
     def test_small_q_column_over_budget_names_q(self, capsys):
         # the Mathieu density is in budget; its von Mises comparison

@@ -6,8 +6,9 @@ with the edges of the float range, non-finite values and config values
 of the wrong type.  Whatever the input, ``cli.main`` exits 0, 2 or 3
 with every warning an error; a failure leaves no output and no
 ``.qellip-*`` temp file, and a success writes strict JSON whose numbers
-are finite (CSV: no NaN).  Example counts keep the tier to a few
-seconds, derandomized.
+are finite (CSV: no NaN).  Every numeric parameter reads the same
+whether given as a flag, a config number or a config string.  Example
+counts keep the tier to a few seconds, derandomized.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ import os
 import tempfile
 import warnings
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -143,7 +145,7 @@ def invoke(argv: list, cfg: dict | None = None, stack: str | None = None) -> tup
             warnings.simplefilter("error")
             try:
                 code = cli.main(argv)
-            except SystemExit as exc:  # argparse refuses a flag value
+            except SystemExit as exc:  # argparse refuses the command line
                 code = exc.code
         assert code in (0, 2, 3), (argv, cfg, stack, code, err.getvalue())
         written = sorted(set(os.listdir(tmp)) - set(inputs))
@@ -231,3 +233,57 @@ class TestGeneratedInvocations:
         if code == 0:
             doc = check_json(texts["out"])
             assert ("noise" in doc) == (family is not None)
+
+
+def spellings(value):
+    """Each way to give ``value``: (where, value) as a flag, a config
+    string and, where JSON holds it, a config number; a whole number as
+    an int and as a float."""
+    variants = [value]
+    if math.isfinite(value) and float(value).is_integer():
+        variants.append(float(value) if isinstance(value, int) else int(value))
+    for v in variants:
+        yield from (("flag", repr(v)), ("config", repr(v)))
+        if math.isfinite(v):
+            yield "config", v
+
+
+def numeric(low: float, high: float, edges=EDGES):
+    """Integers and floats in [low, high], or an edge."""
+    return mostly(st.one_of(st.integers(math.ceil(low), math.floor(high)),
+                            st.floats(low, high)), st.sampled_from(edges))
+
+
+#: every numeric parameter: the invocation it completes and its values
+NUMERIC = {
+    ("state --family squeezed --nbar 4", "s"): numeric(0.0, 1.0, EDGES + (2.0,)),
+    ("state --family squeezed --s 0.2 --nbar 4", "dphi"): numeric(-10.0, 10.0),
+    ("state --family mathieu", "q"): numeric(0.0, 1e3),
+    ("state --family mathieu --q 1", "order"): numeric(-1, 6, (1.5, math.inf)),
+    ("state --family von_mises", "kappa"): numeric(0.0, 1e3),
+    ("state --family von_mises --kappa 2", "phi0"): numeric(-10.0, 10.0),
+    ("state --family coherent", "nbar"): numeric(0.0, 400.0),
+    ("density --kappa 2", "grid"): numeric(60, 600, (-1, 63.5, 1e20, math.nan)),
+    ("mathieu-table --q 1", "kmax"): numeric(-1, 6, (0.5, -math.inf)),
+    ("density", "q"): numeric(0.0, 1e3),
+    ("density", "kappa"): numeric(0.0, 1e3),
+    ("density --kappa 2", "phi0"): numeric(-10.0, 10.0),
+}
+
+
+@pytest.mark.parametrize("argv, name", NUMERIC,
+                         ids=[f"{argv.split()[0]}-{name}" for argv, name in NUMERIC])
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_one_conversion_for_flags_and_config(argv, name, data):
+    # one rule for both: when argparse converted the flags, --order 1.0
+    # exited 2 where "order": 1.0 ran, and a JSON true ran as 1
+    value = data.draw(NUMERIC[argv, name])
+    results = {}
+    for where, given_ in spellings(value):
+        flags = [f"--{name}={given_}"] if where == "flag" else []
+        cfg = {name: given_} if where == "config" else None
+        results[where, repr(given_)] = invoke([*argv.split(), *flags], cfg)
+    assert len({json.dumps(r, sort_keys=True) for r in results.values()}) == 1, results
+    for boolean in (True, False):
+        assert invoke(argv.split(), {name: boolean})[0] == 2

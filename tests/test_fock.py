@@ -361,6 +361,17 @@ class TestNonFiniteInputs:
         with pytest.raises(InvalidParameterError, match="finite"):
             squeezed_for_mean_photons(nbar, 0.5)
 
+    @pytest.mark.parametrize("args, message", [
+        ((math.inf, 0.5), "nbar must be finite, got inf"),
+        ((10.0, math.nan), "squeezing magnitude must be finite, got nan"),
+        ((10.0, 0.5, -math.inf), "dphi must be finite, got -inf"),
+    ])
+    def test_squeezed_real_parameters_shown_as_given(self, args, message):
+        # once passed as complex(x): "got (inf+0j)"
+        with pytest.raises(InvalidParameterError) as exc:
+            squeezed_for_mean_photons(*args)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("alpha_p, alpha_s", [(np.nan, 1.0), (1.0, np.inf)])
     def test_displacements(self, alpha_p, alpha_s):
         with pytest.raises(InvalidParameterError, match="finite"):

@@ -292,6 +292,14 @@ class TestScalingSweeps:
                                match="power-law fit needs >= 2 usable points"):
                 fit_power_law(points)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_photon_number_refused_before_sorting(self, bad):
+        built = []
+        family = StateFamily(lambda n: built.append(n))
+        with pytest.raises(InvalidParameterError, match=f"nbar must be finite, got {bad}"):
+            scaling_sweep(family, [40, bad, 20], ["e_var"])
+        assert built == []
+
     def test_reports_sorted_by_nbar(self):
         reports, _ = scaling_sweep(coherent_family(), [100, 25, 50], [])
         assert [n for n, _ in reports] == [25.0, 50.0, 100.0]

@@ -46,6 +46,21 @@ class TestFresnel:
         with pytest.raises(InvalidParameterError):
             fresnel_interface(0.0, 1.5, 0.3)
 
+    @pytest.mark.parametrize("n_i, n_t, theta, match", [
+        (1.0, 1.5, 3.0, "angle of incidence"),  # once |r_p| = 5.07
+        (1.0, 1.5, -0.1, "angle of incidence"),
+        (1.0, 1.5, np.pi / 2.0, "angle of incidence"),
+        (1.0, 1.5 - 0.1j, 0.3, "Im\\(n\\) >= 0"),  # once |r_p| = 5.2
+        (1.0 - 0.1j, 1.5, 0.3, "Im\\(n\\) >= 0"),
+        (1.0, np.inf, 0.3, "finite"),  # once NaN with no warning
+        (complex(1.0, np.nan), 1.5, 0.3, "finite"),
+    ])
+    def test_refuses_what_the_stack_refuses(self, n_i, n_t, theta, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            fresnel_interface(n_i, n_t, theta)
+        with pytest.raises(InvalidParameterError, match=match):
+            LayerStack(n_i, (), n_t, 632.8, theta)
+
     @given(st.floats(1.01, 4.0), st.floats(0.0, 1.5))
     @settings(max_examples=60, deadline=None)
     def test_lossless_energy_bound(self, n, theta):
