@@ -38,16 +38,19 @@ recurrence in the degree n (the Charlier recurrence, DLMF 18.22),
 
 run across all rows at once from the coherent column G[:, 0], each row
 carrying its own power-of-two scale so that rows whose start underflows
-keep their digits.  It is stable except where G[m, n] is its recessive
-solution, m < (sqrt(n) - |alpha|)^2 (Gautschi, SIAM Rev. 9, 24 (1967)),
-which lies in the top K x K block; those entries come from
-<m|D(a)|n> = (-1)^(n-m) <n|D(a)|m> at real a.  The recurrence in m,
-sqrt(m+1) G[m+1,n] = ..., loses everything past |alpha| of a few (error
-1e38 at |alpha| = 7); do not use it.  The recurrence runs about
-4 sqrt(M+1) + 25 rows past the cutoff, and the tail is the mass in
-those rows over the total, so rounding in the kept rows never reads as
-tail.  The recurrence costs O(M K), the Grams of the tail check and of
-``moments`` O(M K^2).
+keep their digits: a multiply applies the scales while all are normal
+floats, which rounds as ldexp does, and ldexp while some are not (rows
+start near 2^-6591 at |alpha| = 0.03, K = 604).  It is stable except
+where G[m, n] is its recessive solution, m < (sqrt(n) - |alpha|)^2
+(Gautschi, SIAM Rev. 9, 24 (1967)), in the top K x K block of the
+columns n > |alpha|^2 (there are some when sqrt(K - 1) > |alpha|);
+those entries come from <m|D(a)|n> = (-1)^(n-m) <n|D(a)|m> at real a.
+The recurrence in m, sqrt(m+1) G[m+1,n] = ..., loses everything past
+|alpha| of a few (error 1e38 at |alpha| = 7); do not use it.  The
+recurrence runs about 4 sqrt(M+1) + 25 rows past the cutoff, and the
+tail is the mass in those rows over the total, so rounding in the kept
+rows never reads as tail.  The recurrence costs O(M K), the Grams of
+the tail check and of ``moments`` O(M K^2).
 """
 
 from __future__ import annotations
@@ -158,16 +161,17 @@ class TwoModeFockState(Checked, _TwoModeFockStateFields):
         d_p, c, d_s = self.d_p, self.c, self.d_s
         same = d_s is d_p
 
-        def weighted(d, w):
-            if d.dtype.kind == "f" and w.min() >= 0.0:  # a symmetric product
+        def weighted(d, w, nonneg=False):
+            if nonneg and d.dtype.kind == "f":  # the caller knows w >= 0: a symmetric product
                 d = np.sqrt(w)[:, np.newaxis] * d
                 return d.T @ d
             return _gram(d, w[:, np.newaxis] * d)
 
-        def expect(w_p, w_s):
+        def expect(w_p, w_s, nonneg=False):
             """<w_p(N_p) w_s(N_s)>"""
-            f_p = weighted(d_p, w_p)
-            return _pair_form(c, f_p, f_p if same and w_s is w_p else weighted(d_s, w_s)).real
+            f_p = weighted(d_p, w_p, nonneg)
+            return _pair_form(c, f_p, f_p if same and w_s is w_p else
+                              weighted(d_s, w_s, nonneg)).real
 
         prob_p = _marginal(d_p, c, _gram(d_s, d_s))
         prob_s = prob_p if same else _marginal(d_s, c, _gram(d_p, d_p))
@@ -181,10 +185,10 @@ class TwoModeFockState(Checked, _TwoModeFockStateFields):
         x, y = float(root_m @ prob_p), float(inv_root_n @ prob_s)
         dx, dy = root_m - x, inv_root_n - y
         g_dx = weighted(d_p, dx)
-        cross = _pair_form(c, g_dx, weighted(d_s, inv_root_n)).real
+        cross = _pair_form(c, g_dx, weighted(d_s, inv_root_n, nonneg=True)).real
         mixed = _pair_form(c, g_dx, weighted(d_s, inv_root_n * dy)).real
         del g_dx
-        p_var = (expect(dx * dx, inv_root_n * inv_root_n) + 2.0 * x * mixed
+        p_var = (expect(dx * dx, inv_root_n * inv_root_n, nonneg=True) + 2.0 * x * mixed
                  + x * x * float((dy * dy) @ prob_s) - cross * cross)
 
         shift_p = _gram(d_p[:-1], d_p[1:])
@@ -279,20 +283,28 @@ def _normalize(amps: np.ndarray, cutoff: int, context: str) -> float:
 
 def _scaled_cumprod(mant: float, expo: int, ratios: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """mant 2^expo times the running products of ``ratios`` (each in
-    (0, 1]), as mantissas and integer powers of two: renormalized every
-    stretch short enough that its product cannot underflow."""
+    """mant 2^expo times the running products of ``ratios`` (falling,
+    each in (0, 1]), as mantissas and integer powers of two: renormalized
+    every stretch short enough that its product cannot underflow."""
     out_m = np.empty(len(ratios))
     out_e = np.empty(len(ratios), dtype=np.int64)
     if len(ratios) == 0:
         return out_m, out_e
-    smallest = float(ratios.min())
+    smallest = float(ratios[-1])
     step = len(ratios) if smallest >= 1.0 else max(1, int(600.0 / -math.log(smallest)))
     for lo in range(0, len(ratios), step):
         out_m[lo:lo + step], e = np.frexp(mant * np.cumprod(ratios[lo:lo + step]))
         out_e[lo:lo + step] = e + expo
         mant, expo = out_m[lo + len(e) - 1], int(out_e[lo + len(e) - 1])
     return out_m, out_e
+
+
+def _row_scaling(expo: np.ndarray) -> tuple[np.ufunc, np.ndarray]:
+    """The ufunc and operand that scale rows by 2^expo: a multiply by the
+    powers while each is a normal float, which rounds as ldexp does."""
+    if -1022 <= expo.min() and expo.max() <= 1023:
+        return np.multiply, np.ldexp(1.0, expo)
+    return np.ldexp, expo
 
 
 def _coherent_start(a: float, rows: int, ncols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -334,10 +346,12 @@ def _displacement_factor(alpha: complex, rows: int, ncols: int) -> np.ndarray:
     """G[m, n] = <m|D(alpha)|n> for m < rows and n < ncols <= rows, as the
     (ncols, rows) array whose row n is column n of D(alpha).
 
-    The recurrence in n runs at a = |alpha|, with every row scaled by its
+    The recurrence in n runs at a = |alpha|, with every row carrying its
     own power of two (renormalized often enough that no step can
-    overflow) and the recessive entries zeroed as they come; those are
-    then taken from the transposed entries of the top block.  The phase
+    overflow), applied by a multiply while every power is a normal float
+    and by ldexp otherwise.  The recessive entries are zeroed as they
+    come and, when some column has any (sqrt(ncols - 1) > a), taken from
+    the transposed entries of the top block.  The phase
     e^{i (m - n) arg alpha} is applied last, so the factor is real for
     real alpha.
     """
@@ -354,6 +368,7 @@ def _displacement_factor(alpha: complex, rows: int, ncols: int) -> np.ndarray:
         # before `every` steps can take it past 2^865
         growth = (rows + ncols + a * a) / a + 1.0
         every = max(1, int(600.0 / math.log(growth)))
+        scale, by = _row_scaling(expo)
         prev, cur = np.zeros(rows), mant
         nxt, tmp = np.empty(rows), np.empty(rows)
         for n in range(ncols - 1):
@@ -365,15 +380,17 @@ def _displacement_factor(alpha: complex, rows: int, ncols: int) -> np.ndarray:
             edge = math.sqrt(n + 1) - a
             if edge > 0.0:  # rows m < edge^2 are recessive in column n+1
                 nxt[:min(rows, math.ceil(edge * edge))] = 0.0
-            np.ldexp(nxt, expo, out=out[n + 1])
+            scale(nxt, by, out=out[n + 1])
             prev, cur, nxt = cur, nxt, prev
             if (n + 1) % every == 0:
-                _, e = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))
+                e = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1]
                 prev, cur = np.ldexp(prev, -e), np.ldexp(cur, -e)
                 expo += e
-        # out[n, m] = G[m, n]; the recessive ones from (-1)^(n-m) G[n, m],
-        # which lie in the lower triangle (m < n) and read only its upper
-        # one; by blocks of rows, so no scratch array reaches ncols^2
+                scale, by = _row_scaling(expo)
+    # out[n, m] = G[m, n]; the recessive ones from (-1)^(n-m) G[n, m],
+    # which lie in the lower triangle (m < n) and read only its upper
+    # one; by blocks of rows, so no scratch array reaches ncols^2
+    if math.sqrt(ncols - 1) > a:
         for lo in range(0, ncols, _BLOCK):
             n = np.arange(lo, min(lo + _BLOCK, ncols))
             m = np.arange(n[-1] + 1)
@@ -382,8 +399,10 @@ def _displacement_factor(alpha: complex, rows: int, ncols: int) -> np.ndarray:
             block = out[lo:lo + len(n), :len(m)]
             flipped = out[:len(m), lo:lo + len(n)].T * (1.0 - 2.0 * ((n[:, np.newaxis] - m) % 2))
             np.copyto(block, flipped, where=recessive)
-    for lo in range(0, ncols, _BLOCK):
-        block = out[lo:lo + _BLOCK]
+    # by stretches of 2^15 entries, whose scratch arrays stay in cache
+    step = max(1, 2 ** 15 // rows)
+    for lo in range(0, ncols, step):
+        block = out[lo:lo + step]
         block[np.abs(block) < _NEGLIGIBLE] = 0.0
     if alpha.imag == 0.0 and alpha.real > 0.0:
         return out

@@ -420,6 +420,36 @@ class TestDisplacement:
         assert np.abs(d - ref).max() < 1e-13
         assert np.all(np.isfinite(d))
 
+    @pytest.mark.parametrize("nbar, s, rows, ncols, lowest, tol", [
+        (26.31, 2.0, 725, 604, -6591, 1e-12),
+        (2.77, 1.0, 208, 124, -1477, 1e-13),
+    ])
+    def test_row_scales_past_the_normal_range(self, nbar, s, rows, ncols, lowest, tol):
+        # the factor of `state --family squeezed --s {s} --nbar {nbar}`: its
+        # rows start as low as 2^lowest, where a row's scale 2^expo is no
+        # normal float and the recurrence applies it by ldexp; at s = 1
+        # every scale is normal after the first renormalization and the
+        # later columns are scaled by a multiply, at s = 2 some never are.
+        # At degrees near 600 the closed form itself is off by 2.4e-13 (the
+        # columns by 1.3e-13, against 30-digit Laguerre values)
+        alpha = math.sqrt(nbar / 2.0 - math.sinh(s) ** 2)
+        assert fock._coherent_start(alpha, rows, ncols)[1].min() == lowest
+        d = displacement_columns(alpha, rows, ncols)
+        m, n = np.ogrid[:rows, :ncols]
+        assert np.all(np.isfinite(d))
+        assert np.abs(d - displacement_entry(m, n, alpha)).max() < tol
+
+    def test_a_normal_power_of_two_scales_as_ldexp(self):
+        # the recurrence scales rows by a multiply while every power 2^e is
+        # a normal float: bit for bit ldexp's results, the subnormal and
+        # zero ones included
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=4000) * 2.0 ** rng.integers(-60, 60, size=4000)
+        e = rng.integers(-1022, 900, size=4000)
+        product, exact = x * np.ldexp(1.0, e), np.ldexp(x, e)
+        assert np.count_nonzero(np.abs(exact) < sys.float_info.min) > 10
+        assert np.array_equal(product.view(np.int64), exact.view(np.int64))
+
     def test_matches_matrix_exponential(self):
         # the exponential of the truncated generator leaves the true
         # entries near its cutoff; compare them on the inner block
