@@ -26,7 +26,7 @@ class InvalidStateError(QellipError, ValueError):
 
 
 class DimensionMismatchError(QellipError, ValueError):
-    """A two-mode state's box does not fit the Fock cutoff."""
+    """A two-mode state's factors and pair amplitudes do not fit together."""
 
 
 class TruncationError(QellipError):

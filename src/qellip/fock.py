@@ -107,7 +107,6 @@ _BLOCK = 256
 
 
 class _TwoModeFockStateFields(NamedTuple):
-    cutoff: int
     d_p: np.ndarray
     c: np.ndarray
     d_s: np.ndarray
@@ -119,22 +118,23 @@ class TwoModeFockState(Checked, _TwoModeFockStateFields):
     two-mode basis, stored as the factors.
 
     d_p and d_s are (cutoff+1, K) arrays (the same object when the two
-    modes share a displacement) and c has K entries.  tail_mass is the
-    norm lost to the truncation, recorded before renormalization.
-    Factors that do not fit the cutoff raise DimensionMismatchError.
+    modes share a displacement), their rows set the cutoff, and c has K
+    entries.  tail_mass is the norm lost to the truncation, recorded
+    before renormalization.  Shapes that disagree raise DimensionMismatchError.
     """
 
     __slots__ = ()
 
-    def __new__(cls, cutoff: int, d_p: np.ndarray, c: np.ndarray, d_s: np.ndarray,
-                tail_mass: float):
-        shape = (cutoff + 1, len(c))
+    def __new__(cls, d_p: np.ndarray, c: np.ndarray, d_s: np.ndarray, tail_mass: float):
+        shape = (len(d_p), len(c))
         if c.ndim != 1 or d_p.shape != shape or d_s.shape != shape:
-            raise DimensionMismatchError(
-                f"factors {d_p.shape} and {d_s.shape} with {c.shape} "
-                f"pair amplitudes do not give a grid of cutoff {cutoff}"
-            )
-        return super().__new__(cls, cutoff, d_p, c, d_s, tail_mass)
+            raise DimensionMismatchError(f"factors {d_p.shape} and {d_s.shape} do not "
+                                         f"fit together with {c.shape} pair amplitudes")
+        return super().__new__(cls, d_p, c, d_s, tail_mass)
+
+    @property
+    def cutoff(self) -> int:
+        return len(self.d_p) - 1
 
     def moments(self) -> tuple[float, complex, float, float, float, float]:
         """(n_mean, e_mean, e_var, l_mean, l_var, p_var) of the state.
@@ -283,13 +283,12 @@ def _normalize(amps: np.ndarray, cutoff: int, context: str) -> float:
 
 def _scaled_cumprod(mant: float, expo: int, ratios: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """mant 2^expo times the running products of ``ratios`` (falling,
-    each in (0, 1]), as mantissas and integer powers of two: renormalized
-    every stretch short enough that its product cannot underflow."""
+    """mant 2^expo times the running products of ``ratios`` (one or more,
+    falling, each in (0, 1]), as mantissas and integer powers of two:
+    renormalized every stretch short enough that its product cannot
+    underflow."""
     out_m = np.empty(len(ratios))
     out_e = np.empty(len(ratios), dtype=np.int64)
-    if len(ratios) == 0:
-        return out_m, out_e
     smallest = float(ratios[-1])
     step = len(ratios) if smallest >= 1.0 else max(1, int(600.0 / -math.log(smallest)))
     for lo in range(0, len(ratios), step):
@@ -457,8 +456,7 @@ def _gaussian_state(alpha_p: complex, alpha_s: complex, cutoff: int, pairs: int,
     tail = dropped + (1.0 - dropped) * outside / total if inside > 0.0 else 1.0
     _check_tail(tail if math.isfinite(total) else total, cutoff, context)
     d_p = d_p[:kept]
-    return TwoModeFockState(cutoff, d_p, c / math.sqrt(inside),
-                            d_p if same else d_s[:kept], tail)
+    return TwoModeFockState(d_p, c / math.sqrt(inside), d_p if same else d_s[:kept], tail)
 
 
 def coherent_state(alpha_p: complex, alpha_s: complex) -> TwoModeFockState:
@@ -521,7 +519,8 @@ def squeezed_for_mean_photons(nbar: float, s: float, dphi: float = 0.0) -> TwoMo
     dphi = phi_p + phi_s - theta is the requested noise-balance phase
     (dphi = 0 minimizes the photon-difference variance).
     """
-    finite("nbar", nbar)
+    if not (math.isfinite(nbar) and nbar >= 0.0):
+        raise InvalidParameterError(f"nbar must be finite and >= 0, got {nbar}")
     finite("squeezing magnitude", s)
     finite("dphi", dphi)
     s = float(s)
@@ -529,12 +528,10 @@ def squeezed_for_mean_photons(nbar: float, s: float, dphi: float = 0.0) -> TwoMo
         raise InvalidParameterError(f"squeezing magnitude must be >= 0, got {s}")
     # an s past asinh(sqrt(nbar/2)) is refused before sinh(s) can overflow
     alpha_sq = -1.0
-    if nbar >= 0.0 and s <= math.asinh(math.sqrt(nbar / 2.0)):
+    if s <= math.asinh(math.sqrt(nbar / 2.0)):
         alpha_sq = nbar / 2.0 - np.sinh(s) ** 2
     if alpha_sq < 0.0:
-        raise InvalidParameterError(
-            f"nbar={nbar} too small for squeezing s={s}: needs nbar >= 2 sinh^2 s"
-        )
+        raise InvalidParameterError(f"nbar must be >= 2 sinh^2 s, got {nbar} at s = {s}")
     alpha = np.sqrt(alpha_sq)
     zeta = s * np.exp(-1j * dphi)  # phi_p = phi_s = 0, so theta = -dphi
     return displaced_squeezed_state(alpha, alpha, zeta)

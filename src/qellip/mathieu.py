@@ -97,14 +97,17 @@ class MathieuSolution(NamedTuple):
         positive (largest-coefficient positive on the decoupled q = 0
         branch where A_0 vanishes).
     truncation_dim : int
-        Window length J.
+        Window length J, the number of coefficients.
     """
 
     order_index: int
     q: float
     eigenvalue: float
     coefficients: np.ndarray
-    truncation_dim: int
+
+    @property
+    def truncation_dim(self) -> int:
+        return len(self.coefficients)
 
     def recurrence_residuals(self) -> np.ndarray:
         """Residual of each recurrence row; all should be ~ machine zero."""
@@ -196,8 +199,8 @@ def _solve(q: float, k: int, J: int, odd: bool) -> tuple[float, np.ndarray]:
     return float(w[0]), vecs[:, 0]
 
 
-def _eigenpair(q: float, k: int, odd: bool) -> tuple[float, int, float, np.ndarray, int]:
-    """Validated (q, J), the k-th eigenpair (a, v) of one branch, and k as an int.
+def _eigenpair(q: float, k: int, odd: bool) -> tuple[float, float, np.ndarray, int]:
+    """Validated q, the k-th eigenpair (a, v) of one branch, and k as an int.
 
     J starts at ``auto_truncation(q, k)`` and doubles while the last
     component is not below TAIL_TOL; once J passes the recurrence's
@@ -213,7 +216,7 @@ def _eigenpair(q: float, k: int, odd: bool) -> tuple[float, int, float, np.ndarr
     while abs(vec[-1]) >= TAIL_TOL:
         J *= 2
         a, vec = _solve(q, k, J, odd)
-    return q, J, a, vec, k
+    return q, a, vec, k
 
 
 def solve_even_mathieu(q: float, k: int = 0) -> MathieuSolution:
@@ -240,12 +243,12 @@ def solve_even_mathieu(q: float, k: int = 0) -> MathieuSolution:
         q non-finite or negative, k not a whole number, k negative, or J
         over MAX_TRUNCATION (q above about 1.6e17).
     """
-    q, J, a, vec, k = _eigenpair(q, k, odd=False)
+    q, a, vec, k = _eigenpair(q, k, odd=False)
     coeffs = vec.copy()
     coeffs[0] /= _SQRT2  # undo the symmetrizing scale; norm is now McLachlan
     if coeffs[0] < 0.0:
         coeffs = -coeffs
-    return MathieuSolution(k, q, a, coeffs, J)
+    return MathieuSolution(k, q, a, coeffs)
 
 
 def se_even_eigenvalue(q: float, k: int = 0) -> float:
@@ -256,7 +259,7 @@ def se_even_eigenvalue(q: float, k: int = 0) -> float:
     eigenvalue is exposed; the variance pipeline covers the even branch.
     Validation and errors are those of ``solve_even_mathieu``.
     """
-    return _eigenpair(q, k, odd=True)[2]
+    return _eigenpair(q, k, odd=True)[1]
 
 
 def eval_ce(sol: MathieuSolution, eta) -> np.ndarray | float:

@@ -148,13 +148,9 @@ def analyze(state, nbar: float | None = None) -> MomentReport:
 # state families
 
 def coherent_family() -> StateFamily:
-    """Balanced two-mode coherent states, |alpha_p| = |alpha_s| = sqrt(nbar/2)."""
-    def build(nbar: float) -> MomentReport:
-        if not (math.isfinite(nbar) and nbar >= 0.0):
-            raise InvalidParameterError(f"nbar must be finite and >= 0, got {nbar}")
-        a = np.sqrt(nbar / 2.0)
-        return analyze(fock.coherent_state(a, a))
-    return StateFamily(build)
+    """Balanced two-mode coherent states, |alpha_p| = |alpha_s| = sqrt(nbar/2):
+    the squeezed family at s = 0."""
+    return squeezed_family(0.0)
 
 
 def squeezed_family(s: float, dphi: float = 0.0) -> StateFamily:

@@ -28,12 +28,14 @@ from .errors import Checked, InvalidParameterError, NumericalDomainError, StackP
 
 def _check_media(angle: float, indices) -> None:
     """Refuse an angle of incidence outside [0, pi/2) and an index that is
-    not finite or has Im(n) < 0: the rule of ``LayerStack`` and of
+    not finite, is 0 or has Im(n) < 0: the rule of ``LayerStack`` and of
     ``fresnel_interface``."""
     if not 0.0 <= angle < math.pi / 2.0:
         raise InvalidParameterError(f"angle of incidence must lie in [0, pi/2), got {angle}")
     for n in indices:
         n = finite("refractive index", complex(n))
+        if n == 0:
+            raise InvalidParameterError("refractive index must be nonzero")
         if n.imag < 0.0:
             raise InvalidParameterError(f"absorbing convention requires Im(n) >= 0, got {n}")
 
@@ -56,7 +58,7 @@ class LayerStack(Checked, _LayerStackFields):
 
     The films are stored as a tuple.  A wavelength that is not finite
     and positive, an angle outside [0, pi/2), an index that is not
-    finite or has Im(n) < 0, or a thickness that is not finite and
+    finite, is 0 or has Im(n) < 0, or a thickness that is not finite and
     >= 0 raises InvalidParameterError."""
 
     __slots__ = ()
@@ -106,8 +108,6 @@ def fresnel_interface(n_i: complex, n_t: complex, theta_i: float) -> tuple[compl
     """
     n_i, n_t = complex(n_i), complex(n_t)
     _check_media(theta_i, (n_i, n_t))
-    if n_i == 0:
-        raise InvalidParameterError("incident index must be nonzero")
     ci = np.cos(theta_i)
     kx = n_i * np.sin(theta_i)
     w_t = _forward_cos_times_n(n_t, kx)  # n_t cos(theta_t)

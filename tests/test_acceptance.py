@@ -113,7 +113,7 @@ def test_03_layer_operator():
             vec = np.exp(2j * np.pi * k * m / (N + 1)) / np.sqrt(N + 1)
             block = np.zeros((N + 1, N + 1), dtype=complex)
             block[m, N - m] = vec
-            states = [TwoModeFockState(N, block, np.ones(N + 1), np.eye(N + 1), 0.0)]
+            states = [TwoModeFockState(block, np.ones(N + 1), np.eye(N + 1), 0.0)]
             if N % 2 == 0:
                 states.append(embed_phase_state(PhaseWaveFunction(-N // 2, vec), N))
             for state in states:

@@ -490,7 +490,7 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("argv, message", [
         ("state --family coherent --nbar inf", "nbar must be finite and >= 0, got inf"),
-        ("state --family squeezed --s 1 --nbar inf", "nbar must be finite, got inf"),
+        ("state --family squeezed --s 1 --nbar inf", "nbar must be finite and >= 0, got inf"),
         ("state --family mathieu --q 1 --nbar nan", "nbar must be finite and positive, got nan"),
         ("sweep --family coherent --nbar-list 10,-inf", "nbar must be finite, got -inf"),
     ])
@@ -576,7 +576,7 @@ class TestInputChecks:
                              "--nbar", "10")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: nbar=10.0 too small for squeezing s=1e+154")
+        assert err == "error: nbar must be >= 2 sinh^2 s, got 10.0 at s = 1e+154\n"
 
     @pytest.mark.parametrize("flag", ["--nbar", "--nb"])
     def test_sweep_has_no_nbar_flag(self, capsys, flag):

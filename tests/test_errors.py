@@ -47,8 +47,8 @@ class TestFinite:
 CHECKED = {
     "PhaseWaveFunction": (lambda: PhaseWaveFunction(2, np.array([0.6 + 0j, 0.8j])),
                           {"l_min": 1.5}, InvalidParameterError),
-    "TwoModeFockState": (lambda: TwoModeFockState(1, np.eye(2), np.ones(2), np.eye(2), 0.0),
-                         {"cutoff": 2}, DimensionMismatchError),
+    "TwoModeFockState": (lambda: TwoModeFockState(np.eye(2), np.ones(2), np.eye(2), 0.0),
+                         {"c": np.ones(3)}, DimensionMismatchError),
     "LayerStack": (lambda: LayerStack(1.0, (Layer(1.46 + 0j, 100.0),), 3.85 + 0.02j,
                                       632.8, 1.2),
                    {"wavelength": -1.0, "angle_of_incidence": 2.0}, InvalidParameterError),

@@ -106,7 +106,7 @@ class TestAnalyze:
         mask[0, rng.integers(cutoff + 1)] = mask[rng.integers(cutoff + 1), 0] = True
         amps = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * mask
         ones, eye = np.ones(cutoff + 1), np.eye(cutoff + 1)
-        states = [TwoModeFockState(cutoff, amps / np.linalg.norm(amps), ones, eye, 0.0)]
+        states = [TwoModeFockState(amps / np.linalg.norm(amps), ones, eye, 0.0)]
         # random boxes at offsets with both, one and neither index at zero,
         # as dense grids: the vacuum wrap meets only the first
         def corner():
@@ -115,14 +115,14 @@ class TestAnalyze:
             box = (int(rng.integers(1, cutoff + 2 - m0)), int(rng.integers(1, cutoff + 2 - n0)))
             grid = np.zeros(shape, dtype=complex)
             grid[m0:m0 + box[0], n0:n0 + box[1]] = rng.normal(size=box) + 1j * rng.normal(size=box)
-            states.append(TwoModeFockState(cutoff, grid / np.linalg.norm(grid), ones, eye, 0.0))
+            states.append(TwoModeFockState(grid / np.linalg.norm(grid), ones, eye, 0.0))
         # random rank-K factors, real and complex, shared and not
         for k in (1, 3):
             d_p = rng.normal(size=(cutoff + 1, k))
             c = rng.normal(size=k) + 1j * rng.normal(size=k)
             for d_s in (d_p, rng.normal(size=(cutoff + 1, k)) + 1j * rng.normal(size=(cutoff + 1, k))):
                 norm = np.linalg.norm((d_p * c) @ d_s.T)
-                states.append(TwoModeFockState(cutoff, d_p, c / norm, d_s, 0.0))
+                states.append(TwoModeFockState(d_p, c / norm, d_s, 0.0))
         # random windows on an even layer N <= 12; a window that spans the
         # layer puts the wrap |0, N> -> |N, 0> into <E>
         for spans in (True, False):
@@ -448,11 +448,10 @@ class TestRecordContract:
         "StateFamily": ("build_report", "phase"),
         "RhoUncertainty": ("sigma_delta", "sigma_tanpsi_rel", "sigma_rho_rel",
                            "large_noise"),
-        "MathieuSolution": ("order_index", "q", "eigenvalue", "coefficients",
-                            "truncation_dim"),
+        "MathieuSolution": ("order_index", "q", "eigenvalue", "coefficients"),
         "CircularMoments": ("e_mean", "e_var", "l_mean", "l_var"),
         "PhaseWaveFunction": ("l_min", "amplitudes"),
-        "TwoModeFockState": ("cutoff", "d_p", "c", "d_s", "tail_mass"),
+        "TwoModeFockState": ("d_p", "c", "d_s", "tail_mass"),
         "LayerState": ("cutoff", "psi", "tail_mass"),
         "Layer": ("index", "thickness"),
         "LayerStack": ("ambient_index", "layers", "substrate_index", "wavelength",
@@ -520,9 +519,9 @@ class TestRecordContract:
             with pytest.raises(InvalidParameterError):
                 build(PhaseWaveFunction, l_min, np.ones(1))
         d = np.ones((3, 1))
-        assert build(TwoModeFockState, 2, d, np.ones(1), d, 0.0).cutoff == 2
+        assert build(TwoModeFockState, d, np.ones(1), d, 0.0).cutoff == 2
         with pytest.raises(DimensionMismatchError):
-            build(TwoModeFockState, 3, d, np.ones(1), d, 0.0)
+            build(TwoModeFockState, d, np.ones(2), d, 0.0)
         stack = build(LayerStack, 1.0, [Layer(1.5, 10.0)], 1.5, 500.0, 0.3)
         assert stack.layers == (Layer(1.5, 10.0),)
         # films given once, as a generator, are checked and stored whole

@@ -106,7 +106,7 @@ class TestFromMathieu:
             J = max(32, math.ceil(2.0 * math.sqrt(q)) + 24)
             a, coeffs = mathieu._solve(q, 0, J, odd=False)
             coeffs[0] /= np.sqrt(2.0)
-            ref = from_mathieu(MathieuSolution(0, q, a, coeffs if coeffs[0] >= 0.0 else -coeffs, J))
+            ref = from_mathieu(MathieuSolution(0, q, a, coeffs if coeffs[0] >= 0.0 else -coeffs))
             assert psi.l_min == ref.l_min, q
             assert len(psi.amplitudes) == len(ref.amplitudes), q
             assert np.max(np.abs(psi.amplitudes - ref.amplitudes)) < 1e-13, q
@@ -373,7 +373,7 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_mathieu_coefficient_refused_not_dropped(self, value):
         # the NaN component was trimmed away, leaving a unit-norm state at l = 0
-        sol = MathieuSolution(0, 1.0, -0.45, np.array([0.7, value]), 2)
+        sol = MathieuSolution(0, 1.0, -0.45, np.array([0.7, value]))
         with pytest.raises(InvalidStateError, match="non-finite"):
             from_mathieu(sol)
 
