@@ -103,7 +103,7 @@ def _refuse(args, flags, why: str) -> None:
     keys are not checked, since one config may serve several subcommands."""
     for flag in flags:
         if getattr(args, flag) is not None:
-            raise QellipError(f"--{flag} {why}")
+            raise QellipError(f"--{flag.replace('_', '-')} {why}")
 
 
 def _items(value, what: str) -> list:
@@ -180,6 +180,9 @@ def cmd_sweep(args, cfg: dict) -> int:
     fmt = _param(args, cfg, "format", default="csv")
     if fmt not in SWEEP_FORMATS:
         raise QellipError(f"unknown output format {fmt!r}")
+    if fmt == "json":
+        _refuse(args, ("fit_output",),
+                "does not apply to --format json: its document holds the fit")
     family = _family(args, cfg)
     nbar_list = [_number(float, v, "nbar")
                  for v in _items(_param(args, cfg, "nbar_list", required=True), "nbar list")]

@@ -87,8 +87,9 @@ MAX_FACTOR_BYTES = 2 ** 30
 #: the sum of every dropped pair amplitude.  No displacement entry
 #: exceeds 1 in magnitude, so no stored amplitude moves by more than this
 #: from the sum over all pair columns, at any s: about the accuracy of
-#: the columns themselves (1e-13 against the Laguerre closed form).  The
-#: norm the dropped terms hold, (tanh s)^(2K), counts as tail.
+#: the columns themselves (1.3e-13 against the Laguerre closed form at
+#: s = 2, nbar 26.31).  The norm the dropped terms hold, (tanh s)^(2K),
+#: counts as tail.
 PAIR_AMPLITUDE_FLOOR = 1e-14
 
 #: Displacements below this magnitude build the identity columns: every
@@ -241,11 +242,10 @@ def _budget_rows(cutoff: int, pairs: int, modes: int, itemsize: int) -> int:
     rows = cutoff + 1 + 4 * math.isqrt(cutoff + 1) + 25
     need = (((modes + 2) * pairs + 16) * rows + (2 * modes + 1) * pairs * pairs) * itemsize
     if need > MAX_FACTOR_BYTES:
-        # no float holds a size past 2^1000 bytes
-        size = f"{need / 2 ** 20:.0f} MiB of" if need < 2 ** 1000 else "more than 2^1000 bytes of"
+        from decimal import Decimal  # exact at any size: need may pass the float range
         raise InvalidParameterError(
-            f"cutoff {cutoff} with K = {pairs} needs {size} mode factors, "
-            f"over the {MAX_FACTOR_BYTES / 2 ** 20:.0f} MiB budget"
+            f"cutoff {Decimal(cutoff):.3g} with K = {pairs} needs {Decimal(need) / 2 ** 20:.3g} "
+            f"MiB of mode factors, over the {MAX_FACTOR_BYTES / 2 ** 20:.0f} MiB budget"
         )
     return rows
 

@@ -28,14 +28,16 @@ from .errors import Checked, InvalidParameterError, NumericalDomainError, StackP
 
 def _check_media(angle: float, indices) -> None:
     """Refuse an angle of incidence outside [0, pi/2) and an index that is
-    not finite, is 0 or has Im(n) < 0: the rule of ``LayerStack`` and of
+    not finite, is 0, is 1e150 or more in magnitude (its square would
+    overflow) or has Im(n) < 0: the rule of ``LayerStack`` and of
     ``fresnel_interface``."""
     if not 0.0 <= angle < math.pi / 2.0:
         raise InvalidParameterError(f"angle of incidence must lie in [0, pi/2), got {angle}")
     for n in indices:
         n = finite("refractive index", complex(n))
-        if n == 0:
-            raise InvalidParameterError("refractive index must be nonzero")
+        if not 0.0 < abs(n) < 1e150:
+            raise InvalidParameterError(
+                f"refractive index must be nonzero and under 1e150 in magnitude, got {n}")
         if n.imag < 0.0:
             raise InvalidParameterError(f"absorbing convention requires Im(n) >= 0, got {n}")
 
@@ -58,8 +60,8 @@ class LayerStack(Checked, _LayerStackFields):
 
     The films are stored as a tuple.  A wavelength that is not finite
     and positive, an angle outside [0, pi/2), an index that is not
-    finite, is 0 or has Im(n) < 0, or a thickness that is not finite and
-    >= 0 raises InvalidParameterError."""
+    finite, is 0, is 1e150 or more in magnitude or has Im(n) < 0, or a
+    thickness that is not finite and >= 0 raises InvalidParameterError."""
 
     __slots__ = ()
 
@@ -116,8 +118,9 @@ def fresnel_interface(n_i: complex, n_t: complex, theta_i: float) -> tuple[compl
     return r_p, r_s
 
 
-#: Phase-thickness decay Im beta past which a film is opaque: the round
-#: trip e^{-2 Im beta} through it is below 5e-18.
+#: Phase-thickness decay, summed over the films from the ambient down,
+#: past which the stack is opaque: the round trip e^{-2 sum Im beta} to
+#: any film under it is below 5e-18.
 _OPAQUE = 20.0
 
 
@@ -136,13 +139,15 @@ def _amplitude_reflection(stack: LayerStack, pol: str) -> complex:
 
     m = np.eye(2, dtype=complex)
     n_sub = complex(stack.substrate_index)
+    decay = 0.0
     for layer in stack.layers:
         n = complex(layer.index)
         w = _forward_cos_times_n(n, kx)
         beta = 2.0 * np.pi * layer.thickness * w / stack.wavelength
-        if beta.imag > _OPAQUE:
+        decay += beta.imag
+        if decay > _OPAQUE:
             # it reflects as a substrate would and hides the layers under
-            # it; cos beta would overflow further on
+            # it; cos beta or the matrix product would overflow further on
             n_sub = n
             break
         if not abs(beta.real) < 2 ** 52:  # also a non-finite beta
@@ -151,6 +156,8 @@ def _amplitude_reflection(stack: LayerStack, pol: str) -> complex:
                 "its phase has no digits left"
             )
         eta = admittance(n, w)
+        if abs(eta) < 1e-12:  # a tiny index: sin beta / eta would overflow
+            raise NumericalDomainError(f"vanishing admittance {eta} in a film of index {n}")
         cb, sb = np.cos(beta), np.sin(beta)
         # -i sin: the e^{-i omega t} convention needs round-trip phase
         # e^{+2 i beta} (decaying in absorbing films, Im beta >= 0)

@@ -31,7 +31,7 @@ _SQRT2 = np.sqrt(2.0)
 #: probability mass allowed outside the stored support window
 WINDOW_TAIL_TOL = 1e-12
 
-#: Largest von Mises window, in components, a constructor may allocate.
+#: Largest window, in components, a phase-state constructor may allocate.
 MAX_PHASE_WINDOW = 2 ** 18
 
 #: Largest grid, in bytes, a density may allocate.
@@ -106,19 +106,27 @@ def _trimmed(l_min: int, amps: np.ndarray) -> PhaseWaveFunction:
 
 def phase_state(components: dict[int, complex]) -> PhaseWaveFunction:
     """Build a normalized state from an {l: Psi_l} mapping (a library
-    convenience); a non-finite component raises InvalidParameterError."""
+    convenience); a non-finite component raises InvalidParameterError.
+    The window spans the nonzero components; one of more than
+    MAX_PHASE_WINDOW components raises InvalidParameterError before
+    anything is allocated."""
     if not components:
         raise InvalidStateError("empty component map")
-    ls = sorted(components)
-    l_min, l_max = integer("l", ls[0]), integer("l", ls[-1])
+    nonzero = {integer("l", l): c for l, c in components.items()
+               if finite(f"component Psi_{l}", c) != 0}
+    if not nonzero:
+        raise InvalidStateError("zero-norm component map")
+    l_min, l_max = min(nonzero), max(nonzero)
+    if l_max - l_min + 1 > MAX_PHASE_WINDOW:
+        raise InvalidParameterError(
+            f"components at l = {l_min}..{l_max} need a window of {l_max - l_min + 1} "
+            f"components, over the budget of {MAX_PHASE_WINDOW}")
     amps = np.zeros(l_max - l_min + 1, dtype=complex)
-    for l, c in components.items():
-        amps[integer("l", l) - l_min] = finite(f"component Psi_{l}", c)
+    for l, c in nonzero.items():
+        amps[l - l_min] = c
     # scaled by the largest magnitude first, so that no square leaves the
     # float range
     largest = np.abs(amps).max()
-    if largest == 0.0:
-        raise InvalidStateError("zero-norm component map")
     parts = amps.view(np.float64)  # a real divisor: no complex division
     parts /= largest
     return _trimmed(l_min, amps / np.sqrt(np.sum(np.abs(amps) ** 2)))

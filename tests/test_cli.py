@@ -243,6 +243,16 @@ class TestSweep:
         assert len(doc["rows"]) == 4
         assert "slope" in doc["fit"]
 
+    def test_json_format_refuses_fit_output(self, capsys, tmp_path):
+        # the parent exited 0 and wrote no fit file
+        fit = tmp_path / "fit.json"
+        code, out, err = run(capsys, "sweep", "--family", "coherent", "--nbar-list", "10,20",
+                             "--format", "json", "--fit-output", str(fit))
+        assert (code, out) == (2, "")
+        assert err == ("error: --fit-output does not apply to --format json: "
+                       "its document holds the fit\n")
+        assert not fit.exists()
+
     def test_multiple_targets(self, capsys, tmp_path):
         fit = tmp_path / "fit.json"
         code, _, _ = run(capsys, "sweep", "--family", "mathieu", "--q", "1",
@@ -765,6 +775,37 @@ class TestEllipsometry:
         code, out, _ = run(capsys, "ellipsometry", "--stack", str(stack))
         assert code == 0
         assert all(math.isfinite(v) for v in json.loads(out).values())
+
+    @pytest.mark.filterwarnings("error")
+    def test_sixty_absorbing_films_give_finite_fields(self, capsys, tmp_path):
+        # no film is opaque alone, but together they are: the parent printed
+        # NaN in all 8 fields and exited 0
+        stack = tmp_path / "stack.txt"
+        stack.write_text("ambient 1.0\n" + "layer 2 1 1200\n" * 60
+                         + "substrate 1.5 0.1\nwavelength 500\nangle 17\n")
+        code, out, _ = run(capsys, "ellipsometry", "--stack", str(stack))
+        assert code == 0
+        assert all(math.isfinite(v) for v in json.loads(out).values())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("stack_text, code, message", [
+        ("ambient 1.0\nlayer 0 0 10\nsubstrate 1.5 0.1\nwavelength 500\nangle 17\n", 2,
+         "refractive index must be nonzero"),
+        ("ambient 1.0\nsubstrate 1e200 0\nwavelength 500\nangle 17\n", 2,
+         "under 1e150 in magnitude"),
+        ("ambient 1.0\nlayer 1e-200 0 10\nsubstrate 1.5 0.1\nwavelength 500\nangle 17\n", 3,
+         "vanishing admittance"),
+        ("ambient 1.5\nsubstrate 1.5 0\nwavelength 500\nangle 0\n", 3,
+         "s-polarized reflection vanishes"),
+    ], ids=["zero-index", "huge-index", "tiny-index", "index-matched"])
+    def test_degenerate_stacks_refused_without_nan(self, capsys, tmp_path, stack_text, code,
+                                                   message):
+        # the parent printed NaN for the first three and exited 0
+        stack = tmp_path / "stack.txt"
+        stack.write_text(stack_text)
+        got, out, err = run(capsys, "ellipsometry", "--stack", str(stack))
+        assert (got, out) == (code, "")
+        assert message in err and "NaN" not in err
 
     @pytest.mark.parametrize("thickness", ["1e20", "1e308"])
     def test_film_past_the_phase_digits_exits_3(self, capsys, tmp_path, thickness):

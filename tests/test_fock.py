@@ -301,11 +301,16 @@ class TestHugeInputs:
         lambda: coherent_state(1e200, 1e200),
         lambda: squeezed_for_mean_photons(1e300, 1.0),
         lambda: displaced_squeezed_state(1e200, 1e200, 0.5),
+        # 5e307 rows of 1.5e17 pair columns: past the float range in bytes
+        lambda: squeezed_for_mean_photons(1e308, 18.0),
     ], ids=["coherent-1e100", "coherent-1e200", "squeezed-nbar-1e300",
-            "displaced-squeezed-1e200"])
+            "displaced-squeezed-1e200", "squeezed-s-18"])
     def test_refused_by_the_budget(self, call):
-        with pytest.raises(InvalidParameterError, match="budget"):
+        # the cutoff and the size read to 3 digits, once integers of up to
+        # 300 digits
+        with pytest.raises(InvalidParameterError, match="budget") as exc:
             call()
+        assert len(str(exc.value)) < 200
 
     def test_embed_on_a_huge_layer_runs(self):
         # the true Var P, about 4 Var L / N^2 = 1e-400, is under the
@@ -337,7 +342,7 @@ class TestHugeInputs:
     def test_message_within_float_range_keeps_its_size(self):
         with pytest.raises(InvalidParameterError) as exc:
             coherent_at(1.0, 1.0, 10 ** 11)
-        assert str(exc.value) == ("cutoff 100000000000 with K = 1 needs 14496033 MiB "
+        assert str(exc.value) == ("cutoff 1.00e+11 with K = 1 needs 1.45e+7 MiB "
                                   "of mode factors, over the 1024 MiB budget")
 
 

@@ -54,6 +54,8 @@ class TestFresnel:
         (1.0 - 0.1j, 1.5, 0.3, "Im\\(n\\) >= 0"),
         (1.0, np.inf, 0.3, "finite"),  # once NaN with no warning
         (complex(1.0, np.nan), 1.5, 0.3, "finite"),
+        (1j, 0j, 0.0, "nonzero"),  # once ZeroDivisionError
+        (1.0, 1e200, 0.3, "under 1e150"),  # once NaN
     ])
     def test_refuses_what_the_stack_refuses(self, n_i, n_t, theta, match):
         with pytest.raises(InvalidParameterError, match=match):
@@ -178,6 +180,32 @@ class TestStackReflection:
         res = stack_reflection(LayerStack(1.0, (Layer(1.5 + 0j, edge),), 1.5 + 0.1j, 500.0, theta))
         assert np.isfinite([res.r_p, res.r_s, res.rho]).all()
 
+    @pytest.mark.filterwarnings("error")
+    def test_opacity_sums_over_the_films(self):
+        # 60 films of Im beta ~ 15, none opaque alone: the parent's matrix
+        # product overflowed and every field read NaN
+        stack = LayerStack(1.0, (Layer(2.0 + 1.0j, 1200.0),) * 60, 1.5 + 0.1j,
+                           500.0, np.deg2rad(17.0))
+        res = stack_reflection(stack)
+        assert abs(res.r_p - airy_reflection(stack, "p")) < 1e-10
+        assert abs(res.r_s - airy_reflection(stack, "s")) < 1e-10
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("index", [1e-200, 1e-155, 1e-100 + 1e-200j])
+    def test_tiny_film_index_refused(self, index):
+        # the parent divided by zero where n^2 underflows and overflowed in
+        # sin beta / eta just above that
+        stack = LayerStack(1.0, (Layer(complex(index), 10.0),), 1.5 + 0.1j,
+                           500.0, np.deg2rad(17.0))
+        with pytest.raises(NumericalDomainError, match="vanishing admittance"):
+            stack_reflection(stack)
+
+    def test_vanishing_s_reflection_refused(self):
+        # index-matched real media reflect nothing: rho = r_p / r_s is undefined
+        stack = LayerStack(1.5, (), 1.5, 500.0, 0.0)
+        with pytest.raises(NumericalDomainError, match="s-polarized reflection vanishes"):
+            stack_reflection(stack)
+
     def test_grazing_layer_mode_rejected(self):
         # a layer index matching the transverse wavevector kills cos(theta)
         theta = 1.0
@@ -209,6 +237,16 @@ class TestStackValidation:
         # regression: a NaN thickness passed and gave rho = nan+nanj
         with pytest.raises(InvalidParameterError, match="finite"):
             LayerStack(1.0, (Layer(1.5 + 0j, thickness),), 1.5, 632.8, 0.3)
+
+    @pytest.mark.parametrize("index", [0j, 1e150, 1e200j])
+    def test_zero_and_huge_indices_refused_in_every_medium(self, index):
+        # the parent passed them: a film of index 0 and a substrate of 1e200
+        # printed NaN in every field
+        film = (Layer(1.5 + 0j, 10.0),)
+        for ambient, layers, substrate in ((index, film, 1.5), (1.0, (Layer(index, 10.0),), 1.5),
+                                           (1.0, film, index)):
+            with pytest.raises(InvalidParameterError, match="nonzero and under 1e150"):
+                LayerStack(ambient, layers, substrate, 632.8, 0.3)
 
     @pytest.mark.parametrize("index", [complex(np.nan, 0.0), complex(1.5, np.inf)])
     def test_non_finite_index(self, index):

@@ -346,6 +346,50 @@ class TestCircularVariance:
         assert circular_moments(psi).e_var == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+class TestPhaseStateWindow:
+    """phase_state spans its nonzero components and bounds that span
+    before it allocates."""
+
+    @staticmethod
+    def peak_of(components):
+        tracemalloc.start()
+        try:
+            try:
+                return phase_state(components), tracemalloc.get_traced_memory()[1]
+            except (InvalidParameterError, InvalidStateError) as exc:
+                return exc, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("components", [{0: 1, 2 ** 18: 1}, {0: 1.0, 12 * 10 ** 20: 1.0}],
+                             ids=["one-past-the-budget", "past-the-index-range"])
+    def test_span_over_budget_refused_before_allocating(self, components):
+        # the parent returned 262,145 components, and raised numpy's bare
+        # ValueError on the second
+        result, peak = self.peak_of(components)
+        assert isinstance(result, InvalidParameterError)
+        assert "over the budget of 262144" in str(result)
+        assert peak < 2 ** 20
+
+    def test_span_at_the_budget_kept(self):
+        psi = phase_state({0: 1.0, 2 ** 18 - 1: 1.0})
+        assert (psi.l_min, len(psi.amplitudes)) == (0, 2 ** 18)
+
+    def test_zero_components_take_no_window(self):
+        # the parent allocated 160 MB to return one component
+        psi, peak = self.peak_of({0: 0j, 10 ** 7: 1.0})
+        assert (psi.l_min, psi.amplitudes.tolist()) == (10 ** 7, [1.0])
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("components", [{}, {0: 0j, 526253864: 0j}, {3: 0.0}],
+                             ids=["empty", "zero-norm-wide", "zero-norm"])
+    def test_no_support_refused(self, components):
+        # the parent raised numpy's MemoryError (7.84 GiB) on the wide map
+        result, peak = self.peak_of(components)
+        assert isinstance(result, InvalidStateError)
+        assert peak < 2 ** 20
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_rotation_angle(self, theta):
