@@ -28,9 +28,10 @@ from .errors import Checked, InvalidParameterError, NumericalDomainError, StackP
 
 def _check_media(angle: float, indices) -> None:
     """Refuse an angle of incidence outside [0, pi/2) and an index that is
-    not finite, is 0, is 1e150 or more in magnitude (its square would
-    overflow) or has Im(n) < 0: the rule of ``LayerStack`` and of
-    ``fresnel_interface``."""
+    not finite, is 0, is 1e150 or more in magnitude or has Im(n) < 0: the
+    rule of ``LayerStack`` and of ``fresnel_interface``.  The 1e150 bound
+    is a margin that keeps n^2 and n^2 / (n cos theta) well inside the
+    float range (n^2 itself overflows past about 1.34e154)."""
     if not 0.0 <= angle < math.pi / 2.0:
         raise InvalidParameterError(f"angle of incidence must lie in [0, pi/2), got {angle}")
     for n in indices:
@@ -118,9 +119,8 @@ def fresnel_interface(n_i: complex, n_t: complex, theta_i: float) -> tuple[compl
     return r_p, r_s
 
 
-#: Phase-thickness decay, summed over the films from the ambient down,
-#: past which the stack is opaque: the round trip e^{-2 sum Im beta} to
-#: any film under it is below 5e-18.
+#: Phase-thickness decay Im beta past which a film is opaque: the round
+#: trip e^{-2 Im beta} through it is below 5e-18.
 _OPAQUE = 20.0
 
 
@@ -139,15 +139,13 @@ def _amplitude_reflection(stack: LayerStack, pol: str) -> complex:
 
     m = np.eye(2, dtype=complex)
     n_sub = complex(stack.substrate_index)
-    decay = 0.0
     for layer in stack.layers:
         n = complex(layer.index)
         w = _forward_cos_times_n(n, kx)
         beta = 2.0 * np.pi * layer.thickness * w / stack.wavelength
-        decay += beta.imag
-        if decay > _OPAQUE:
+        if beta.imag > _OPAQUE:
             # it reflects as a substrate would and hides the layers under
-            # it; cos beta or the matrix product would overflow further on
+            # it; cos beta would overflow further on
             n_sub = n
             break
         if not abs(beta.real) < 2 ** 52:  # also a non-finite beta
@@ -156,12 +154,22 @@ def _amplitude_reflection(stack: LayerStack, pol: str) -> complex:
                 "its phase has no digits left"
             )
         eta = admittance(n, w)
-        if abs(eta) < 1e-12:  # a tiny index: sin beta / eta would overflow
+        # a film divides by its admittance (sin beta / eta), which for p
+        # falls under the grazing guard's 1e-12 at a tiny index; the
+        # ambient and substrate admittances are only multiplied and added,
+        # so a tiny one there is exact
+        if abs(eta) < 1e-12:
             raise NumericalDomainError(f"vanishing admittance {eta} in a film of index {n}")
         cb, sb = np.cos(beta), np.sin(beta)
         # -i sin: the e^{-i omega t} convention needs round-trip phase
         # e^{+2 i beta} (decaying in absorbing films, Im beta >= 0)
         m = m @ np.array([[cb, -1j * sb / eta], [-1j * eta * sb, cb]])
+        big = abs(m).max()
+        if big > 2.0 ** 256:
+            # r reads only the ratio of b to c, and a power of two scales
+            # the product exactly: films opaque together but not alone
+            # would overflow it
+            m *= 2.0 ** -math.frexp(big)[1]
 
     eta0 = admittance(n0, w0)
     eta_sub = admittance(n_sub, _forward_cos_times_n(n_sub, kx))

@@ -112,8 +112,8 @@ def phase_state(components: dict[int, complex]) -> PhaseWaveFunction:
     anything is allocated."""
     if not components:
         raise InvalidStateError("empty component map")
-    nonzero = {integer("l", l): c for l, c in components.items()
-               if finite(f"component Psi_{l}", c) != 0}
+    checked = {integer("l", l): finite(f"component Psi_{l}", c) for l, c in components.items()}
+    nonzero = {l: c for l, c in checked.items() if c != 0}
     if not nonzero:
         raise InvalidStateError("zero-norm component map")
     l_min, l_max = min(nonzero), max(nonzero)

@@ -181,14 +181,44 @@ class TestStackReflection:
         assert np.isfinite([res.r_p, res.r_s, res.rho]).all()
 
     @pytest.mark.filterwarnings("error")
-    def test_opacity_sums_over_the_films(self):
-        # 60 films of Im beta ~ 15, none opaque alone: the parent's matrix
+    def test_films_opaque_together_but_not_alone(self):
+        # 60 films of Im beta ~ 15, none opaque alone: the unscaled matrix
         # product overflowed and every field read NaN
         stack = LayerStack(1.0, (Layer(2.0 + 1.0j, 1200.0),) * 60, 1.5 + 0.1j,
                            500.0, np.deg2rad(17.0))
         res = stack_reflection(stack)
         assert abs(res.r_p - airy_reflection(stack, "p")) < 1e-10
         assert abs(res.r_s - airy_reflection(stack, "s")) < 1e-10
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("pol", ["p", "s"])
+    def test_double_barrier_resonance(self, pol):
+        # two frustrated-total-reflection gaps (Im beta 10.0 and 10.5, 20.5
+        # together) around a well tuned to resonance: the tunnelling undoes
+        # the decay, so no film may be cut as opaque.  The bounce series in
+        # the well needs about 1e10 terms, so the oracle is the resonance
+        # peak |r| = |T1 - T2| / (T1 + T2), with each barrier's T = 1 - |r|^2
+        # and the reflection phases that tune the well from the Airy oracle.
+        theta, lam = np.deg2rad(60.0), 500.0
+        gap1, gap2 = Layer(1.0 + 0j, 960.0), Layer(1.0 + 0j, 1008.0)
+        r1 = airy_reflection(LayerStack(1.5, (gap1,), 1.5, lam, theta), pol)
+        r2 = airy_reflection(LayerStack(1.5, (gap2,), 1.5, lam, theta), pol)
+        t1, t2 = 1.0 - abs(r1) ** 2, 1.0 - abs(r2) ** 2
+        beta = np.pi - np.angle(r1 * r2) / 2.0  # round trip r1 r2 e^{2 i beta} > 0
+        well = Layer(1.5 + 0j, beta * lam / (2.0 * np.pi * 1.5 * np.cos(theta)))
+        res = stack_reflection(LayerStack(1.5, (gap1, well, gap2), 1.5, lam, theta))
+        r = res.r_p if pol == "p" else res.r_s
+        assert abs(abs(r) - abs(t1 - t2) / (t1 + t2)) < 1e-7  # about 0.462, not 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_alternating_admittances_stay_finite(self):
+        # 40 pairs of a tiny-index film (p admittance 3.4e-10) and a dense
+        # one: lossless, yet the unscaled product passed the float range
+        # and r_p, rho, psi and Delta read NaN
+        pairs = (Layer(1e-5 + 0j, 10.0), Layer(3.0 + 0j, 100.0)) * 40
+        res = stack_reflection(LayerStack(1.0, pairs, 1.5 + 0j, 500.0, np.deg2rad(17.0)))
+        assert np.isfinite([res.r_p, res.r_s, res.rho, res.psi_angle, res.delta]).all()
+        assert abs(res.r_p) <= 1.0 + 1e-12 and abs(res.r_s) <= 1.0 + 1e-12
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("index", [1e-200, 1e-155, 1e-100 + 1e-200j])

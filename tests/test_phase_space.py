@@ -399,6 +399,9 @@ class TestNonFiniteInputs:
     def test_fractional_component_index_refused(self):
         with pytest.raises(InvalidParameterError, match="l must be an integer"):
             from_von_mises(2.0).component(1.5)
+        # a zero component is dropped from the window, but its index is checked
+        with pytest.raises(InvalidParameterError, match="l must be an integer"):
+            phase_state({1.5: 0, 0: 1})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, complex(1.0, math.nan)])
     def test_component(self, value):
