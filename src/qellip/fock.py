@@ -17,11 +17,23 @@ the recorded tail mass.
 
 A Gaussian state is stored as its mode factors: the amplitude of
 |m, n> is A[m, n] = sum_k d_p[m, k] c_k d_s[n, k], with d_p and d_s
-holding the M+1 rows of K columns of the displacement operators and c
-the pair amplitudes.  A coherent state is the case K = 1; A itself is
-never formed.  A phase state embedded on one layer is a ``LayerState``:
-the window of components Psi_l on |N/2 + l, N/2 - l> itself, whatever
-the layer.  Each state's ``moments()`` takes every moment from its
+holding K columns of the displacement operators and c the pair
+amplitudes.  A coherent state is the case K = 1; A itself is never
+formed.  Each factor keeps only its window of rows, from the first to
+the last whose amplitude bound (|d[m]| @ |c|) / ||c|| reaches
+ROW_AMPLITUDE_FLOOR = 1e-15, with the row offset of its first row.  The
+bound is safe: the factor entries are entries of a unitary, so no
+amplitude |A[m, n]| in a dropped row exceeds it, and it lies far under
+the 1.3e-13 the columns themselves carry.  A state's nominal cutoff M is
+kept, and the memory plan of ``_budget_rows`` is unchanged, since the
+recurrence still runs over every row up to the cutoff and past it;
+windowing the recurrence itself, so that memory too is bounded by the
+support (and rows flushed to zero no longer keep a row scale that forces
+ldexp), is left for later.
+
+A phase state embedded on one layer is a ``LayerState``: the window of
+components Psi_l on |N/2 + l, N/2 - l> itself, whatever the layer.
+Each state's ``moments()`` takes every moment from its
 stored factors or window; no dense grid or operator object is built.
 
 Construction is tail-checked: every constructor records the probability
@@ -50,7 +62,8 @@ The recurrence in m, sqrt(m+1) G[m+1,n] = ..., loses everything past
 recurrence runs about 4 sqrt(M+1) + 25 rows past the cutoff, and the
 tail is the mass in those rows over the total, so rounding in the kept
 rows never reads as tail.  The recurrence costs O(M K), the Grams of
-the tail check and of ``moments`` O(M K^2).
+the tail check O(R K^2) over the R rows of the windows, and ``moments``
+O(R K^2), reusing the in-window Grams of the tail check.
 """
 
 from __future__ import annotations
@@ -87,10 +100,17 @@ MAX_FACTOR_BYTES = 2 ** 30
 #: the sum of every dropped pair amplitude.  No displacement entry
 #: exceeds 1 in magnitude, so no stored amplitude moves by more than this
 #: from the sum over all pair columns, at any s: about the accuracy of
-#: the columns themselves (1.3e-13 against the Laguerre closed form at
-#: s = 2, nbar 26.31).  The norm the dropped terms hold, (tanh s)^(2K),
-#: counts as tail.
+#: the columns themselves (1.3e-13 against the 40-digit Laguerre closed
+#: form of ``tests/oracles.py`` at s = 2, nbar 26.31).  The norm the
+#: dropped terms hold, (tanh s)^(2K), counts as tail.
 PAIR_AMPLITUDE_FLOOR = 1e-14
+
+#: Rows of a mode factor whose amplitude bound (|d[m]| @ |c|) / ||c|| falls
+#: under this, before the first and past the last that reach it, are
+#: dropped: every amplitude |A[m, n]| in row m is under the bound, since
+#: the factor entries are entries of a unitary, and the floor lies far
+#: under the 1.3e-13 the displacement columns themselves carry.
+ROW_AMPLITUDE_FLOOR = 1e-15
 
 #: Displacements below this magnitude build the identity columns: every
 #: moment moves by |alpha|^2 or less, which is under the float range.
@@ -112,37 +132,61 @@ class _TwoModeFockStateFields(NamedTuple):
     c: np.ndarray
     d_s: np.ndarray
     tail_mass: float
+    cutoff: int | None = None
+    lo_p: int = 0
+    lo_s: int = 0
+    gram_p: np.ndarray | None = None
+    gram_s: np.ndarray | None = None
 
 
 class TwoModeFockState(Checked, _TwoModeFockStateFields):
     """Normalized amplitudes A = d_p diag(c) d_s^T over the truncated
-    two-mode basis, stored as the factors.
+    two-mode basis 0 <= m, n <= cutoff, stored as the factors.
 
-    d_p and d_s are (cutoff+1, K) arrays (the same object when the two
-    modes share a displacement), their rows set the cutoff, and c has K
-    entries.  tail_mass is the norm lost to the truncation, recorded
-    before renormalization.  Shapes that disagree raise DimensionMismatchError.
+    d_p and d_s are (R, K) windows of rows (the same object, from the
+    same row, when the two modes share a displacement): row j of d_p is
+    photon number lo_p + j of the p mode, and of d_s lo_s + j of the s
+    mode, and every amplitude outside the windows is zero.  A Gaussian constructor keeps the rows
+    from the first to the last whose amplitude bound reaches
+    ROW_AMPLITUDE_FLOOR = 1e-15, which bounds every amplitude it drops
+    (the factor entries are entries of a unitary) far under the 1.3e-13
+    the columns carry, so ``moments()`` costs O(R K^2) over the R window
+    rows, whatever the cutoff.  The cutoff keeps its nominal value (the
+    last row of d_p past lo_p when not given), and the memory plan of
+    ``_budget_rows`` is unchanged: the windows are views of factors built
+    over every row, and windowing that recurrence is left for later.  c
+    has K entries.  gram_p and gram_s, when given, are d_p^H d_p and
+    d_s^H d_s, which the constructors form for their tail check.
+    tail_mass is the norm lost to the truncation, recorded before
+    renormalization.  Factors that do not fit together or in the cutoff
+    raise DimensionMismatchError.
     """
 
     __slots__ = ()
 
-    def __new__(cls, d_p: np.ndarray, c: np.ndarray, d_s: np.ndarray, tail_mass: float):
-        shape = (len(d_p), len(c))
-        if c.ndim != 1 or d_p.shape != shape or d_s.shape != shape:
-            raise DimensionMismatchError(f"factors {d_p.shape} and {d_s.shape} do not "
-                                         f"fit together with {c.shape} pair amplitudes")
-        return super().__new__(cls, d_p, c, d_s, tail_mass)
-
-    @property
-    def cutoff(self) -> int:
-        return len(self.d_p) - 1
+    def __new__(cls, d_p: np.ndarray, c: np.ndarray, d_s: np.ndarray, tail_mass: float,
+                cutoff: int | None = None, lo_p: int = 0, lo_s: int = 0,
+                gram_p: np.ndarray | None = None, gram_s: np.ndarray | None = None):
+        k = len(c)
+        if cutoff is None:
+            cutoff = lo_p + len(d_p) - 1
+        if (c.ndim != 1 or d_p.ndim != 2 or d_s.ndim != 2 or d_p.shape[1] != k
+                or d_s.shape[1] != k or min(lo_p, lo_s) < 0 or (d_s is d_p and lo_s != lo_p)
+                or max(lo_p + len(d_p), lo_s + len(d_s)) > cutoff + 1
+                or any(g is not None and g.shape != (k, k) for g in (gram_p, gram_s))):
+            raise DimensionMismatchError(
+                f"factors {d_p.shape} from row {lo_p} and {d_s.shape} from row {lo_s} do "
+                f"not fit together with {c.shape} pair amplitudes under cutoff {cutoff}")
+        return super().__new__(cls, d_p, c, d_s, tail_mass, cutoff, lo_p, lo_s, gram_p, gram_s)
 
     def moments(self) -> tuple[float, complex, float, float, float, float]:
         """(n_mean, e_mean, e_var, l_mean, l_var, p_var) of the state.
 
         An operator f(N_p) g(N_s) has <f g> = c^H (F_p o G_s) c with the K x K
-        Grams F_p = d_p^H diag(f) d_p and G_s = d_s^H diag(g) d_s.  The mode
-        marginals (rows of d_p against the s-mode Gram, and back) give every
+        Grams F_p = d_p^H diag(f) d_p and G_s = d_s^H diag(g) d_s, f and g
+        taken at the photon numbers lo + j of the window rows; the plain
+        Grams d^H d are gram_p and gram_s when the constructor gave them.
+        The mode marginals (rows of d_p against the s-mode Gram, and back) give every
         one-mode moment; the Grams of centred weights give the N_p-N_s
         covariance and the cross terms of P = X Y, X = sqrt(N_p),
         Y = 1/sqrt(N_s + 1):
@@ -156,8 +200,9 @@ class TwoModeFockState(Checked, _TwoModeFockStateFields):
 
         E pairs |m, n> with |m+1, n-1>, the Grams of the factors shifted by
         one row, plus the vacuum wrap |0, N> -> |N, 0> from the first row and
-        column of A.  Each Gram is dropped once used, which keeps the K x K
-        arrays held at once within the plan of ``_budget_rows``.
+        column of A, which only windows that both start at row 0 hold.  Each
+        Gram is dropped once used, which keeps the K x K arrays held at once
+        within the plan of ``_budget_rows``.
         """
         d_p, c, d_s = self.d_p, self.c, self.d_s
         same = d_s is d_p
@@ -174,15 +219,19 @@ class TwoModeFockState(Checked, _TwoModeFockStateFields):
             return _pair_form(c, f_p, f_p if same and w_s is w_p else
                               weighted(d_s, w_s, nonneg)).real
 
-        prob_p = _marginal(d_p, c, _gram(d_s, d_s))
-        prob_s = prob_p if same else _marginal(d_s, c, _gram(d_p, d_p))
-        k = np.arange(self.cutoff + 1.0)
-        mean_p, mean_s = float(k @ prob_p), float(k @ prob_s)
-        dm = k - mean_p
-        dn = dm if same and mean_s == mean_p else k - mean_s
+        gram_p = _gram(d_p, d_p) if self.gram_p is None else self.gram_p
+        gram_s = gram_p if same else _gram(d_s, d_s) if self.gram_s is None else self.gram_s
+        prob_p = _marginal(d_p, c, gram_s)
+        prob_s = prob_p if same else _marginal(d_s, c, gram_p)
+        del gram_p, gram_s
+        k_p = np.arange(self.lo_p, self.lo_p + len(d_p), dtype=float)
+        k_s = k_p if same else np.arange(self.lo_s, self.lo_s + len(d_s), dtype=float)
+        mean_p, mean_s = float(k_p @ prob_p), float(k_s @ prob_s)
+        dm = k_p - mean_p
+        dn = dm if same and mean_s == mean_p else k_s - mean_s
         # Var L = (Var N_p + Var N_s - 2 Cov) / 4 from centred weights
         l_var = 0.25 * float((dm * dm) @ prob_p + (dn * dn) @ prob_s - 2.0 * expect(dm, dn))
-        root_m, inv_root_n = np.sqrt(k), 1.0 / np.sqrt(k + 1.0)
+        root_m, inv_root_n = np.sqrt(k_p), 1.0 / np.sqrt(k_s + 1.0)
         x, y = float(root_m @ prob_p), float(inv_root_n @ prob_s)
         dx, dy = root_m - x, inv_root_n - y
         g_dx = weighted(d_p, dx)
@@ -194,8 +243,10 @@ class TwoModeFockState(Checked, _TwoModeFockStateFields):
 
         shift_p = _gram(d_p[:-1], d_p[1:])
         shift_s = shift_p if same else _gram(d_s[:-1], d_s[1:])
-        e_mean = (_pair_form(c, shift_p, np.conj(shift_s).T)
-                  + complex(np.vdot(d_p @ (c * d_s[0]), d_s @ (c * d_p[0]))))
+        e_mean = _pair_form(c, shift_p, np.conj(shift_s).T)
+        if self.lo_p == self.lo_s == 0:
+            n = min(len(d_p), len(d_s))
+            e_mean += complex(np.vdot(d_p[:n] @ (c * d_s[0]), d_s[:n] @ (c * d_p[0])))
         e_var = min(max(1.0 - abs(e_mean) ** 2, 0.0), 1.0)
         return (mean_p + mean_s, e_mean, e_var, 0.5 * (mean_p - mean_s),
                 max(l_var, 0.0), max(p_var, 0.0))
@@ -347,8 +398,10 @@ def _displacement_factor(alpha: complex, rows: int, ncols: int) -> np.ndarray:
 
     The recurrence in n runs at a = |alpha|, with every row carrying its
     own power of two (renormalized often enough that no step can
-    overflow), applied by a multiply while every power is a normal float
-    and by ldexp otherwise.  The recessive entries are zeroed as they
+    overflow).  Each column is written straight into the factor, and the
+    powers are applied once per stretch between renormalizations, to all
+    its columns at once, by a multiply while every power is a normal
+    float and by ldexp otherwise.  The recessive entries are zeroed as they
     come and, when some column has any (sqrt(ncols - 1) > a), taken from
     the transposed entries of the top block.  The phase
     e^{i (m - n) arg alpha} is applied last, so the factor is real for
@@ -369,8 +422,10 @@ def _displacement_factor(alpha: complex, rows: int, ncols: int) -> np.ndarray:
         every = max(1, int(600.0 / math.log(growth)))
         scale, by = _row_scaling(expo)
         prev, cur = np.zeros(rows), mant
-        nxt, tmp = np.empty(rows), np.empty(rows)
+        tmp = np.empty(rows)
+        start = 1  # the first column of the stretch, still unscaled
         for n in range(ncols - 1):
+            nxt = out[n + 1]
             np.subtract(shifted, n, out=nxt)
             nxt *= cur
             np.multiply(prev, a * math.sqrt(n), out=tmp)
@@ -379,13 +434,15 @@ def _displacement_factor(alpha: complex, rows: int, ncols: int) -> np.ndarray:
             edge = math.sqrt(n + 1) - a
             if edge > 0.0:  # rows m < edge^2 are recessive in column n+1
                 nxt[:min(rows, math.ceil(edge * edge))] = 0.0
-            scale(nxt, by, out=out[n + 1])
-            prev, cur, nxt = cur, nxt, prev
+            prev, cur = cur, nxt
             if (n + 1) % every == 0:
                 e = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1]
                 prev, cur = np.ldexp(prev, -e), np.ldexp(cur, -e)
+                scale(out[start:n + 2], by, out=out[start:n + 2])
+                start = n + 2
                 expo += e
                 scale, by = _row_scaling(expo)
+        scale(out[start:], by, out=out[start:])
     # out[n, m] = G[m, n]; the recessive ones from (-1)^(n-m) G[n, m],
     # which lie in the lower triangle (m < n) and read only its upper
     # one; by blocks of rows, so no scratch array reaches ncols^2
@@ -434,29 +491,46 @@ def _pair_form(c: np.ndarray, f_p: np.ndarray, f_s: np.ndarray) -> complex:
     return complex(np.vdot(c, (f_p * f_s) @ c))
 
 
+def _window(d: np.ndarray, c: np.ndarray) -> tuple[int, int]:
+    """The rows [lo, hi) of ``d`` from the first to the last whose amplitude
+    bound (|d[m]| @ |c|) / ||c|| reaches ROW_AMPLITUDE_FLOOR; by stretches
+    of 2^13 entries, whose scratch arrays stay in cache."""
+    c_abs = np.abs(c)
+    step = max(1, 2 ** 13 // len(c))
+    bound = np.concatenate([np.abs(d[lo:lo + step]) @ c_abs for lo in range(0, len(d), step)])
+    held = np.flatnonzero(bound >= ROW_AMPLITUDE_FLOOR * math.sqrt(c_abs @ c_abs))
+    return (int(held[0]), int(held[-1]) + 1) if len(held) else (0, 0)
+
+
 def _gaussian_state(alpha_p: complex, alpha_s: complex, cutoff: int, pairs: int,
                     ratio: complex, dropped: float, context: str) -> TwoModeFockState:
     """The state sum_k ratio^k D(alpha_p)|k> D(alpha_s)|k> over k < pairs,
-    truncated at the cutoff, tail-checked and normalized.  ``dropped`` is
-    the share of the norm held by the pair terms from ``pairs`` on."""
+    truncated at the cutoff, tail-checked and normalized, on the window of
+    rows of each mode that ``_window`` keeps.  ``dropped`` is the share of
+    the norm held by the pair terms from ``pairs`` on."""
     same = alpha_s == alpha_p
     real = all(complex(z).imag == 0.0 for z in (alpha_p, alpha_s, ratio))
     rows = _budget_rows(cutoff, pairs, 1 if same else 2, 8 if real else 16)
     c = ratio ** np.arange(pairs)
-    d_p = _displacement_factor(alpha_p, rows, pairs).T
-    d_s = d_p if same else _displacement_factor(alpha_s, rows, pairs).T
     kept = cutoff + 1
-    in_p, out_p = _gram(d_p[:kept], d_p[:kept]), _gram(d_p[kept:], d_p[kept:])
-    in_s, out_s = ((in_p, out_p) if same else
-                   (_gram(d_s[:kept], d_s[:kept]), _gram(d_s[kept:], d_s[kept:])))
+
+    def mode(alpha):
+        """the first row of the mode's window, its rows up to the cutoff,
+        their Gram, and the Gram of its rows past the cutoff"""
+        d = _displacement_factor(alpha, rows, pairs).T
+        lo, hi = _window(d, c)
+        inner, outer = d[lo:min(hi, kept)], d[max(lo, kept):hi]
+        return lo, inner, _gram(inner, inner), _gram(outer, outer)
+
+    lo_p, d_p, in_p, out_p = mode(alpha_p)
+    lo_s, d_s, in_s, out_s = (lo_p, d_p, in_p, out_p) if same else mode(alpha_s)
     inside = _pair_form(c, in_p, in_s).real
     outside = (_pair_form(c, in_p, out_s) + _pair_form(c, out_p, out_s)
                + _pair_form(c, out_p, in_s)).real
     total = inside + outside
     tail = dropped + (1.0 - dropped) * outside / total if inside > 0.0 else 1.0
     _check_tail(tail if math.isfinite(total) else total, cutoff, context)
-    d_p = d_p[:kept]
-    return TwoModeFockState(d_p, c / math.sqrt(inside), d_p if same else d_s[:kept], tail)
+    return TwoModeFockState(d_p, c / math.sqrt(inside), d_s, tail, cutoff, lo_p, lo_s, in_p, in_s)
 
 
 def coherent_state(alpha_p: complex, alpha_s: complex) -> TwoModeFockState:

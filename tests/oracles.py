@@ -5,8 +5,9 @@ continued fraction replaces the tridiagonal eigensolve, ODE shooting
 replaces the Fourier evaluation, explicit multiple-bounce (Airy)
 summation replaces characteristic matrices, quadrature replaces Bessel
 identities, scipy's exponentially scaled Bessel function replaces the
-backward recurrence of von Mises states, the Laguerre closed form
-replaces the degree recurrence of the displacement columns, decimal sums
+backward recurrence of von Mises states, the Laguerre closed form at 40
+decimal digits replaces the degree recurrence of the displacement
+columns, decimal sums
 of Poisson amplitudes from exact ratios replace the factor moments of
 balanced coherent states, exactly rounded
 sums over the index window replace the Var L of bare phase states,
@@ -18,6 +19,7 @@ entry, replaces the Gram moments of every two-mode and layer state.
 """
 
 import decimal
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -26,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.special import eval_genlaguerre, gammaln, ive
+from scipy.special import ive
 
 from qellip.optics import Layer, LayerStack
 from qellip.phase_space import WINDOW_TAIL_TOL
@@ -116,26 +118,57 @@ def von_mises_components(kappa: float, phi0: float = 0.0,
 def displacement_entry(m, n, alpha: complex):
     """<m| D(alpha) |n> via associated Laguerre polynomials.
 
-    m and n may be integer arrays (broadcast together).  The factorial
-    ratio and the powers of |alpha| are combined in log scale and the
-    polynomial comes from its recurrence in degree, so entries keep full
-    precision at degrees in the hundreds, where the polynomial's
-    coefficient form has long lost it.
+    m and n may be integer arrays (broadcast together).  With j = min(m, n),
+    k = |m - n| and x = |alpha|^2 taken as an exact decimal, the size
+    |L_j^(k)(x)| sqrt(x^k e^-x j! / (j + k)!) is built in decimal arithmetic
+    at 40 digits (``_laguerre_sizes``); only its last square root and the
+    phase are taken in floats.  Entries under about 1e-154, whose squares
+    leave the float range, lose their digits.
     """
     m, n = np.broadcast_arrays(np.asarray(m), np.asarray(n))
-    x = abs(alpha) ** 2
-    if x == 0.0:
+    a = abs(alpha)
+    if a == 0.0:
         return (m == n).astype(complex)[()]
-    lo, hi = np.minimum(m, n), np.maximum(m, n)
-    lag = eval_genlaguerre(lo, hi - lo, x)
-    with np.errstate(divide="ignore"):
-        size = np.exp(0.5 * (gammaln(lo + 1.0) - gammaln(hi + 1.0))
-                      + (hi - lo) * np.log(abs(alpha)) - 0.5 * x
-                      + np.log(np.abs(lag)))
+    lo, k = np.minimum(m, n), np.abs(m - n)
+    size = _laguerre_sizes(a, int(lo.max()), int(np.maximum(m, n).max()))[lo, k]
     # alpha^(m-n) above the diagonal, (-conj alpha)^(n-m) below it
     phase = (np.exp(1j * (m - n) * np.angle(alpha))
              * np.where(m < n, (-1.0) ** (n - m), 1.0))
-    return (np.sign(lag) * size * phase)[()]
+    return (size * phase)[()]
+
+
+@functools.lru_cache(maxsize=4)
+def _laguerre_sizes(a: float, degree: int, top: int) -> np.ndarray:
+    """[j, k] = L_j^(k)(x) sqrt(x^k e^-x j! / (j + k)!) at x = a^2, for
+    j <= degree and j + k <= top (zero past it).
+
+    L runs its three-term recurrence in the degree,
+    (j + 1) L_(j+1) = (2j + 1 + k - x) L_j - (j + k) L_(j-1), over every k
+    at once, and the squared factor Q_j = x^k e^-x j! / (j + k)! its ratio
+    Q_j / Q_(j-1) = j / (j + k), from Q_0 = x^k e^-x / k!, all in decimal at
+    40 digits; x = a^2 is exact.
+    """
+    out = np.zeros((degree + 1, top + 1))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        x = decimal.Context(prec=decimal.MAX_PREC).multiply(Decimal(a), Decimal(a))
+        ks = np.arange(top + 1, dtype=object)
+        q = np.empty(top + 1, dtype=object)
+        q[0] = (-x).exp()
+        for k in range(1, top + 1):
+            q[k] = q[k - 1] * x / k
+        prev, cur = np.zeros(top + 1, dtype=object), np.full(top + 1, Decimal(1), dtype=object)
+        for j in range(degree + 1):
+            if j:
+                width = top + 1 - j  # the diagonals with j + k <= top
+                ks, q, prev = ks[:width], q[:width], prev[:width]
+                lag = ((2 * j - 1 + ks - x) * cur[:width] - (j - 1 + ks) * prev) / j
+                prev, cur = cur[:width], lag
+                q = q * j / (j + ks)
+            sign = np.where((cur < 0).astype(bool), -1.0, 1.0)
+            out[j, :len(cur)] = sign * np.sqrt((cur * cur * q).astype(float))
+    out.flags.writeable = False  # one cached table serves every caller
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +176,19 @@ def displacement_entry(m, n, alpha: complex):
 
 def dense_amplitudes(state) -> np.ndarray:
     """The (cutoff+1)^2 grid of a two-mode state, [m, n] the amplitude of
-    |m>_p |n>_s: the product d_p diag(c) d_s^T of its stored factors, or,
-    for a phase state on the layer N = cutoff, its window scattered to
-    Psi_l on |N/2 + l, N/2 - l>."""
+    |m>_p |n>_s: the product d_p diag(c) d_s^T of its stored factors,
+    placed at their row offsets (zero outside the windows), or, for a
+    phase state on the layer N = cutoff, its window scattered to Psi_l on
+    |N/2 + l, N/2 - l>."""
     grid = np.zeros((state.cutoff + 1, state.cutoff + 1), dtype=complex)
     if hasattr(state, "psi"):
         half = state.cutoff // 2
         l = state.psi.l_min + np.arange(len(state.psi.amplitudes))
         grid[half + l, half - l] = state.psi.amplitudes
         return grid
-    grid += (state.d_p * state.c) @ state.d_s.T
+    p = slice(state.lo_p, state.lo_p + len(state.d_p))
+    s = slice(state.lo_s, state.lo_s + len(state.d_s))
+    grid[p, s] = (state.d_p * state.c) @ state.d_s.T
     return grid
 
 

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from qellip import (
     DimensionMismatchError,
@@ -201,15 +203,17 @@ class TestCoherent:
         assert np.abs(dense_amplitudes(st) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_one_real_factor_column_per_mode(self):
-        # a coherent state is the rank-one case: one column of M + 1 rows,
+        # a coherent state is the rank-one case: one column over the rows
+        # that hold it (849 from row 997 of the 1876 up to the cutoff),
         # shared by two equal modes, real for a real amplitude
         a = np.sqrt(1400.0)
         st = coherent_state(a, a)
-        assert st.d_p.shape == (st.cutoff + 1, 1)
+        assert st.cutoff == 1875 and (st.lo_p, st.lo_s) == (997, 997)
+        assert st.d_p.shape == (849, 1)
         assert st.d_s is st.d_p
         assert st.d_p.dtype == np.float64 and st.c.dtype == np.float64
         st = coherent_state(a, 1j * a)
-        assert st.d_p.shape == st.d_s.shape == (st.cutoff + 1, 1)
+        assert st.d_p.shape == st.d_s.shape == (849, 1)
         assert st.d_s.dtype == np.complex128
 
 
@@ -435,8 +439,8 @@ class TestDisplacement:
         # normal float and the recurrence applies it by ldexp; at s = 1
         # every scale is normal after the first renormalization and the
         # later columns are scaled by a multiply, at s = 2 some never are.
-        # At degrees near 600 the closed form itself is off by 2.4e-13 (the
-        # columns by 1.3e-13, against 30-digit Laguerre values)
+        # At degrees near 600 the columns are 1.3e-13 off the 40-digit
+        # closed form, at m = n = 278
         alpha = math.sqrt(nbar / 2.0 - math.sinh(s) ** 2)
         assert fock._coherent_start(alpha, rows, ncols)[1].min() == lowest
         d = displacement_columns(alpha, rows, ncols)
@@ -633,6 +637,107 @@ class TestSqueezedPairColumns:
             assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-13, abs=0.0)
         assert abs(got.e_mean - want.e_mean) <= 1e-13 * abs(want.e_mean)
         assert abs(got.l_mean - want.l_mean) <= 1e-13 * want.n_mean
+
+
+def untrimmed_factors(state, alpha_p, alpha_s) -> tuple[np.ndarray, np.ndarray]:
+    """The state's mode factors on every row up to its cutoff, before the
+    build drops the rows outside its windows."""
+    rows, pairs = state.cutoff + 1, len(state.c)
+    d_p = fock._displacement_factor(alpha_p, rows, pairs).T
+    return d_p, d_p if alpha_s == alpha_p else fock._displacement_factor(alpha_s, rows, pairs).T
+
+
+def dropped_amplitude(state, d_p, d_s) -> float:
+    """The largest amplitude of the untrimmed product d_p diag(c) d_s^T in
+    a row of either mode that the state's windows leave out."""
+    full = np.abs((d_p * state.c) @ d_s.T)
+    out_p = np.ones(state.cutoff + 1, dtype=bool)
+    out_p[state.lo_p:state.lo_p + len(state.d_p)] = False
+    out_s = np.ones(state.cutoff + 1, dtype=bool)
+    out_s[state.lo_s:state.lo_s + len(state.d_s)] = False
+    return max(full[out_p].max(initial=0.0), full[:, out_s].max(initial=0.0))
+
+
+class TestRowWindows:
+    """A Gaussian state keeps each mode's rows from the first to the last
+    whose amplitude bound reaches ROW_AMPLITUDE_FLOOR: no amplitude it
+    drops exceeds the floor, and its moments are those of its dense grid."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(family=hs.sampled_from(["coherent", "displaced-squeezed", "balanced-squeezed"]),
+           size_p=hs.integers(0, 1000).map(lambda i: i / 1000.0),
+           size_s=hs.integers(0, 1000).map(lambda i: i / 1000.0),
+           arg_p=hs.floats(-math.pi, math.pi), arg_s=hs.floats(-math.pi, math.pi),
+           s=hs.integers(0, 150).map(lambda i: i / 100.0), theta=hs.floats(-math.pi, math.pi))
+    @example(family="coherent", size_p=1.0, size_s=0.6, arg_p=0.4, arg_s=-2.0, s=0.0, theta=0.0)
+    @example(family="displaced-squeezed", size_p=1.0, size_s=0.7, arg_p=1.0, arg_s=-0.5, s=1.5,
+             theta=0.8)
+    @example(family="balanced-squeezed", size_p=1.0, size_s=0.0, arg_p=0.3, arg_s=0.0, s=1.0,
+             theta=0.0)
+    def test_windows_hold_every_amplitude(self, family, size_p, size_s, arg_p, arg_s, s, theta):
+        # cutoffs up to about 600: |alpha| up to 17 for a coherent state,
+        # up to 8 beside s up to 1.5 for a squeezed one; the sizes and s
+        # are drawn as integers so that the draws spread over their ranges
+        reach = 17.0 if family == "coherent" else 8.0
+        alpha_p, alpha_s = reach * size_p * np.exp(1j * arg_p), reach * size_s * np.exp(1j * arg_s)
+        if family == "coherent":
+            st = coherent_state(alpha_p, alpha_s)
+        elif family == "displaced-squeezed":
+            st = displaced_squeezed_state(alpha_p, alpha_s, s * np.exp(1j * theta))
+        else:
+            nbar = 2.0 * np.sinh(s) ** 2 + 2.0 * (reach * size_p) ** 2
+            st = squeezed_for_mean_photons(nbar, s, theta)
+            alpha_p = alpha_s = np.sqrt(nbar / 2.0 - np.sinh(s) ** 2)
+        assert st.cutoff <= 600
+        dropped = dropped_amplitude(st, *untrimmed_factors(st, alpha_p, alpha_s))
+        assert dropped <= fock.ROW_AMPLITUDE_FLOOR
+        report, ref = analyze(st), dense_moments(st)
+        assert report.n_mean == pytest.approx(ref.n_mean, rel=1e-12)
+        assert report.l_var == pytest.approx(ref.l_var, rel=1e-12)
+        assert report.p_var == pytest.approx(ref.p_var, rel=1e-12)
+        assert abs(report.e_mean - ref.e_mean) < 1e-13
+
+    @pytest.mark.parametrize("build, alpha, kept, rows", [
+        (lambda: coherent_state(math.sqrt(1400.0), math.sqrt(1400.0)), math.sqrt(1400.0),
+         849, 1876),
+        (lambda: squeezed_for_mean_photons(1000.0, 0.5), math.sqrt(500.0 - math.sinh(0.5) ** 2),
+         647, 947),
+    ], ids=["coherent-2800", "squeezed-0.5-1000"])
+    def test_both_edges_trimmed(self, build, alpha, kept, rows):
+        # about 45% and 68% of the rows up to the cutoff, cut at both ends;
+        # the moments are those of the same state on every row
+        st = build()
+        assert (st.cutoff + 1, len(st.d_p)) == (rows, kept) and st.d_s is st.d_p
+        assert 0 < st.lo_p and st.lo_p + kept < rows
+        d, _ = untrimmed_factors(st, alpha, alpha)
+        assert dropped_amplitude(st, d, d) <= fock.ROW_AMPLITUDE_FLOOR
+        got, want = analyze(st), analyze(TwoModeFockState(d, st.c, d, st.tail_mass))
+        for field in ("n_mean", "l_var", "p_var"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-13, abs=0.0)
+        # e_var = 1 - |<E>|^2 keeps the absolute digits of <E>, a few ulps
+        assert abs(got.e_mean - want.e_mean) <= 1e-14
+        assert abs(got.e_var - want.e_var) <= 1e-14
+
+    def test_windows_must_fit_the_cutoff(self):
+        d = np.ones((5, 2))
+        assert TwoModeFockState(d, np.ones(2), d, 0.0, 6, 2, 2).cutoff == 6
+        for args in ((5, 2, 2),            # rows 2 to 6 past the cutoff
+                     (6, -1, -1),          # a row before the first
+                     (6, 1, 0),            # one shared window at two offsets
+                     (6, 0, 0, np.eye(3))):  # a Gram of three columns
+            with pytest.raises(DimensionMismatchError):
+                TwoModeFockState(d, np.ones(2), d, 0.0, *args)
+
+    def test_stores_the_support_not_the_cutoff(self):
+        # nbar 1e6: a cutoff of 508,511, and in each mode 15,697 rows whose
+        # Poisson amplitude reaches the floor
+        a = math.sqrt(5e5)
+        st = coherent_state(a, a)
+        assert st.cutoff == 508511
+        assert len(st.d_p) <= (st.cutoff + 1) // 10
+        report = analyze(st)
+        assert report.n_mean == pytest.approx(1e6, rel=1e-9)
+        assert report.l_var == pytest.approx(2.5e5, rel=1e-9)
 
 
 class TestEmbedding:

@@ -451,14 +451,17 @@ class TestRecordContract:
         "MathieuSolution": ("order_index", "q", "eigenvalue", "coefficients"),
         "CircularMoments": ("e_mean", "e_var", "l_mean", "l_var"),
         "PhaseWaveFunction": ("l_min", "amplitudes"),
-        "TwoModeFockState": ("d_p", "c", "d_s", "tail_mass"),
+        "TwoModeFockState": ("d_p", "c", "d_s", "tail_mass", "cutoff", "lo_p", "lo_s",
+                             "gram_p", "gram_s"),
         "LayerState": ("cutoff", "psi", "tail_mass"),
         "Layer": ("index", "thickness"),
         "LayerStack": ("ambient_index", "layers", "substrate_index", "wavelength",
                        "angle_of_incidence"),
         "EllipsometricResult": ("r_p", "r_s", "rho", "psi_angle", "delta"),
     }
-    DEFAULTS = {"ScalingFit": {"excluded": ()}, "StateFamily": {"phase": None}}
+    DEFAULTS = {"ScalingFit": {"excluded": ()}, "StateFamily": {"phase": None},
+                "TwoModeFockState": {"cutoff": None, "lo_p": 0, "lo_s": 0, "gram_p": None,
+                                     "gram_s": None}}
 
     @staticmethod
     def records() -> dict:
