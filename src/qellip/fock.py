@@ -122,6 +122,12 @@ _IDENTITY_BELOW = 1e-162
 #: s = 2, K = 535).
 _NEGLIGIBLE = 1e-150
 
+#: Factor columns from which a weighted Gram of a real factor is formed
+#: from symmetric products (syrk): on fewer, OpenBLAS's syrk saves less
+#: than the extra calls cost (at K = 43 on 81 rows, 23 us against 10 us
+#: for the general product; at K = 124 on 329 rows, 174 us against 232 us).
+_SYMMETRIC_FROM = 100
+
 #: Factor columns handled per step where a pass over all of them at once
 #: would need scratch arrays the size of the factor.
 _BLOCK = 256
@@ -206,19 +212,6 @@ class TwoModeFockState(Checked, _TwoModeFockStateFields):
         """
         d_p, c, d_s = self.d_p, self.c, self.d_s
         same = d_s is d_p
-
-        def weighted(d, w, nonneg=False):
-            if nonneg and d.dtype.kind == "f":  # the caller knows w >= 0: a symmetric product
-                d = np.sqrt(w)[:, np.newaxis] * d
-                return d.T @ d
-            return _gram(d, w[:, np.newaxis] * d)
-
-        def expect(w_p, w_s, nonneg=False):
-            """<w_p(N_p) w_s(N_s)>"""
-            f_p = weighted(d_p, w_p, nonneg)
-            return _pair_form(c, f_p, f_p if same and w_s is w_p else
-                              weighted(d_s, w_s, nonneg)).real
-
         gram_p = _gram(d_p, d_p) if self.gram_p is None else self.gram_p
         gram_s = gram_p if same else _gram(d_s, d_s) if self.gram_s is None else self.gram_s
         prob_p = _marginal(d_p, c, gram_s)
@@ -230,16 +223,29 @@ class TwoModeFockState(Checked, _TwoModeFockStateFields):
         dm = k_p - mean_p
         dn = dm if same and mean_s == mean_p else k_s - mean_s
         # Var L = (Var N_p + Var N_s - 2 Cov) / 4 from centred weights
-        l_var = 0.25 * float((dm * dm) @ prob_p + (dn * dn) @ prob_s - 2.0 * expect(dm, dn))
+        f_dm = _weighted_gram(d_p, dm)
+        g_dn = f_dm if same and dn is dm else _weighted_gram(d_s, dn)
+        cov = _pair_form(c, f_dm, g_dn, into=f_dm).real
+        del f_dm, g_dn
+        l_var = 0.25 * float((dm * dm) @ prob_p + (dn * dn) @ prob_s - 2.0 * cov)
         root_m, inv_root_n = np.sqrt(k_p), 1.0 / np.sqrt(k_s + 1.0)
         x, y = float(root_m @ prob_p), float(inv_root_n @ prob_s)
         dx, dy = root_m - x, inv_root_n - y
-        g_dx = weighted(d_p, dx)
-        cross = _pair_form(c, g_dx, weighted(d_s, inv_root_n, nonneg=True)).real
-        mixed = _pair_form(c, g_dx, weighted(d_s, inv_root_n * dy)).real
-        del g_dx
-        p_var = (expect(dx * dx, inv_root_n * inv_root_n, nonneg=True) + 2.0 * x * mixed
-                 + x * x * float((dy * dy) @ prob_s) - cross * cross)
+        dx2, dy2 = dx * dx, dy * dy
+        # each Gram is dropped, or overwritten by its last product, once used
+        g_dy = _weighted_gram(d_s, dy)
+        f_dx = _weighted_gram(d_p, dx)
+        xy = _pair_form(c, f_dx, g_dy).real
+        g_dy2 = _weighted_gram(d_s, dy2)
+        xyy = _pair_form(c, f_dx, g_dy2, into=f_dx).real
+        del f_dx
+        f_dx2 = _weighted_gram(d_p, dx2)
+        xxy = _pair_form(c, f_dx2, g_dy, into=g_dy).real
+        del g_dy
+        xxyy = _pair_form(c, f_dx2, g_dy2, into=g_dy2).real
+        del f_dx2, g_dy2
+        p_var = (y * y * float(dx2 @ prob_p) + x * x * float(dy2 @ prob_s) + xxyy
+                 + 2.0 * x * y * xy + 2.0 * y * xxy + 2.0 * x * xyy - xy * xy)
 
         shift_p = _gram(d_p[:-1], d_p[1:])
         shift_s = shift_p if same else _gram(d_s[:-1], d_s[1:])
@@ -349,12 +355,30 @@ def _scaled_cumprod(mant: float, expo: int, ratios: np.ndarray
     return out_m, out_e
 
 
-def _row_scaling(expo: np.ndarray) -> tuple[np.ufunc, np.ndarray]:
-    """The ufunc and operand that scale rows by 2^expo: a multiply by the
-    powers while each is a normal float, which rounds as ldexp does."""
+def _row_scaling(expo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The multipliers that scale rows by 2^expo, and the rows left to
+    ldexp.  A row whose power is a normal float takes a multiply by it,
+    which rounds as ldexp does.  A row under 2^-1400 takes a multiply by
+    0: within a stretch its mantissas stay under 2^866, so its entries
+    lie under 2^-534, which the flush of entries under _NEGLIGIBLE zeroes
+    anyway.  The few rows between take ldexp."""
     if -1022 <= expo.min() and expo.max() <= 1023:
-        return np.multiply, np.ldexp(1.0, expo)
-    return np.ldexp, expo
+        return np.ldexp(1.0, expo), np.empty(0, dtype=np.intp)
+    normal = (-1022 <= expo) & (expo <= 1023)
+    by = np.ldexp(1.0, np.where(normal, expo, 0))
+    by[~normal] = 0.0
+    return by, np.flatnonzero(~normal & (expo >= -1400))
+
+
+def _scale_rows(block: np.ndarray, expo: np.ndarray) -> None:
+    """Scale the rows of a stretch, the last axis of ``block``, by 2^expo
+    in place, by the rule of ``_row_scaling``."""
+    by, odd = _row_scaling(expo)
+    if len(odd):
+        kept = np.ldexp(block[:, odd], expo[odd])
+    block *= by
+    if len(odd):
+        block[:, odd] = kept
 
 
 def _coherent_start(a: float, rows: int, ncols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -420,7 +444,6 @@ def _displacement_factor(alpha: complex, rows: int, ncols: int) -> np.ndarray:
         # before `every` steps can take it past 2^865
         growth = (rows + ncols + a * a) / a + 1.0
         every = max(1, int(600.0 / math.log(growth)))
-        scale, by = _row_scaling(expo)
         prev, cur = np.zeros(rows), mant
         tmp = np.empty(rows)
         start = 1  # the first column of the stretch, still unscaled
@@ -438,11 +461,10 @@ def _displacement_factor(alpha: complex, rows: int, ncols: int) -> np.ndarray:
             if (n + 1) % every == 0:
                 e = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1]
                 prev, cur = np.ldexp(prev, -e), np.ldexp(cur, -e)
-                scale(out[start:n + 2], by, out=out[start:n + 2])
+                _scale_rows(out[start:n + 2], expo)
                 start = n + 2
                 expo += e
-                scale, by = _row_scaling(expo)
-        scale(out[start:], by, out=out[start:])
+        _scale_rows(out[start:], expo)
     # out[n, m] = G[m, n]; the recessive ones from (-1)^(n-m) G[n, m],
     # which lie in the lower triangle (m < n) and read only its upper
     # one; by blocks of rows, so no scratch array reaches ncols^2
@@ -485,10 +507,39 @@ def _marginal(d: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.einsum("mk,mk->m", np.conj(d) if d.dtype.kind == "c" else d, d @ h.T).real
 
 
-def _pair_form(c: np.ndarray, f_p: np.ndarray, f_s: np.ndarray) -> complex:
+def _weighted_gram(d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """d^H diag(w) d.  For a real d of _SYMMETRIC_FROM columns or more,
+    from symmetric products only, which numpy hands to syrk at half the
+    flops of a general product: U^T U where w keeps one sign, and
+    U^T U - V^T V where it changes sign once, U and V the runs of rows
+    where w is positive and negative, scaled by sqrt(|w|).  A complex or
+    narrower d, or a w that changes sign more than once, takes the
+    general product."""
+    if d.dtype.kind == "f" and d.shape[1] >= _SYMMETRIC_FROM:
+        neg = w < 0.0
+        split = int(np.count_nonzero(neg))
+        for down, up in ((slice(0, split), slice(split, None)),  # negatives first, or last
+                         (slice(len(w) - split, None), slice(0, len(w) - split))):
+            if neg[down].all():
+                u = np.sqrt(w[up])[:, np.newaxis] * d[up]
+                out = u.T @ u
+                del u
+                if split:
+                    u = np.sqrt(-w[down])[:, np.newaxis] * d[down]
+                    out -= u.T @ u
+                return out
+    return _gram(d, w[:, np.newaxis] * d)
+
+
+def _pair_form(c: np.ndarray, f_p: np.ndarray, f_s: np.ndarray,
+               into: np.ndarray | None = None) -> complex:
     """c^H (f_p o f_s) c: the expectation of an operator whose factor
-    Grams on the two modes are f_p and f_s."""
-    return complex(np.vdot(c, (f_p * f_s) @ c))
+    Grams on the two modes are f_p and f_s.  The product overwrites
+    ``into`` (one of the two, at its last use) when given and both are
+    of one dtype."""
+    if f_p.dtype != f_s.dtype:
+        into = None
+    return complex(np.vdot(c, np.multiply(f_p, f_s, out=into) @ c))
 
 
 def _window(d: np.ndarray, c: np.ndarray) -> tuple[int, int]:

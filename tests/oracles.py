@@ -239,6 +239,29 @@ def dense_moments(state) -> DenseMoments:
                         complex(np.vdot(amps, apply_phase(amps))))
 
 
+def longdouble_variances(state) -> tuple[float, float]:
+    """Var L and Var P of a two-mode state, from its stored factors in
+    ``np.longdouble`` (64-bit mantissa on x86): the amplitudes
+    d_p diag(c) d_s^T on the grid of its window rows, normalized, with L
+    and P applied entry by entry and both variances centred on their
+    means.  Each grid amplitude sums K products, so the result carries
+    some K eps_longdouble of relative error, a few 1e-17 here."""
+    ld = np.longdouble
+    real = not any(np.iscomplexobj(a) for a in (state.d_p, state.c, state.d_s))
+    kind = ld if real else np.clongdouble
+    amps = (state.d_p.astype(kind) * state.c.astype(kind)) @ state.d_s.T.astype(kind)
+    prob = amps * amps if real else amps.real ** 2 + amps.imag ** 2
+    prob /= prob.sum()
+    m = np.arange(state.lo_p, state.lo_p + len(state.d_p), dtype=ld)[:, np.newaxis]
+    n = np.arange(state.lo_s, state.lo_s + len(state.d_s), dtype=ld)[np.newaxis, :]
+
+    def variance(values):
+        dev = values - (prob * values).sum()
+        return float((prob * dev * dev).sum())
+
+    return variance((m - n) / 2), variance(np.sqrt(m / (n + 1)))
+
+
 # ---------------------------------------------------------------------------
 # balanced coherent e_var by exact decimal ratios
 

@@ -35,6 +35,7 @@ from oracles import (
     dense_moments,
     diagonal_values,
     displacement_entry,
+    longdouble_variances,
 )
 
 
@@ -448,6 +449,31 @@ class TestDisplacement:
         assert np.all(np.isfinite(d))
         assert np.abs(d - displacement_entry(m, n, alpha)).max() < tol
 
+    @pytest.mark.parametrize("nbar, s, rows, ncols, most_by_ldexp", [
+        (26.31, 2.0, 725, 604, 48),
+        (2.77, 1.0, 208, 124, 49),
+    ])
+    def test_flushed_rows_leave_the_multiply_path(self, monkeypatch, nbar, s, rows, ncols,
+                                                  most_by_ldexp):
+        # rows under 2^-1400 scale by 0, so every stretch scales all but a
+        # few rows (those between 2^-1400 and 2^-1022) by a multiply, where
+        # before a single row under 2^-1022 sent the whole stretch to ldexp;
+        # the factor is bit for bit the one built by ldexp on every row
+        alpha = math.sqrt(nbar / 2.0 - math.sinh(s) ** 2)
+        rule, by_ldexp = fock._row_scaling, []
+
+        def recorded(expo):
+            by, odd = rule(expo)
+            by_ldexp.append(len(odd))
+            return by, odd
+
+        monkeypatch.setattr(fock, "_row_scaling", recorded)
+        d = fock._displacement_factor(alpha, rows, ncols)
+        monkeypatch.setattr(fock, "_row_scaling",
+                            lambda expo: (np.zeros(len(expo)), np.arange(len(expo))))
+        assert np.array_equal(d, fock._displacement_factor(alpha, rows, ncols))
+        assert len(by_ldexp) > 1 and max(by_ldexp) == most_by_ldexp
+
     def test_a_normal_power_of_two_scales_as_ldexp(self):
         # the recurrence scales rows by a multiply while every power 2^e is
         # a normal float: bit for bit ldexp's results, the subnormal and
@@ -808,6 +834,57 @@ class TestEmbedding:
         assert report.n_mean == pytest.approx(6000.0, rel=1e-12)
 
 
+class TestWeightedGram:
+    """``fock._weighted_gram`` against the general product d^H diag(w) d,
+    entrywise within 4 eps of |d|^T diag(|w|) |d|, the scale of the
+    products it sums."""
+
+    K = fock._SYMMETRIC_FROM  # the fewest columns that take symmetric products
+
+    @staticmethod
+    def check(d, w):
+        g = fock._weighted_gram(d, w)
+        ref = d.conj().T @ (w[:, np.newaxis] * d)
+        size = np.abs(d).T @ (np.abs(w)[:, np.newaxis] * np.abs(d))
+        assert np.all(np.abs(g - ref) <= 4.0 * np.finfo(float).eps * size)
+        return g
+
+    @pytest.mark.parametrize("w", [
+        np.linspace(0.5, 3.0, 300),
+        -np.linspace(0.5, 3.0, 300),
+        np.linspace(-0.01, 3.0, 300),  # crossing zero at the first row
+        np.linspace(-1.0, 1.0, 300),  # in a middle row
+        np.linspace(3.0, -0.01, 300),  # at the last row, falling
+        np.arange(300.0) - 150.0,  # an exact zero where it crosses
+        np.concatenate([-np.ones(100), np.zeros(100), np.ones(100)]),
+        np.concatenate([np.zeros(150), np.linspace(0.0, 2.0, 150)]),
+        np.concatenate([np.zeros(150), -np.ones(150)]),
+    ], ids=["positive", "negative", "first-row", "middle-row", "last-row", "one-zero",
+            "zero-run", "zeros-then-positive", "zeros-then-negative"])
+    def test_real_factor_from_symmetric_products(self, w):
+        d = np.random.default_rng(3).normal(size=(len(w), self.K))
+        g = self.check(d, w)
+        # symmetric products are exactly symmetric; the general one is not
+        assert np.array_equal(g, g.T)
+
+    @pytest.mark.parametrize("w", [2.5, -2.5, 0.0])
+    def test_one_row(self, w):
+        d = np.random.default_rng(4).normal(size=(1, self.K))
+        g = self.check(d, np.array([w]))
+        assert np.array_equal(g, g.T)
+
+    def test_complex_factor(self):
+        rng = np.random.default_rng(5)
+        d = rng.normal(size=(300, self.K)) + 1j * rng.normal(size=(300, self.K))
+        self.check(d, np.linspace(-1.0, 1.0, 300))
+
+    def test_two_sign_changes_take_the_general_product(self):
+        d = np.random.default_rng(6).normal(size=(300, self.K))
+        w = np.cos(np.linspace(0.0, 2.0 * np.pi, 300))  # +, -, +
+        g = self.check(d, w)
+        assert not np.array_equal(g, g.T)
+
+
 class TestMomentForms:
     def test_variance_of_an_eigenvector_is_zero(self):
         # one entry 0.6+0.8j on |8, 1>: L = 3.5 exactly, and the uncentred
@@ -860,6 +937,23 @@ class TestMomentForms:
         assert np.linalg.norm(dense[n, 20 - n]) == pytest.approx(1.0, abs=1e-12)
         dense[n, 20 - n] = 0.0
         assert np.linalg.norm(dense) == 0.0
+
+    @pytest.mark.skipif(not np.finfo(np.longdouble).eps < 1e-18,
+                        reason="np.longdouble is no wider than a double here")
+    @pytest.mark.parametrize("build", [
+        lambda: coherent_state(np.sqrt(200.0), np.sqrt(200.0)),
+        lambda: squeezed_for_mean_photons(100.0, 1.0),
+        lambda: squeezed_for_mean_photons(30.0, 1.5),
+    ], ids=["coherent-400", "s1-nbar100", "s1.5-nbar30"])
+    def test_variances_match_the_longdouble_grid(self, build):
+        # the centred Var P expansion and the Var L covariance, from
+        # symmetric Grams, against the same factors multiplied out in
+        # long double (1.5e-14 at most here)
+        st = build()
+        l_var, p_var = longdouble_variances(st)
+        report = analyze(st)
+        assert report.l_var == pytest.approx(l_var, rel=1e-13)
+        assert report.p_var == pytest.approx(p_var, rel=1e-13)
 
     def test_factors_must_fit_the_grid(self):
         ones = np.ones((5, 2))
