@@ -28,8 +28,7 @@ the 1.3e-13 the columns themselves carry.  A state's nominal cutoff M is
 kept, and the memory plan of ``_budget_rows`` is unchanged, since the
 recurrence still runs over every row up to the cutoff and past it;
 windowing the recurrence itself, so that memory too is bounded by the
-support (and rows flushed to zero no longer keep a row scale that forces
-ldexp), is left for later.
+support, is left for later.
 
 A phase state embedded on one layer is a ``LayerState``: the window of
 components Psi_l on |N/2 + l, N/2 - l> itself, whatever the layer.
@@ -50,9 +49,10 @@ recurrence in the degree n (the Charlier recurrence, DLMF 18.22),
 
 run across all rows at once from the coherent column G[:, 0], each row
 carrying its own power-of-two scale so that rows whose start underflows
-keep their digits: a multiply applies the scales while all are normal
-floats, which rounds as ldexp does, and ldexp while some are not (rows
-start near 2^-6591 at |alpha| = 0.03, K = 604).  It is stable except
+keep their digits (rows start near 2^-6591 at |alpha| = 0.03, K = 604):
+a multiply applies the scales that are normal floats, which rounds as
+ldexp does, a row under 2^-1400 scales by 0, since its entries lie far
+under the flush to zero, and the few rows between take ldexp.  It is stable except
 where G[m, n] is its recessive solution, m < (sqrt(n) - |alpha|)^2
 (Gautschi, SIAM Rev. 9, 24 (1967)), in the top K x K block of the
 columns n > |alpha|^2 (there are some when sqrt(K - 1) > |alpha|);
@@ -62,8 +62,11 @@ The recurrence in m, sqrt(m+1) G[m+1,n] = ..., loses everything past
 recurrence runs about 4 sqrt(M+1) + 25 rows past the cutoff, and the
 tail is the mass in those rows over the total, so rounding in the kept
 rows never reads as tail.  The recurrence costs O(M K), the Grams of
-the tail check O(R K^2) over the R rows of the windows, and ``moments``
-O(R K^2), reusing the in-window Grams of the tail check.
+the tail check O(R K^2) over the R rows of the windows, and ``moments``,
+reusing the in-window Grams of the tail check, about 4.5 R K^2
+multiply-adds where the modes share a real factor of 100 columns or
+more: two general products, and five weighted Grams from symmetric
+products at half their cost.
 """
 
 from __future__ import annotations
@@ -91,8 +94,9 @@ TAIL_TOL = 1e-10
 #: Largest memory a two-mode constructor may plan for, in bytes: the
 #: factors of each distinct mode over the rows of the tail check, two
 #: factor-sized scratch arrays, sixteen row vectors and the K x K Grams
-#: held at once (two per distinct mode and one product), at 16 bytes an
-#: entry where a displacement or the pair ratio is complex.
+#: held at once (two per distinct mode and one product; ``moments`` may
+#: hold one more in place of a scratch array, K being at most the rows),
+#: at 16 bytes an entry where a displacement or the pair ratio is complex.
 MAX_FACTOR_BYTES = 2 ** 30
 
 #: Bound on the pair amplitudes a displaced squeezed state drops: K is the
@@ -192,23 +196,36 @@ class TwoModeFockState(Checked, _TwoModeFockStateFields):
         Grams F_p = d_p^H diag(f) d_p and G_s = d_s^H diag(g) d_s, f and g
         taken at the photon numbers lo + j of the window rows; the plain
         Grams d^H d are gram_p and gram_s when the constructor gave them.
-        The mode marginals (rows of d_p against the s-mode Gram, and back) give every
-        one-mode moment; the Grams of centred weights give the N_p-N_s
-        covariance and the cross terms of P = X Y, X = sqrt(N_p),
-        Y = 1/sqrt(N_s + 1):
+        The mode marginals (rows of d_p against the s-mode Gram, and back)
+        give every one-mode moment, and the Grams of centred one-mode
+        weights the rest: dm = N_p - <N_p> and dn = N_s - <N_s> the N_p-N_s
+        covariance, and dx = X - x and dy = Y - y, for P = X Y with
+        X = sqrt(N_p), Y = 1/sqrt(N_s + 1), x = <X> and y = <Y>,
 
-            Var P = E[(X-x)^2 Y^2] + 2x E[(X-x) Y (Y-y)] + x^2 Var Y - E[(X-x) Y]^2.
+            Var P = y^2 Var X + x^2 Var Y + E[dx^2 dy^2] + 2xy E[dx dy]
+                    + 2y E[dx^2 dy] + 2x E[dx dy^2] - E[dx dy]^2
+
+        from four Grams: dx and dx^2 on d_p, dy and dy^2 on d_s.  Each
+        weight keeps one sign or changes it once, so ``_weighted_gram``
+        forms every weighted Gram of a real factor of 100 columns or more
+        from symmetric products, at half the cost of a general one.  With
+        the marginal and the shift Gram, general products, the moments of
+        a state whose modes share a factor cost about 4.5 R K^2
+        multiply-adds.
 
         These separable sums cancel digits on strongly pair-correlated
-        states: about 1e-12 relative of Var L and 2e-12 of Var P at s = 2,
+        states: about 1e-12 relative of Var L and 3e-12 of Var P at s = 2,
         nbar 400, where N_p and N_s each vary some 3000 times more than
         their difference.
 
         E pairs |m, n> with |m+1, n-1>, the Grams of the factors shifted by
         one row, plus the vacuum wrap |0, N> -> |N, 0> from the first row and
         column of A, which only windows that both start at row 0 hold.  Each
-        Gram is dropped once used, which keeps the K x K arrays held at once
-        within the plan of ``_budget_rows``.
+        weighted Gram is dropped, or overwritten by its last product, once
+        used, so at most two are held while a third is formed from its
+        scaled rows.  With gram_p that is one K x K array past the count in
+        the plan of ``_budget_rows``, which the plan's second factor-sized
+        scratch array covers, K being at most the rows.
         """
         d_p, c, d_s = self.d_p, self.c, self.d_s
         same = d_s is d_p
@@ -424,12 +441,11 @@ def _displacement_factor(alpha: complex, rows: int, ncols: int) -> np.ndarray:
     own power of two (renormalized often enough that no step can
     overflow).  Each column is written straight into the factor, and the
     powers are applied once per stretch between renormalizations, to all
-    its columns at once, by a multiply while every power is a normal
-    float and by ldexp otherwise.  The recessive entries are zeroed as they
-    come and, when some column has any (sqrt(ncols - 1) > a), taken from
-    the transposed entries of the top block.  The phase
-    e^{i (m - n) arg alpha} is applied last, so the factor is real for
-    real alpha.
+    its columns at once, by the rule of ``_row_scaling``.  The recessive
+    entries are zeroed as they come and, when some column has any
+    (sqrt(ncols - 1) > a), taken from the transposed entries of the top
+    block.  The phase e^{i (m - n) arg alpha} is applied last, so the
+    factor is real for real alpha.
     """
     alpha = complex(alpha)
     a = abs(alpha)

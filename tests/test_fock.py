@@ -278,7 +278,7 @@ class TestGridBudget:
     ], ids=["s2-real", "s2-dphi", "displaced-complex", "s2.5"])
     def test_build_and_analysis_fit_the_plan(self, build):
         # the plan that MAX_FACTOR_BYTES is checked against bounds what a
-        # build and its moments allocate (0.61 to 0.65 of it here)
+        # build and its moments allocate (0.62 to 0.96 of it here)
         tracemalloc.start()
         try:
             st = build()
