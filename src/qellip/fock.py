@@ -52,11 +52,12 @@ carrying its own power-of-two scale so that rows whose start underflows
 keep their digits (rows start near 2^-6591 at |alpha| = 0.03, K = 604):
 a multiply applies the scales that are normal floats, which rounds as
 ldexp does, a row under 2^-1400 scales by 0, since its entries lie far
-under the flush to zero, and the few rows between take ldexp.  It is stable except
-where G[m, n] is its recessive solution, m < (sqrt(n) - |alpha|)^2
-(Gautschi, SIAM Rev. 9, 24 (1967)), in the top K x K block of the
-columns n > |alpha|^2 (there are some when sqrt(K - 1) > |alpha|);
-those entries come from <m|D(a)|n> = (-1)^(n-m) <n|D(a)|m> at real a.
+under the flush to zero, and the few rows between take ldexp.  It is
+stable except where G[m, n] is its recessive solution,
+m < (sqrt(n) - |alpha|)^2 (Gautschi, SIAM Rev. 9, 24 (1967)), in the top
+K x K block of the columns n > |alpha|^2 (there are some when
+sqrt(K - 1) > |alpha|); those entries come from
+<m|D(a)|n> = (-1)^(n-m) <n|D(a)|m> at real a.
 The recurrence in m, sqrt(m+1) G[m+1,n] = ..., loses everything past
 |alpha| of a few (error 1e38 at |alpha| = 7); do not use it.  The
 recurrence runs about 4 sqrt(M+1) + 25 rows past the cutoff, and the
@@ -128,8 +129,10 @@ _NEGLIGIBLE = 1e-150
 
 #: Factor columns from which a weighted Gram of a real factor is formed
 #: from symmetric products (syrk): on fewer, OpenBLAS's syrk saves less
-#: than the extra calls cost (at K = 43 on 81 rows, 23 us against 10 us
-#: for the general product; at K = 124 on 329 rows, 174 us against 232 us).
+#: than the extra calls cost.  On one thread of a Xeon (Haswell kernels,
+#: OpenBLAS 0.3.31), a Gram whose weight changes sign took 23 us against
+#: 10 us for the general product at K = 43 on 81 rows, and 174 us against
+#: 232 us at K = 124 on 329 rows.
 _SYMMETRIC_FROM = 100
 
 #: Factor columns handled per step where a pass over all of them at once
@@ -249,7 +252,6 @@ class TwoModeFockState(Checked, _TwoModeFockStateFields):
         x, y = float(root_m @ prob_p), float(inv_root_n @ prob_s)
         dx, dy = root_m - x, inv_root_n - y
         dx2, dy2 = dx * dx, dy * dy
-        # each Gram is dropped, or overwritten by its last product, once used
         g_dy = _weighted_gram(d_s, dy)
         f_dx = _weighted_gram(d_p, dx)
         xy = _pair_form(c, f_dx, g_dy).real
