@@ -12,10 +12,12 @@ of Poisson amplitudes from exact ratios replace the factor moments of
 balanced coherent states, exactly rounded
 sums over the index window replace the Var L of bare phase states,
 decimal sums carried past the digits of N the Var P of embedded ones,
-exact integer sums replace the circular variance, and the dense
+exact integer sums replace the circular variance, the dense
 (cutoff+1)^2 grid, multiplied out from a state's stored factors or
 scattered from its window, with N, L, P and E applied to it entry by
-entry, replaces the Gram moments of every two-mode and layer state.
+entry, replaces the Gram moments of every two-mode and layer state, and
+the same grid over the window rows in long double replaces the
+separable sums of Var L and Var P.
 """
 
 import decimal
