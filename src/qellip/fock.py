@@ -65,9 +65,9 @@ tail is the mass in those rows over the total, so rounding in the kept
 rows never reads as tail.  The recurrence costs O(M K), the Grams of
 the tail check O(R K^2) over the R rows of the windows, and ``moments``,
 reusing the in-window Grams of the tail check, about 4.5 R K^2
-multiply-adds where the modes share a real factor of 100 columns or
-more: two general products, and five weighted Grams from symmetric
-products at half their cost.
+multiply-adds where the modes share a real factor of _SYMMETRIC_FROM
+(100) columns or more: two general products, and five weighted Grams
+from symmetric products at half their cost.
 """
 
 from __future__ import annotations
@@ -210,11 +210,11 @@ class TwoModeFockState(Checked, _TwoModeFockStateFields):
 
         from four Grams: dx and dx^2 on d_p, dy and dy^2 on d_s.  Each
         weight keeps one sign or changes it once, so ``_weighted_gram``
-        forms every weighted Gram of a real factor of 100 columns or more
-        from symmetric products, at half the cost of a general one.  With
-        the marginal and the shift Gram, general products, the moments of
-        a state whose modes share a factor cost about 4.5 R K^2
-        multiply-adds.
+        forms every weighted Gram of a real factor of _SYMMETRIC_FROM (100)
+        columns or more from symmetric products, at half the cost of a
+        general one.  With the marginal and the shift Gram, general
+        products, the moments of a state whose modes share a factor cost
+        about 4.5 R K^2 multiply-adds.
 
         These separable sums cancel digits on strongly pair-correlated
         states: about 1e-12 relative of Var L and 3e-12 of Var P at s = 2,
