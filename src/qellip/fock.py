@@ -67,7 +67,13 @@ the tail check O(R K^2) over the R rows of the windows, and ``moments``,
 reusing the in-window Grams of the tail check, about 4.5 R K^2
 multiply-adds where the modes share a real factor of _SYMMETRIC_FROM
 (100) columns or more: two general products, and five weighted Grams
-from symmetric products at half their cost.
+from symmetric products at half their cost.  A state of rank one,
+selected by K = len(c) == 1 alone (every coherent state, and a displaced
+squeezed state whose pair columns collapse to one, as at s = 1e-20), is
+a product of two one-mode states and takes its product form: the window
+of its column is where |d| reaches ROW_AMPLITUDE_FLOOR, its tail comes
+from dot products, and ``moments`` from the two one-mode distributions,
+in O(R) with no K x K Gram.
 """
 
 from __future__ import annotations
@@ -221,6 +227,14 @@ class TwoModeFockState(Checked, _TwoModeFockStateFields):
         nbar 400, where N_p and N_s each vary some 3000 times more than
         their difference.
 
+        A state of rank one (K = len(c) == 1, which alone selects this
+        form) is the product of its two one-mode states, so every joint
+        moment factorizes into moments of the marginals |d_p|^2 and
+        |d_s|^2: Cov(N_p, N_s) = 0, Var P = y^2 Var X + x^2 Var Y +
+        Var X Var Y, and <E> = |c|^2 S_p conj(S_s) plus the same vacuum
+        wrap, S the shift Gram d[:-1] . d[1:] of one column; no K x K Gram
+        is formed, and the moments cost O(R).
+
         E pairs |m, n> with |m+1, n-1>, the Grams of the factors shifted by
         one row, plus the vacuum wrap |0, N> -> |N, 0> from the first row and
         column of A, which only windows that both start at row 0 hold.  Each
@@ -232,6 +246,7 @@ class TwoModeFockState(Checked, _TwoModeFockStateFields):
         """
         d_p, c, d_s = self.d_p, self.c, self.d_s
         same = d_s is d_p
+        product = len(c) == 1
         gram_p = _gram(d_p, d_p) if self.gram_p is None else self.gram_p
         gram_s = gram_p if same else _gram(d_s, d_s) if self.gram_s is None else self.gram_s
         prob_p = _marginal(d_p, c, gram_s)
@@ -243,32 +258,45 @@ class TwoModeFockState(Checked, _TwoModeFockStateFields):
         dm = k_p - mean_p
         dn = dm if same and mean_s == mean_p else k_s - mean_s
         # Var L = (Var N_p + Var N_s - 2 Cov) / 4 from centred weights
-        f_dm = _weighted_gram(d_p, dm)
-        g_dn = f_dm if same and dn is dm else _weighted_gram(d_s, dn)
-        cov = _pair_form(c, f_dm, g_dn, into=f_dm).real
-        del f_dm, g_dn
+        cov = 0.0
+        if not product:
+            f_dm = _weighted_gram(d_p, dm)
+            g_dn = f_dm if same and dn is dm else _weighted_gram(d_s, dn)
+            cov = _pair_form(c, f_dm, g_dn, into=f_dm).real
+            del f_dm, g_dn
         l_var = 0.25 * float((dm * dm) @ prob_p + (dn * dn) @ prob_s - 2.0 * cov)
         root_m, inv_root_n = np.sqrt(k_p), 1.0 / np.sqrt(k_s + 1.0)
         x, y = float(root_m @ prob_p), float(inv_root_n @ prob_s)
         dx, dy = root_m - x, inv_root_n - y
         dx2, dy2 = dx * dx, dy * dy
-        g_dy = _weighted_gram(d_s, dy)
-        f_dx = _weighted_gram(d_p, dx)
-        xy = _pair_form(c, f_dx, g_dy).real
-        g_dy2 = _weighted_gram(d_s, dy2)
-        xyy = _pair_form(c, f_dx, g_dy2, into=f_dx).real
-        del f_dx
-        f_dx2 = _weighted_gram(d_p, dx2)
-        xxy = _pair_form(c, f_dx2, g_dy, into=g_dy).real
-        del g_dy
-        xxyy = _pair_form(c, f_dx2, g_dy2, into=g_dy2).real
-        del f_dx2, g_dy2
-        p_var = (y * y * float(dx2 @ prob_p) + x * x * float(dy2 @ prob_s) + xxyy
+        var_x, var_y = float(dx2 @ prob_p), float(dy2 @ prob_s)
+        if product:  # dx and dy are independent, each of mean zero
+            xy = xyy = xxy = 0.0
+            xxyy = var_x * var_y
+        else:
+            g_dy = _weighted_gram(d_s, dy)
+            f_dx = _weighted_gram(d_p, dx)
+            xy = _pair_form(c, f_dx, g_dy).real
+            g_dy2 = _weighted_gram(d_s, dy2)
+            xyy = _pair_form(c, f_dx, g_dy2, into=f_dx).real
+            del f_dx
+            f_dx2 = _weighted_gram(d_p, dx2)
+            xxy = _pair_form(c, f_dx2, g_dy, into=g_dy).real
+            del g_dy
+            xxyy = _pair_form(c, f_dx2, g_dy2, into=g_dy2).real
+            del f_dx2, g_dy2
+        p_var = (y * y * var_x + x * x * var_y + xxyy
                  + 2.0 * x * y * xy + 2.0 * y * xxy + 2.0 * x * xyy - xy * xy)
 
-        shift_p = _gram(d_p[:-1], d_p[1:])
-        shift_s = shift_p if same else _gram(d_s[:-1], d_s[1:])
-        e_mean = _pair_form(c, shift_p, np.conj(shift_s).T)
+        if product:  # c^H (S_p conj(S_s)) c, S the shift Gram of one column
+            shift_p = complex(np.vdot(d_p[:-1, 0], d_p[1:, 0]))
+            shift_s = shift_p if same else complex(np.vdot(d_s[:-1, 0], d_s[1:, 0]))
+            c0 = complex(c[0])
+            e_mean = c0.conjugate() * (shift_p * shift_s.conjugate() * c0)
+        else:
+            shift_p = _gram(d_p[:-1], d_p[1:])
+            shift_s = shift_p if same else _gram(d_s[:-1], d_s[1:])
+            e_mean = _pair_form(c, shift_p, np.conj(shift_s).T)
         if self.lo_p == self.lo_s == 0:
             n = min(len(d_p), len(d_s))
             e_mean += complex(np.vdot(d_p[:n] @ (c * d_s[0]), d_s[:n] @ (c * d_p[0])))
@@ -363,12 +391,15 @@ def _scaled_cumprod(mant: float, expo: int, ratios: np.ndarray
     falling, each in (0, 1]), as mantissas and integer powers of two:
     renormalized every stretch short enough that its product cannot
     underflow."""
-    out_m = np.empty(len(ratios))
-    out_e = np.empty(len(ratios), dtype=np.int64)
     smallest = float(ratios[-1])
     step = len(ratios) if smallest >= 1.0 else max(1, int(600.0 / -math.log(smallest)))
+    if step >= len(ratios):  # one stretch
+        out_m, e = np.frexp(mant * np.multiply.accumulate(ratios))
+        return out_m, e + expo
+    out_m = np.empty(len(ratios))
+    out_e = np.empty(len(ratios), dtype=np.int64)
     for lo in range(0, len(ratios), step):
-        out_m[lo:lo + step], e = np.frexp(mant * np.cumprod(ratios[lo:lo + step]))
+        out_m[lo:lo + step], e = np.frexp(mant * np.multiply.accumulate(ratios[lo:lo + step]))
         out_e[lo:lo + step] = e + expo
         mant, expo = out_m[lo + len(e) - 1], int(out_e[lo + len(e) - 1])
     return out_m, out_e
@@ -519,7 +550,11 @@ def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _marginal(d: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
     """sum_kl conj(d[m, k] c_k) g[k, l] c_l d[m, l] for each row m: the
-    photon-number distribution of one mode, g the other mode's Gram."""
+    photon-number distribution of one mode, g the other mode's Gram; of
+    one column, |d[m]|^2 |c|^2 g."""
+    if len(c) == 1:
+        col, h = d[:, 0], g[0, 0] * c[0] * np.conj(c[0])
+        return (col * (col * h) if col.dtype.kind == "f" else np.conj(col) * (col * h)).real
     h = g * c
     h *= np.conj(c)[:, np.newaxis]
     return np.einsum("mk,mk->m", np.conj(d) if d.dtype.kind == "c" else d, d @ h.T).real
@@ -563,7 +598,11 @@ def _pair_form(c: np.ndarray, f_p: np.ndarray, f_s: np.ndarray,
 def _window(d: np.ndarray, c: np.ndarray) -> tuple[int, int]:
     """The rows [lo, hi) of ``d`` from the first to the last whose amplitude
     bound (|d[m]| @ |c|) / ||c|| reaches ROW_AMPLITUDE_FLOOR; by stretches
-    of 2^13 entries, whose scratch arrays stay in cache."""
+    of 2^13 entries, whose scratch arrays stay in cache.  Of one column
+    the bound is |d[m]| itself."""
+    if len(c) == 1:
+        held = np.flatnonzero(np.abs(d[:, 0]) >= ROW_AMPLITUDE_FLOOR)
+        return (int(held[0]), int(held[-1]) + 1) if len(held) else (0, 0)
     c_abs = np.abs(c)
     step = max(1, 2 ** 13 // len(c))
     bound = np.concatenate([np.abs(d[lo:lo + step]) @ c_abs for lo in range(0, len(d), step)])
@@ -593,9 +632,14 @@ def _gaussian_state(alpha_p: complex, alpha_s: complex, cutoff: int, pairs: int,
 
     lo_p, d_p, in_p, out_p = mode(alpha_p)
     lo_s, d_s, in_s, out_s = (lo_p, d_p, in_p, out_p) if same else mode(alpha_s)
-    inside = _pair_form(c, in_p, in_s).real
-    outside = (_pair_form(c, in_p, out_s) + _pair_form(c, out_p, out_s)
-               + _pair_form(c, out_p, in_s)).real
+    if pairs == 1:  # c = [1]: each pair form is the product of two dot products
+        in_p1, out_p1, in_s1, out_s1 = (float(g[0, 0].real) for g in (in_p, out_p, in_s, out_s))
+        inside = in_p1 * in_s1
+        outside = in_p1 * out_s1 + out_p1 * out_s1 + out_p1 * in_s1
+    else:
+        inside = _pair_form(c, in_p, in_s).real
+        outside = (_pair_form(c, in_p, out_s) + _pair_form(c, out_p, out_s)
+                   + _pair_form(c, out_p, in_s)).real
     total = inside + outside
     tail = dropped + (1.0 - dropped) * outside / total if inside > 0.0 else 1.0
     _check_tail(tail if math.isfinite(total) else total, cutoff, context)

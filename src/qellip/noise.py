@@ -208,13 +208,15 @@ def target_value(report: MomentReport, target: str) -> float:
 def fit_power_law(points) -> ScalingFit:
     """Unweighted least squares on (log10 nbar, log10 var).
 
-    Points with non-positive or non-finite variance cannot be placed on
-    log axes; they are dropped and reported in ``excluded``.  The usable
-    points must hold at least two distinct photon numbers.
+    Points whose photon number or variance is non-positive or non-finite
+    cannot be placed on log axes; they are dropped and reported in
+    ``excluded``.  The usable points must hold at least two distinct
+    photon numbers.
     """
     points = [(float(n), float(v)) for n, v in points]
-    good = [(n, v) for n, v in points if v > 0.0 and math.isfinite(v)]
-    excluded = tuple(n for n, v in points if not (v > 0.0 and math.isfinite(v)))
+    usable = [0.0 < n < math.inf and 0.0 < v < math.inf for n, v in points]
+    good = [point for point, ok in zip(points, usable) if ok]
+    excluded = tuple(n for (n, _), ok in zip(points, usable) if not ok)
     distinct = len({n for n, _ in good})
     if distinct < 2:
         raise InvalidParameterError(

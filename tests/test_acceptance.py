@@ -9,7 +9,7 @@ one PASS/FAIL line (visible under ``pytest -s`` or in failure output):
  4. Mathieu eigensolve vs continued fraction, residuals, k=0 optimality
  5. closed-form variances vs direct Fourier moments
  6. von Mises limits of the fundamental phase density (+ CSV emission)
- 7. shot-noise vs Heisenberg scaling slopes
+ 7. shot-noise vs Heisenberg scaling slopes, the Mathieu one up to N = 1e7
  8. polarization-squeezing boundary
  9. uncertainty relation never violated (randomized states)
 10. transfer matrix vs multiple-bounce summation
@@ -184,6 +184,16 @@ def test_07_scaling_laws():
     assert fits["p_var"].slope == pytest.approx(-2.0, abs=0.05)
     assert fits["l_var"].slope == pytest.approx(0.0, abs=0.02)
     assert time.perf_counter() - start < 120.0
+
+
+@criterion(7, "scaling laws")
+@pytest.mark.parametrize("q", [1e-3, 1.0, 1e4])
+def test_07_mathieu_heisenberg_slope_at_scale(q):
+    # p_var = 4 Var(L) / N^2 on the layer of N photons, Var(L) fixed by q
+    nbars = [1e3, 1e4, 1e5, 1e6, 1e7]
+    fit = scaling_sweep(mathieu_family(q), nbars, ["p_var"])[1]["p_var"]
+    assert fit.slope == pytest.approx(-2.0, abs=1e-3)
+    assert fit.excluded == ()
 
 
 @criterion(8, "polarization-squeezing boundary")

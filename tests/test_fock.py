@@ -700,6 +700,15 @@ class TestRowWindows:
              theta=0.8)
     @example(family="balanced-squeezed", size_p=1.0, size_s=0.0, arg_p=0.3, arg_s=0.0, s=1.0,
              theta=0.0)
+    # rank one (K = 1): both modes dark; the p mode dark, so the wrap term
+    # reads a one-row window; a dim pair near |alpha| 0.5, where the wrap
+    # term moves <E>; and pair columns that collapse to one at s = 1e-20
+    @example(family="coherent", size_p=0.0, size_s=0.0, arg_p=0.0, arg_s=0.0, s=0.0, theta=0.0)
+    @example(family="coherent", size_p=0.0, size_s=0.5, arg_p=0.0, arg_s=1.1, s=0.0, theta=0.0)
+    @example(family="coherent", size_p=0.029, size_s=0.03, arg_p=-0.6, arg_s=2.5, s=0.0,
+             theta=0.0)
+    @example(family="displaced-squeezed", size_p=0.4, size_s=0.25, arg_p=0.9, arg_s=-1.3,
+             s=1e-20, theta=0.7)
     def test_windows_hold_every_amplitude(self, family, size_p, size_s, arg_p, arg_s, s, theta):
         # cutoffs up to about 600: |alpha| up to 17 for a coherent state,
         # up to 8 beside s up to 1.5 for a squeezed one; the sizes and s
@@ -954,6 +963,24 @@ class TestMomentForms:
         report = analyze(st)
         assert report.l_var == pytest.approx(l_var, rel=1e-13)
         assert report.p_var == pytest.approx(p_var, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha_p, alpha_s", [
+        (0.5, 0.5), (0.0, 0.4), (np.sqrt(200.0), np.sqrt(200.0)), (7.0, 2.0),
+        (1.5 + 0.7j, -0.3 + 2.0j), (20.0, 19.0 + 1.0j),
+    ])
+    def test_rank_one_product_form_matches_the_gram_path(self, alpha_p, alpha_s):
+        # the same state with a second pair column of amplitude zero takes
+        # the K x K Gram path; the dim states hold the vacuum wrap
+        st = coherent_state(alpha_p, alpha_s)
+        d_p = np.hstack([st.d_p, np.zeros_like(st.d_p)])
+        d_s = d_p if st.d_s is st.d_p else np.hstack([st.d_s, np.zeros_like(st.d_s)])
+        wide = TwoModeFockState(d_p, np.append(st.c, 0.0), d_s, st.tail_mass, st.cutoff,
+                                st.lo_p, st.lo_s)
+        got, want = st.moments(), wide.moments()
+        for i in (0, 4, 5):  # n_mean, l_var, p_var
+            assert got[i] == pytest.approx(want[i], rel=4e-15, abs=0.0)
+        assert abs(got[1] - want[1]) <= 1e-15
+        assert abs(got[3] - want[3]) <= 4e-15 * got[0]
 
     def test_factors_must_fit_the_grid(self):
         ones = np.ones((5, 2))

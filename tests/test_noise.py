@@ -270,11 +270,14 @@ class TestScalingSweeps:
         assert built == []
 
     def test_degenerate_points_excluded(self):
-        # kappa = 0 keeps l_var identically zero: unusable on log axes
-        fit = fit_power_law([(10.0, 0.0), (20.0, 1e-3), (40.0, 2e-3),
-                             (80.0, math.inf)])
-        assert fit.excluded == (10.0, 80.0)
-        assert len(fit.points) == 2
+        # kappa = 0 keeps l_var identically zero: unusable on log axes, as
+        # is a photon number of zero or less, which log10 cannot take
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_power_law([(10.0, 0.0), (0.0, 1.0), (20.0, 1e-3), (-1.0, 1.0),
+                                 (40.0, 2e-3), (80.0, math.inf)])
+        assert fit.excluded == (10.0, 0.0, -1.0, 80.0)
+        assert fit.points == ((20.0, 1e-3), (40.0, 2e-3))
 
     def test_all_degenerate_raises(self):
         with pytest.raises(InvalidParameterError):
