@@ -391,15 +391,12 @@ def _scaled_cumprod(mant: float, expo: int, ratios: np.ndarray
     falling, each in (0, 1]), as mantissas and integer powers of two:
     renormalized every stretch short enough that its product cannot
     underflow."""
-    smallest = float(ratios[-1])
-    step = len(ratios) if smallest >= 1.0 else max(1, int(600.0 / -math.log(smallest)))
-    if step >= len(ratios):  # one stretch
-        out_m, e = np.frexp(mant * np.multiply.accumulate(ratios))
-        return out_m, e + expo
     out_m = np.empty(len(ratios))
     out_e = np.empty(len(ratios), dtype=np.int64)
+    smallest = float(ratios[-1])
+    step = len(ratios) if smallest >= 1.0 else max(1, int(600.0 / -math.log(smallest)))
     for lo in range(0, len(ratios), step):
-        out_m[lo:lo + step], e = np.frexp(mant * np.multiply.accumulate(ratios[lo:lo + step]))
+        out_m[lo:lo + step], e = np.frexp(mant * np.cumprod(ratios[lo:lo + step]))
         out_e[lo:lo + step] = e + expo
         mant, expo = out_m[lo + len(e) - 1], int(out_e[lo + len(e) - 1])
     return out_m, out_e
