@@ -24,11 +24,13 @@ the last whose amplitude bound (|d[m]| @ |c|) / ||c|| reaches
 ROW_AMPLITUDE_FLOOR = 1e-15, with the row offset of its first row.  The
 bound is safe: the factor entries are entries of a unitary, so no
 amplitude |A[m, n]| in a dropped row exceeds it, and it lies far under
-the 1.3e-13 the columns themselves carry.  A state's nominal cutoff M is
-kept, and the memory plan of ``_budget_rows`` is unchanged, since the
-recurrence still runs over every row up to the cutoff and past it;
-windowing the recurrence itself, so that memory too is bounded by the
-support, is left for later.
+the 1.3e-13 the columns themselves carry.  Each factor is built only on
+the rows [lo, hi) its columns can reach (``_reach``), fixed before
+anything is allocated: the rows (a -+ (sqrt K + 30))^2 of K >= 2
+columns, and for one column the rows where the Chernoff bound on its
+Poisson amplitude reaches the floor.  The memory plan of ``_budget_rows``
+counts those rows, so time and memory follow the support of a state, not
+its nominal cutoff M, which is kept.
 
 A phase state embedded on one layer is a ``LayerState``: the window of
 components Psi_l on |N/2 + l, N/2 - l> itself, whatever the layer.
@@ -60,10 +62,11 @@ sqrt(K - 1) > |alpha|); those entries come from
 <m|D(a)|n> = (-1)^(n-m) <n|D(a)|m> at real a.
 The recurrence in m, sqrt(m+1) G[m+1,n] = ..., loses everything past
 |alpha| of a few (error 1e38 at |alpha| = 7); do not use it.  The
-recurrence runs about 4 sqrt(M+1) + 25 rows past the cutoff, and the
+recurrence runs up to about 4 sqrt(M+1) + 25 rows past the cutoff, and the
 tail is the mass in those rows over the total, so rounding in the kept
-rows never reads as tail.  The recurrence costs O(M K), the Grams of
-the tail check O(R K^2) over the R rows of the windows, and ``moments``,
+rows never reads as tail.  The recurrence costs O(R K) over the rows
+it is built on, the Grams of the tail check O(R K^2) over the R rows of
+the windows, and ``moments``,
 reusing the in-window Grams of the tail check, about 4.5 R K^2
 multiply-adds where the modes share a real factor of _SYMMETRIC_FROM
 (100) columns or more: two general products, and five weighted Grams
@@ -99,11 +102,12 @@ from .phase_space import PhaseWaveFunction, circular_moments, phase_moments
 TAIL_TOL = 1e-10
 
 #: Largest memory a two-mode constructor may plan for, in bytes: the
-#: factors of each distinct mode over the rows of the tail check, two
-#: factor-sized scratch arrays, sixteen row vectors and the K x K Grams
-#: held at once (two per distinct mode and one product; ``moments`` may
-#: hold one more in place of a scratch array, K being at most the rows),
-#: at 16 bytes an entry where a displacement or the pair ratio is complex.
+#: factors of each distinct mode over the rows the widest of them is built
+#: on (``_reach``), two factor-sized scratch arrays, sixteen row vectors
+#: and the K x K Grams held at once (two per distinct mode and one
+#: product; ``moments`` may hold one more in place of a scratch array, K
+#: being at most the rows), at 16 bytes an entry where a displacement or
+#: the pair ratio is complex.
 MAX_FACTOR_BYTES = 2 ** 30
 
 #: Bound on the pair amplitudes a displaced squeezed state drops: K is the
@@ -171,11 +175,11 @@ class TwoModeFockState(Checked, _TwoModeFockStateFields):
     (the factor entries are entries of a unitary) far under the 1.3e-13
     the columns carry, so ``moments()`` costs O(R K^2) over the R window
     rows, whatever the cutoff.  The cutoff keeps its nominal value (the
-    last row of d_p past lo_p when not given), and the memory plan of
-    ``_budget_rows`` is unchanged: the windows are views of factors built
-    over every row, and windowing that recurrence is left for later.  c
-    has K entries.  gram_p and gram_s, when given, are d_p^H d_p and
-    d_s^H d_s, which the constructors form for their tail check.
+    last row of d_p past lo_p when not given); the windows are views of
+    factors built only on the rows their columns reach, which the memory
+    plan of ``_budget_rows`` counts.  c has K entries.  gram_p and gram_s,
+    when given, are d_p^H d_p and d_s^H d_s, which the constructors form
+    for their tail check.
     tail_mass is the norm lost to the truncation, recorded before
     renormalization.  Factors that do not fit together or in the cutoff
     raise DimensionMismatchError.
@@ -340,18 +344,70 @@ class LayerState(NamedTuple):
         return float(N), e_mean, e_var, mom.l_mean, mom.l_var, float(prob @ (dp * dp))
 
 
-def _budget_rows(cutoff: int, pairs: int, modes: int, itemsize: int) -> int:
-    """The rows the recurrence runs over, past the cutoff, once the
-    memory a build and its ``moments()`` plan for fits MAX_FACTOR_BYTES."""
-    rows = cutoff + 1 + 4 * math.isqrt(cutoff + 1) + 25
+def _around(a: float, offset: float, half: float) -> tuple[int, int]:
+    """The rows [lo, hi) from a^2 + offset - half to a^2 + offset + half,
+    taken from the integer part of a^2 so that no digit of the width is
+    lost at any a."""
+    centre = int(a * a)
+    base = a * a - centre + offset  # a * a - centre is exact
+    return centre + math.floor(base - half), centre + math.floor(base + half) + 1
+
+
+def _column_reach(a: float, ncols: int) -> tuple[int, int]:
+    """The rows (a -+ (sqrt(ncols) + 30))^2 around the supports of the
+    first ``ncols`` columns of D(a), past which every entry lies under
+    e^-900."""
+    reach = math.sqrt(ncols) + 30.0
+    lo, hi = _around(a, reach * reach, 2.0 * a * reach)
+    return (lo if a > reach else 0), hi
+
+
+def _reach(a: float, cutoff: int, pairs: int) -> tuple[int, int]:
+    """The rows [lo, hi) a mode factor of ``pairs`` columns at
+    displacement a is built on: no row outside them holds an amplitude
+    bound that reaches ROW_AMPLITUDE_FLOOR, and none runs past the rows
+    of the tail check, 4 sqrt(M + 1) + 25 past the cutoff M.
+
+    Of K >= 2 columns, their reach (``_column_reach``).  Of one column,
+    the Poisson amplitude, the rows where the Chernoff bound
+    P(m) <= exp(-mu h(m / mu)), h(x) = x ln x - x + 1 at mu = a^2, reaches
+    ROW_AMPLITUDE_FLOOR^2: as h(1 + u) >= u^2 / (2 (1 + u/3)) at every
+    u >= -1 (term by term on its series), they lie within
+    mu + t/3 -+ sqrt(t^2/9 + 2 t mu), t = -ln ROW_AMPLITUDE_FLOOR^2.  The
+    Chernoff bound lies over P by a factor of at least sqrt(2 pi m), so
+    the rows whose amplitude reaches the floor lie inside."""
+    end = cutoff + 1 + 4 * math.isqrt(cutoff + 1) + 25
+    if a < _IDENTITY_BELOW:
+        return 0, min(pairs, end)
+    if pairs == 1:
+        t = -2.0 * math.log(ROW_AMPLITUDE_FLOOR)
+        lo, hi = _around(a, t / 3.0, math.hypot(t / 3.0, a * math.sqrt(2.0 * t)))
+    else:
+        lo, hi = _column_reach(a, pairs)
+    # a support past every row of the tail check keeps one row, which it
+    # leaves empty, so the tail check reads the whole norm as lost
+    lo = min(max(lo, 0), end - 1)
+    return lo, max(min(hi, end), lo + 1)
+
+
+def _budget_rows(mags: list[float], cutoff: int, pairs: int,
+                 itemsize: int) -> list[tuple[int, int]]:
+    """The rows [lo, hi) of each distinct mode, of displacement magnitude
+    in ``mags``, that its factor is built on (``_reach``), once the
+    memory a build and its ``moments()`` plan for over the widest of
+    them fits MAX_FACTOR_BYTES."""
+    reaches = [_reach(a, cutoff, pairs) for a in mags]
+    rows = max(hi - lo for lo, hi in reaches)
+    modes = len(mags)
     need = (((modes + 2) * pairs + 16) * rows + (2 * modes + 1) * pairs * pairs) * itemsize
     if need > MAX_FACTOR_BYTES:
         from decimal import Decimal  # exact at any size: need may pass the float range
         raise InvalidParameterError(
             f"cutoff {Decimal(cutoff):.3g} with K = {pairs} needs {Decimal(need) / 2 ** 20:.3g} "
-            f"MiB of mode factors, over the {MAX_FACTOR_BYTES / 2 ** 20:.0f} MiB budget"
+            f"MiB of mode factors on {Decimal(rows):.3g} rows, over the "
+            f"{MAX_FACTOR_BYTES / 2 ** 20:.0f} MiB budget"
         )
-    return rows
+    return reaches
 
 
 def _default_cutoff(mag: float, spread: float) -> int:
@@ -385,18 +441,17 @@ def _normalize(amps: np.ndarray, cutoff: int, context: str) -> float:
     return max(tail, 0.0)
 
 
-def _scaled_cumprod(mant: float, expo: int, ratios: np.ndarray
+def _scaled_cumprod(mant: float, expo: int, ratios: np.ndarray, smallest: float
                     ) -> tuple[np.ndarray, np.ndarray]:
     """mant 2^expo times the running products of ``ratios`` (one or more,
-    falling, each in (0, 1]), as mantissas and integer powers of two:
-    renormalized every stretch short enough that its product cannot
+    falling, each in [smallest, 1]), as mantissas and integer powers of
+    two: renormalized every stretch short enough that its product cannot
     underflow."""
     out_m = np.empty(len(ratios))
     out_e = np.empty(len(ratios), dtype=np.int64)
-    smallest = float(ratios[-1])
     step = len(ratios) if smallest >= 1.0 else max(1, int(600.0 / -math.log(smallest)))
     for lo in range(0, len(ratios), step):
-        out_m[lo:lo + step], e = np.frexp(mant * np.cumprod(ratios[lo:lo + step]))
+        out_m[lo:lo + step], e = np.frexp(mant * ratios[lo:lo + step].cumprod())
         out_e[lo:lo + step] = e + expo
         mant, expo = out_m[lo + len(e) - 1], int(out_e[lo + len(e) - 1])
     return out_m, out_e
@@ -428,44 +483,46 @@ def _scale_rows(block: np.ndarray, expo: np.ndarray) -> None:
         block[:, odd] = kept
 
 
-def _coherent_start(a: float, rows: int, ncols: int) -> tuple[np.ndarray, np.ndarray]:
-    """e^{-a^2/2} a^m / sqrt(m!) for m < rows at a > 0, as mantissas and
-    integer powers of two, so that no row the first ``ncols`` columns
-    reach underflows.
+def _coherent_start(a: float, lo: int, hi: int, ncols: int) -> tuple[np.ndarray, np.ndarray]:
+    """e^{-a^2/2} a^m / sqrt(m!) for lo <= m < hi at a > 0, as mantissas
+    and integer powers of two, so that no row underflows.
 
-    The products run up and down from the mode n0 = floor(a^2), started
-    at its log-scale value; every ratio on the way is at most 1.  They
-    stop 30 past the rows (a -+ sqrt(ncols))^2 that the columns' supports
-    span, where every entry is under e^-900 and would be flushed to zero
-    anyway: at a^2 = 1e6 the full rows take 74 ms, the window 2 ms.  (A
-    cumulative sum of log2 ratios instead would lose |log2| ulps on
-    every row: 4e-12 of the entries at |alpha| = 1e-3, K = 535, whose
-    rows start near 2^-8000.)
+    The products run up and down from the mode n0 = floor(a^2), clamped
+    to the rows, started at its log-scale value; every ratio on the way
+    is at most 1.  The stretches between renormalizations are sized for
+    the last ratio of the upward run and, downward, for the ratio at the
+    first row the first ``ncols`` columns reach (``_column_reach``) or at
+    lo, whichever is lower: a one-column factor starts at its Chernoff
+    edge (``_reach``), inside that reach, and holds the entries it would
+    hold if built from the reach.  (A cumulative sum of log2 ratios
+    instead would lose |log2| ulps on every row: 4e-12 of the entries at
+    |alpha| = 1e-3, K = 535, whose rows start near 2^-8000.)
     """
-    n0 = min(int(a * a), rows - 1)
+    n0 = min(max(int(a * a), lo), hi - 1)
     # split the log-scale peak into powers of two; its rounding is one
     # factor common to every row, which normalization removes
     log2_peak = (-0.5 * a * a + n0 * math.log(a) - 0.5 * math.lgamma(n0 + 1)) / math.log(2.0)
     e0 = math.floor(log2_peak) + 1
     peak = 2.0 ** (log2_peak - e0)
-    reach = math.sqrt(ncols) + 30.0
-    lo = int(max(a - reach, 0.0) ** 2)
-    hi = min(rows, int((a + reach) ** 2) + 1)
-    mant = np.zeros(rows)
-    expo = np.zeros(rows, dtype=np.int64)
-    mant[n0], expo[n0] = peak, e0
+    mant = np.empty(hi - lo)
+    expo = np.empty(hi - lo, dtype=np.int64)
+    top = n0 - lo
+    mant[top], expo[top] = peak, e0
+    roots = np.sqrt(np.arange(lo + 1.0, hi))  # sqrt(m) for lo < m < hi
     if n0 + 1 < hi:
-        mant[n0 + 1:hi], expo[n0 + 1:hi] = _scaled_cumprod(
-            peak, e0, a / np.sqrt(np.arange(n0 + 1.0, hi)))
+        up = a / roots[top:]
+        mant[top + 1:], expo[top + 1:] = _scaled_cumprod(peak, e0, up, float(up[-1]))
     if lo < n0:
-        down_m, down_e = _scaled_cumprod(peak, e0, np.sqrt(np.arange(n0, lo, -1.0)) / a)
-        mant[lo:n0], expo[lo:n0] = down_m[::-1], down_e[::-1]
+        first = min(lo, _column_reach(a, ncols)[0])
+        down_m, down_e = _scaled_cumprod(peak, e0, roots[top - 1::-1] / a,
+                                         math.sqrt(first + 1) / a)
+        mant[:top], expo[:top] = down_m[::-1], down_e[::-1]
     return mant, expo
 
 
-def _displacement_factor(alpha: complex, rows: int, ncols: int) -> np.ndarray:
-    """G[m, n] = <m|D(alpha)|n> for m < rows and n < ncols <= rows, as the
-    (ncols, rows) array whose row n is column n of D(alpha).
+def _displacement_factor(alpha: complex, lo: int, hi: int, ncols: int) -> np.ndarray:
+    """G[m, n] = <m|D(alpha)|n> for lo <= m < hi and n < ncols, as the
+    (ncols, hi - lo) array whose row n is column n of D(alpha) from row lo.
 
     The recurrence in n runs at a = |alpha|, with every row carrying its
     own power of two (renormalized often enough that no step can
@@ -474,21 +531,24 @@ def _displacement_factor(alpha: complex, rows: int, ncols: int) -> np.ndarray:
     its columns at once, by the rule of ``_row_scaling``.  The recessive
     entries are zeroed as they come and, when some column has any
     (sqrt(ncols - 1) > a), taken from the transposed entries of the top
-    block.  The phase e^{i (m - n) arg alpha} is applied last, so the
-    factor is real for real alpha.
+    block, which needs lo = 0 and ncols <= hi: a reach (``_reach``) that
+    starts past row 0 has a > sqrt(ncols) + 30, and no recessive entry.
+    The phase e^{i (m - n) arg alpha} is applied last, so the factor is
+    real for real alpha.
     """
     alpha = complex(alpha)
     a = abs(alpha)
+    rows = hi - lo
     if a < _IDENTITY_BELOW:
-        return np.eye(ncols, rows)
-    mant, expo = _coherent_start(a, rows, ncols)
+        return np.eye(ncols, rows, -lo)
+    mant, expo = _coherent_start(a, lo, hi, ncols)
     out = np.empty((ncols, rows))
     np.ldexp(mant, expo, out=out[0])
     if ncols > 1:
-        shifted = np.arange(rows, dtype=float) - a * a
+        shifted = np.arange(lo, hi, dtype=float) - a * a
         # a step multiplies a row by at most `growth`; renormalize
         # before `every` steps can take it past 2^865
-        growth = (rows + ncols + a * a) / a + 1.0
+        growth = (hi + ncols + a * a) / a + 1.0
         every = max(1, int(600.0 / math.log(growth)))
         prev, cur = np.zeros(rows), mant
         tmp = np.empty(rows)
@@ -501,7 +561,7 @@ def _displacement_factor(alpha: complex, rows: int, ncols: int) -> np.ndarray:
             nxt -= tmp
             nxt *= 1.0 / (a * math.sqrt(n + 1))
             edge = math.sqrt(n + 1) - a
-            if edge > 0.0:  # rows m < edge^2 are recessive in column n+1
+            if edge > 0.0:  # rows m < edge^2 are recessive in column n+1; lo is 0
                 nxt[:min(rows, math.ceil(edge * edge))] = 0.0
             prev, cur = cur, nxt
             if (n + 1) % every == 0:
@@ -515,28 +575,33 @@ def _displacement_factor(alpha: complex, rows: int, ncols: int) -> np.ndarray:
     # which lie in the lower triangle (m < n) and read only its upper
     # one; by blocks of rows, so no scratch array reaches ncols^2
     if math.sqrt(ncols - 1) > a:
-        for lo in range(0, ncols, _BLOCK):
-            n = np.arange(lo, min(lo + _BLOCK, ncols))
+        for first in range(0, ncols, _BLOCK):
+            n = np.arange(first, min(first + _BLOCK, ncols))
             m = np.arange(n[-1] + 1)
             edge = np.maximum(np.sqrt(n) - a, 0.0)
             recessive = m[np.newaxis, :] < (edge * edge)[:, np.newaxis]
-            block = out[lo:lo + len(n), :len(m)]
-            flipped = out[:len(m), lo:lo + len(n)].T * (1.0 - 2.0 * ((n[:, np.newaxis] - m) % 2))
+            block = out[first:first + len(n), :len(m)]
+            flipped = (out[:len(m), first:first + len(n)].T
+                       * (1.0 - 2.0 * ((n[:, np.newaxis] - m) % 2)))
             np.copyto(block, flipped, where=recessive)
     # by stretches of 2^15 entries, whose scratch arrays stay in cache
     step = max(1, 2 ** 15 // rows)
-    for lo in range(0, ncols, step):
-        block = out[lo:lo + step]
+    for first in range(0, ncols, step):
+        block = out[first:first + step]
         block[np.abs(block) < _NEGLIGIBLE] = 0.0
     if alpha.imag == 0.0 and alpha.real > 0.0:
         return out
     unit = alpha / a
     unit = unit.real if unit.imag == 0.0 else unit
-    phase = np.empty(rows, dtype=type(unit))
-    phase[0] = 1.0
-    phase[1:] = np.cumprod(np.full(rows - 1, unit))
-    out = out * phase[np.newaxis, :]
-    out *= np.conj(phase[:ncols])[:, np.newaxis]
+
+    def powers(first: int, count: int) -> np.ndarray:
+        """unit^j for first <= j < first + count, by running products"""
+        run = np.full(count, unit)
+        run[0] = unit ** first
+        return np.cumprod(run, out=run)
+
+    out = out * powers(lo, rows)[np.newaxis, :]
+    out *= np.conj(powers(0, ncols))[:, np.newaxis]
     return out
 
 
@@ -592,43 +657,46 @@ def _pair_form(c: np.ndarray, f_p: np.ndarray, f_s: np.ndarray,
     return complex(np.vdot(c, np.multiply(f_p, f_s, out=into) @ c))
 
 
-def _window(d: np.ndarray, c: np.ndarray) -> tuple[int, int]:
-    """The rows [lo, hi) of ``d`` from the first to the last whose amplitude
-    bound (|d[m]| @ |c|) / ||c|| reaches ROW_AMPLITUDE_FLOOR; by stretches
-    of 2^13 entries, whose scratch arrays stay in cache.  Of one column
-    the bound is |d[m]| itself."""
+def _window(d: np.ndarray, c: np.ndarray, lo: int) -> tuple[int, int]:
+    """The rows [first, end) of the factor ``d``, whose rows start at row
+    lo, from the first to the last whose amplitude bound
+    (|d[m]| @ |c|) / ||c|| reaches ROW_AMPLITUDE_FLOOR; by stretches of
+    2^13 entries, whose scratch arrays stay in cache.  Of one column the
+    bound is |d[m]| itself."""
     if len(c) == 1:
         held = np.flatnonzero(np.abs(d[:, 0]) >= ROW_AMPLITUDE_FLOOR)
-        return (int(held[0]), int(held[-1]) + 1) if len(held) else (0, 0)
-    c_abs = np.abs(c)
-    step = max(1, 2 ** 13 // len(c))
-    bound = np.concatenate([np.abs(d[lo:lo + step]) @ c_abs for lo in range(0, len(d), step)])
-    held = np.flatnonzero(bound >= ROW_AMPLITUDE_FLOOR * math.sqrt(c_abs @ c_abs))
-    return (int(held[0]), int(held[-1]) + 1) if len(held) else (0, 0)
+    else:
+        c_abs = np.abs(c)
+        step = max(1, 2 ** 13 // len(c))
+        bound = np.concatenate([np.abs(d[i:i + step]) @ c_abs for i in range(0, len(d), step)])
+        held = np.flatnonzero(bound >= ROW_AMPLITUDE_FLOOR * math.sqrt(c_abs @ c_abs))
+    return (lo + int(held[0]), lo + int(held[-1]) + 1) if len(held) else (lo, lo)
 
 
 def _gaussian_state(alpha_p: complex, alpha_s: complex, cutoff: int, pairs: int,
                     ratio: complex, dropped: float, context: str) -> TwoModeFockState:
     """The state sum_k ratio^k D(alpha_p)|k> D(alpha_s)|k> over k < pairs,
     truncated at the cutoff, tail-checked and normalized, on the window of
-    rows of each mode that ``_window`` keeps.  ``dropped`` is the share of
-    the norm held by the pair terms from ``pairs`` on."""
+    rows of each mode that ``_window`` keeps within the rows ``_reach``
+    builds.  ``dropped`` is the share of the norm held by the pair terms
+    from ``pairs`` on."""
     same = alpha_s == alpha_p
     real = all(complex(z).imag == 0.0 for z in (alpha_p, alpha_s, ratio))
-    rows = _budget_rows(cutoff, pairs, 1 if same else 2, 8 if real else 16)
+    alphas = (alpha_p,) if same else (alpha_p, alpha_s)
+    reaches = _budget_rows([abs(z) for z in alphas], cutoff, pairs, 8 if real else 16)
     c = ratio ** np.arange(pairs)
     kept = cutoff + 1
 
-    def mode(alpha):
+    def mode(alpha, lo, hi):
         """the first row of the mode's window, its rows up to the cutoff,
         their Gram, and the Gram of its rows past the cutoff"""
-        d = _displacement_factor(alpha, rows, pairs).T
-        lo, hi = _window(d, c)
-        inner, outer = d[lo:min(hi, kept)], d[max(lo, kept):hi]
-        return lo, inner, _gram(inner, inner), _gram(outer, outer)
+        d = _displacement_factor(alpha, lo, hi, pairs).T
+        first, last = _window(d, c, lo)
+        inner, outer = d[first - lo:min(last, kept) - lo], d[max(first, kept) - lo:last - lo]
+        return first, inner, _gram(inner, inner), _gram(outer, outer)
 
-    lo_p, d_p, in_p, out_p = mode(alpha_p)
-    lo_s, d_s, in_s, out_s = (lo_p, d_p, in_p, out_p) if same else mode(alpha_s)
+    lo_p, d_p, in_p, out_p = mode(alpha_p, *reaches[0])
+    lo_s, d_s, in_s, out_s = (lo_p, d_p, in_p, out_p) if same else mode(alpha_s, *reaches[1])
     if pairs == 1:  # c = [1]: each pair form is the product of two dot products
         in_p1, out_p1, in_s1, out_s1 = (float(g[0, 0].real) for g in (in_p, out_p, in_s, out_s))
         inside = in_p1 * in_s1

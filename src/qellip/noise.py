@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import fock, phase_space
 from .errors import InvalidParameterError, finite
 from .mathieu import solve_even_mathieu
@@ -206,32 +204,36 @@ def target_value(report: MomentReport, target: str) -> float:
 
 
 def fit_power_law(points) -> ScalingFit:
-    """Unweighted least squares on (log10 nbar, log10 var).
+    """Unweighted least squares on (log10 nbar, log10 var), in closed form:
+    slope = Sxy / Sxx over the centred logarithms, each sum a
+    ``math.fsum``.
 
     Points whose photon number or variance is non-positive or non-finite
     cannot be placed on log axes; they are dropped and reported in
     ``excluded``.  The usable points must hold at least two distinct
-    photon numbers.
+    photon numbers (distinct in log10).
     """
     points = [(float(n), float(v)) for n, v in points]
     usable = [0.0 < n < math.inf and 0.0 < v < math.inf for n, v in points]
     good = [point for point, ok in zip(points, usable) if ok]
     excluded = tuple(n for (n, _), ok in zip(points, usable) if not ok)
-    distinct = len({n for n, _ in good})
+    x = [math.log10(n) for n, _ in good]
+    y = [math.log10(v) for _, v in good]
+    distinct = len(set(x))
     if distinct < 2:
         raise InvalidParameterError(
             f"power-law fit needs >= 2 usable points at distinct photon numbers, "
             f"got {len(good)} at {distinct}"
         )
-    x = np.log10([n for n, _ in good])
-    y = np.log10([v for _, v in good])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.sum(resid ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    mean_x, mean_y = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [u - mean_x for u in x]
+    dy = [v - mean_y for v in y]
+    slope = math.fsum(u * v for u, v in zip(dx, dy)) / math.fsum(u * u for u in dx)
+    intercept = mean_y - slope * mean_x
+    ss_res = math.fsum((v - (slope * u + intercept)) ** 2 for u, v in zip(x, y))
+    ss_tot = math.fsum(v * v for v in dy)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    return ScalingFit(tuple(good), float(slope), float(intercept),
-                      min(max(r2, 0.0), 1.0), excluded)
+    return ScalingFit(tuple(good), slope, intercept, min(max(r2, 0.0), 1.0), excluded)
 
 
 def scaling_sweep(family: StateFamily, n_list, targets

@@ -291,6 +291,22 @@ def test_11_squeezed_closed_forms_at_scale(s):
 
 
 @criterion(11, "Gaussian states at scale")
+@pytest.mark.parametrize("family, nbar, l_var", [
+    (coherent_family(), 1e8, 2.5e7),
+    (squeezed_family(1.0), 1e6, (5e5 - np.sinh(1.0) ** 2) * np.exp(-2.0) / 2.0),
+], ids=["coherent-1e8", "squeezed-s1-1e6"])
+def test_11_closed_forms_on_the_support(family, nbar, l_var):
+    # each mode factor is built on the rows its columns reach, so states
+    # whose factors over every row to the cutoff passed the budget run:
+    # one Poisson column on 166,226 of 5.0e7 rows, and K = 124 pair
+    # columns on 75,403 of 516,022.  Past nbar 1e7 no e_var is claimed:
+    # 1 - |<E>|^2 loses about log10(nbar) digits
+    report = family.build_report(nbar)
+    assert report.n_mean == pytest.approx(nbar, rel=1e-9)
+    assert report.l_var == pytest.approx(l_var, rel=1e-9)
+
+
+@criterion(11, "Gaussian states at scale")
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(s=st.floats(0.05, 1.5), spread=st.floats(0.0, 1.0))
 def test_11_squeezed_relation_over_the_admissible_range(s, spread):

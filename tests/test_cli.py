@@ -159,7 +159,8 @@ class TestState:
 
     def test_oversized_grid_exits_2(self, capsys):
         # regression: the (M+1)^2 grid was allocated and died in MemoryError;
-        # nbar 2e12 needs a factor column of 1e12 rows, past the budget
+        # nbar 2e12 needs a factor column on the 2.35e7 rows its Chernoff
+        # bound reaches, past the budget
         code, _, err = run(capsys, "state", "--family", "coherent", "--nbar", "2e12")
         assert code == 2
         assert "budget" in err

@@ -230,8 +230,8 @@ class TestFixedTolerance:
 
 class TestGridBudget:
     def test_oversized_grids_rejected(self):
-        # |alpha|^2 = 1e12 needs 1e12 rows; s = 5 needs all 268114 pair
-        # columns on as many rows
+        # |alpha|^2 = 1e12 needs one column on 2.35e7 rows; s = 5 needs all
+        # 268114 pair columns on as many rows
         with pytest.raises(InvalidParameterError, match="budget"):
             coherent_state(1e6, 1e6)
         with pytest.raises(InvalidParameterError, match="budget"):
@@ -254,31 +254,48 @@ class TestGridBudget:
         assert 0.0 < report.p_var < 1e-9
 
     @staticmethod
-    def planned_bytes(cutoff, pairs, modes, itemsize):
-        # the factors of each mode over the rows of the tail check, two
+    def planned_bytes(rows, pairs, modes, itemsize):
+        # the factors of each mode over the rows of the widest reach, two
         # factor-sized scratch arrays, sixteen row vectors and two K x K
         # Grams per mode plus one
-        rows = cutoff + 1 + 4 * math.isqrt(cutoff + 1) + 25
         return (((modes + 2) * pairs + 16) * rows + (2 * modes + 1) * pairs * pairs) * itemsize
 
     def test_budget_boundary(self, monkeypatch):
-        # one shared real column: 7320 bytes at cutoff 10, 7472 at 11
-        monkeypatch.setattr(fock, "MAX_FACTOR_BYTES", self.planned_bytes(10, 1, 1, 8))
-        assert coherent_at(0.5, 0.5, 10).cutoff == 10
+        # one shared real column at nbar 100 is built on rows 0 to 159,
+        # where the Chernoff bound on its Poisson amplitude reaches the
+        # row floor: 24344 bytes, at any cutoff; nbar 102 takes rows 0 to
+        # 161, and a squeezed state of K = 43 columns more
+        a = math.sqrt(50.0)
+        monkeypatch.setattr(fock, "MAX_FACTOR_BYTES", self.planned_bytes(160, 1, 1, 8))
+        assert coherent_state(a, a).cutoff == 161
+        assert coherent_at(a, a, 10 ** 9).cutoff == 10 ** 9
         with pytest.raises(InvalidParameterError, match="budget"):
-            coherent_at(0.5, 0.5, 11)
+            coherent_state(math.sqrt(51.0), math.sqrt(51.0))
         with pytest.raises(InvalidParameterError, match="budget"):
-            squeezed_at(0.5, 0.5, 0.1, 11)
+            squeezed_for_mean_photons(100.0, 0.5)
+        monkeypatch.setattr(fock, "MAX_FACTOR_BYTES", self.planned_bytes(160, 1, 1, 8) - 1)
+        with pytest.raises(InvalidParameterError, match="budget"):
+            coherent_state(a, a)
 
     @pytest.mark.parametrize("build", [
         lambda: squeezed_for_mean_photons(30.0, 2.0),
         lambda: squeezed_for_mean_photons(30.0, 2.0, 0.3),
         lambda: displaced_squeezed_state(3 + 4j, 2.0, 1.5 * np.exp(0.4j)),
         lambda: squeezed_for_mean_photons(80.0, 2.5),
-    ], ids=["s2-real", "s2-dphi", "displaced-complex", "s2.5"])
-    def test_build_and_analysis_fit_the_plan(self, build):
-        # the plan that MAX_FACTOR_BYTES is checked against bounds what a
-        # build and its moments allocate (0.62 to 0.96 of it here)
+        lambda: coherent_state(math.sqrt(5e5), math.sqrt(5e5)),
+        lambda: squeezed_for_mean_photons(1e6, 0.5),
+    ], ids=["s2-real", "s2-dphi", "displaced-complex", "s2.5", "coherent-1e6", "s0.5-1e6"])
+    def test_build_and_analysis_fit_the_plan(self, monkeypatch, build):
+        # the plan that MAX_FACTOR_BYTES is checked against, over the rows
+        # each mode's factor is built on, bounds what a build and its
+        # moments allocate
+        plan, reaches = fock._budget_rows, []
+
+        def recorded(*args):
+            reaches.append(plan(*args))
+            return reaches[-1]
+
+        monkeypatch.setattr(fock, "_budget_rows", recorded)
         tracemalloc.start()
         try:
             st = build()
@@ -288,7 +305,10 @@ class TestGridBudget:
             tracemalloc.stop()
         modes = 1 if st.d_s is st.d_p else 2
         itemsize = max(a.itemsize for a in (st.d_p, st.d_s, st.c))
-        assert peak <= self.planned_bytes(st.cutoff, len(st.c), modes, itemsize)
+        (windows,) = reaches
+        assert len(windows) == modes
+        rows = max(hi - lo for lo, hi in windows)
+        assert peak <= self.planned_bytes(rows, len(st.c), modes, itemsize)
 
     def test_embed_ignores_the_grid_budget(self, monkeypatch):
         monkeypatch.setattr(fock, "MAX_FACTOR_BYTES", self.planned_bytes(10, 1, 1, 8))
@@ -345,10 +365,11 @@ class TestHugeInputs:
             call()
 
     def test_message_within_float_range_keeps_its_size(self):
+        # nbar 2e12: the Chernoff rows of one column span 2.35e7 rows
         with pytest.raises(InvalidParameterError) as exc:
-            coherent_at(1.0, 1.0, 10 ** 11)
-        assert str(exc.value) == ("cutoff 1.00e+11 with K = 1 needs 1.45e+7 MiB "
-                                  "of mode factors, over the 1024 MiB budget")
+            coherent_state(1e6, 1e6)
+        assert str(exc.value) == ("cutoff 1.00e+12 with K = 1 needs 3.41e+3 MiB of mode "
+                                  "factors on 2.35e+7 rows, over the 1024 MiB budget")
 
 
 class TestIntegerArguments:
@@ -396,7 +417,7 @@ class TestNonFiniteInputs:
 
 def displacement_columns(alpha, rows: int, ncols: int) -> np.ndarray:
     """<m|D(alpha)|n> for m < rows, n < ncols, as the build computes them."""
-    return fock._displacement_factor(alpha, rows, ncols).T
+    return fock._displacement_factor(alpha, 0, rows, ncols).T
 
 
 class TestDisplacement:
@@ -443,7 +464,7 @@ class TestDisplacement:
         # At degrees near 600 the columns are 1.3e-13 off the 40-digit
         # closed form, at m = n = 278
         alpha = math.sqrt(nbar / 2.0 - math.sinh(s) ** 2)
-        assert fock._coherent_start(alpha, rows, ncols)[1].min() == lowest
+        assert fock._coherent_start(alpha, 0, rows, ncols)[1].min() == lowest
         d = displacement_columns(alpha, rows, ncols)
         m, n = np.ogrid[:rows, :ncols]
         assert np.all(np.isfinite(d))
@@ -468,10 +489,10 @@ class TestDisplacement:
             return by, odd
 
         monkeypatch.setattr(fock, "_row_scaling", recorded)
-        d = fock._displacement_factor(alpha, rows, ncols)
+        d = fock._displacement_factor(alpha, 0, rows, ncols)
         monkeypatch.setattr(fock, "_row_scaling",
                             lambda expo: (np.zeros(len(expo)), np.arange(len(expo))))
-        assert np.array_equal(d, fock._displacement_factor(alpha, rows, ncols))
+        assert np.array_equal(d, fock._displacement_factor(alpha, 0, rows, ncols))
         assert len(by_ldexp) > 1 and max(by_ldexp) <= most_by_ldexp
 
     def test_a_normal_power_of_two_scales_as_ldexp(self):
@@ -553,6 +574,11 @@ class TestSqueezed:
         with pytest.raises(TruncationError, match="tail 2.6..e-05"):
             squeezed_at(alpha, alpha, 1.0, 120)
         assert squeezed_at(alpha, alpha, 1.0, 200).tail_mass < 1e-13
+        # supports that start past every row of the tail check lose all
+        for build in (lambda: coherent_at(100.0, 100.0, 10),
+                      lambda: squeezed_at(100.0, 100.0, 1.0, 120)):
+            with pytest.raises(TruncationError, match="tail 1.000e[+]00"):
+                build()
 
     def test_mean_phase_closed_forms(self):
         # coherent: <E> ~ prod_sigma (1 - 1/(8 |alpha_sigma|^2))
@@ -669,8 +695,8 @@ def untrimmed_factors(state, alpha_p, alpha_s) -> tuple[np.ndarray, np.ndarray]:
     """The state's mode factors on every row up to its cutoff, before the
     build drops the rows outside its windows."""
     rows, pairs = state.cutoff + 1, len(state.c)
-    d_p = fock._displacement_factor(alpha_p, rows, pairs).T
-    return d_p, d_p if alpha_s == alpha_p else fock._displacement_factor(alpha_s, rows, pairs).T
+    d_p = fock._displacement_factor(alpha_p, 0, rows, pairs).T
+    return d_p, d_p if alpha_s == alpha_p else fock._displacement_factor(alpha_s, 0, rows, pairs).T
 
 
 def dropped_amplitude(state, d_p, d_s) -> float:
@@ -752,6 +778,28 @@ class TestRowWindows:
         # e_var = 1 - |<E>|^2 keeps the absolute digits of <E>, a few ulps
         assert abs(got.e_mean - want.e_mean) <= 1e-14
         assert abs(got.e_var - want.e_var) <= 1e-14
+
+    @pytest.mark.parametrize("build, alpha, reach_lo, tol", [
+        (lambda: coherent_state(math.sqrt(1400.0), math.sqrt(1400.0)), math.sqrt(1400.0),
+         982, 1e-13),
+        (lambda: squeezed_for_mean_photons(4000.0, 0.5), math.sqrt(2000.0 - math.sinh(0.5) ** 2),
+         66, 1e-12),
+    ], ids=["coherent-2800", "squeezed-0.5-4000"])
+    def test_window_edges_against_the_closed_form(self, build, alpha, reach_lo, tol):
+        # one column is built on its Chernoff rows and K = 43 columns on
+        # their reach, both starting past row 0: the stored entries are the
+        # Laguerre closed form's, and the rows just outside the window hold
+        # an amplitude bound under the floor (single entries of the K = 43
+        # factor there reach 2e-3, in columns whose pair amplitudes are
+        # near 1e-14)
+        st = build()
+        lo, hi = fock._reach(alpha, st.cutoff, len(st.c))
+        assert lo == reach_lo and lo < st.lo_p and st.lo_p + len(st.d_p) < hi
+        m = np.arange(st.lo_p - 1, st.lo_p + len(st.d_p) + 1)[:, np.newaxis]
+        ref = displacement_entry(m, np.arange(len(st.c)), alpha)
+        assert np.abs(st.d_p - ref[1:-1]).max() < tol
+        c = np.abs(st.c)
+        assert (np.abs(ref[[0, -1]]) @ c).max() / np.linalg.norm(c) < fock.ROW_AMPLITUDE_FLOOR
 
     def test_windows_must_fit_the_cutoff(self):
         d = np.ones((5, 2))

@@ -279,6 +279,26 @@ class TestScalingSweeps:
         assert fit.excluded == (10.0, 0.0, -1.0, 80.0)
         assert fit.points == ((20.0, 1e-3), (40.0, 2e-3))
 
+    @pytest.mark.parametrize("nbars, family", [
+        ([1e2, 1e3, 1e4, 1e5, 1e6], coherent_family()),
+        ([10, 100, 400, 1000], squeezed_family(0.5)),
+    ], ids=["coherent", "squeezed"])
+    def test_fit_is_the_exact_least_squares_line(self, nbars, family):
+        # against the least-squares line through the same logarithms in
+        # rational arithmetic, to a few ulps of the terms each is formed
+        # from: mean_y - slope mean_x cancels to 0.0024 on the coherent points
+        from fractions import Fraction
+        fit = scaling_sweep(family, nbars, ["e_var"])[1]["e_var"]
+        x = [Fraction(math.log10(n)) for n, _ in fit.points]
+        y = [Fraction(math.log10(v)) for _, v in fit.points]
+        mean_x, mean_y = sum(x) / len(x), sum(y) / len(y)
+        slope = (sum((u - mean_x) * (v - mean_y) for u, v in zip(x, y))
+                 / sum((u - mean_x) ** 2 for u in x))
+        eps = np.finfo(float).eps
+        assert abs(fit.slope - float(slope)) <= 4 * eps * abs(fit.slope)
+        assert (abs(fit.intercept - float(mean_y - slope * mean_x))
+                <= 4 * eps * float(abs(mean_y) + abs(slope * mean_x)))
+
     def test_all_degenerate_raises(self):
         with pytest.raises(InvalidParameterError):
             fit_power_law([(10.0, 0.0), (20.0, 0.0), (40.0, 1.0)])
